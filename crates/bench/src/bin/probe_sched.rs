@@ -1,5 +1,5 @@
-//! Probe-scheduler shoot-out: static chunking vs. work-stealing vs.
-//! bound-sorted work-stealing at 1/2/4/8 threads, as JSON.
+//! Probe-scheduler shoot-out: work stealing vs. bound-sorted work
+//! stealing at 1/2/4/8 threads, as JSON.
 //!
 //! The workload is a fig8-scale synthetic: anti-correlated `P` on the
 //! unit cube (many skyline points, so `getDominatingSky` has real work
@@ -106,11 +106,7 @@ fn main() {
     });
     println!("  sequential improved probing: {}", fmt_duration(seq_wall));
 
-    let strategies = [
-        ProbeStrategy::StaticChunk,
-        ProbeStrategy::WorkStealing,
-        ProbeStrategy::BoundSorted,
-    ];
+    let strategies = [ProbeStrategy::WorkStealing, ProbeStrategy::BoundSorted];
     let thread_counts = [1usize, 2, 4, 8];
 
     let mut runs = Vec::new();
@@ -176,19 +172,19 @@ fn main() {
         }
     }
 
-    // Acceptance: at 4 threads the bound-sorted prober must beat the
-    // static-chunk prober on both wall-clock and products evaluated.
-    let chunk4 = at4.iter().find(|(n, ..)| *n == "static_chunk").unwrap();
+    // Acceptance: at 4 threads the bound-sorted prober must beat plain
+    // work stealing on both wall-clock and products evaluated.
+    let steal4 = at4.iter().find(|(n, ..)| *n == "work_stealing").unwrap();
     let sorted4 = at4.iter().find(|(n, ..)| *n == "bound_sorted").unwrap();
-    let wall_win = sorted4.1 < chunk4.1;
-    let eval_win = sorted4.2 < chunk4.2;
+    let wall_win = sorted4.1 < steal4.1;
+    let eval_win = sorted4.2 < steal4.2;
     println!(
         "  acceptance @4 threads: wall {} vs {} ({}), evaluated {} vs {} ({})",
         fmt_duration(sorted4.1),
-        fmt_duration(chunk4.1),
+        fmt_duration(steal4.1),
         if wall_win { "win" } else { "LOSS" },
         sorted4.2,
-        chunk4.2,
+        steal4.2,
         if eval_win { "win" } else { "LOSS" },
     );
 
@@ -215,15 +211,15 @@ fn main() {
             Json::obj(vec![
                 ("threads", Json::Num(4.0)),
                 (
-                    "static_chunk_wall_us",
-                    Json::Num(chunk4.1.as_micros() as f64),
+                    "work_stealing_wall_us",
+                    Json::Num(steal4.1.as_micros() as f64),
                 ),
                 (
                     "bound_sorted_wall_us",
                     Json::Num(sorted4.1.as_micros() as f64),
                 ),
                 ("wall_clock_win", Json::Bool(wall_win)),
-                ("static_chunk_evaluated", Json::Num(chunk4.2 as f64)),
+                ("work_stealing_evaluated", Json::Num(steal4.2 as f64)),
                 ("bound_sorted_evaluated", Json::Num(sorted4.2 as f64)),
                 ("evaluated_win", Json::Bool(eval_win)),
                 ("all_runs_bit_identical", Json::Bool(all_identical)),

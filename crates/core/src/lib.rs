@@ -12,7 +12,10 @@
 //! * [`upgrade`] — Algorithm 1: the cheapest way to lift a single
 //!   product above a skyline of dominators.
 //! * [`probing`] — Algorithm 2 (basic probing) and its improved variant
-//!   built on `getDominatingSky` (Algorithm 3).
+//!   built on `getDominatingSky` (Algorithm 3), each with one probe loop
+//!   behind its plain / `_rec` / `try_` entry points; the multi-threaded
+//!   probe scheduler (`WorkStealing` or `BoundSorted`); and the batch
+//!   executor that `skyup-serve` runs.
 //! * [`join`] — Algorithm 4: the progressive R-tree × R-tree join with
 //!   the NLB / CLB / ALB lower-bound strategies (Section III-B).
 //! * [`single_set`] — the future-work variant where uncompetitive
@@ -73,12 +76,9 @@ pub use error::SkyupError;
 pub use join::{try_join_topk, BoundMode, JoinStats, JoinUpgrader, LowerBound};
 pub use optimal::optimal_upgrade;
 pub use probing::{
-    basic_probing_topk, basic_probing_topk_rec, improved_probing_topk,
-    improved_probing_topk_parallel, improved_probing_topk_parallel_rec, improved_probing_topk_rec,
-    improved_probing_topk_scheduled, improved_probing_topk_scheduled_rec,
-    improved_probing_topk_with_skyline, improved_probing_topk_with_skyline_rec, run_probe_batch,
-    try_basic_probing_topk, try_improved_probing_topk, try_improved_probing_topk_parallel,
-    try_improved_probing_topk_pruned, try_improved_probing_topk_scheduled, BatchItem, BatchOutput,
+    basic_probing_topk, basic_probing_topk_rec, improved_probing_topk, improved_probing_topk_rec,
+    improved_probing_topk_scheduled_rec, run_probe_batch, try_basic_probing_topk,
+    try_improved_probing_topk, try_improved_probing_topk_scheduled, BatchItem, BatchOutput,
     ItemAnswer, ProbeStrategy, PruningStats,
 };
 pub use result::{AnytimeTopK, UpgradeResult};

@@ -3,12 +3,15 @@
 use crate::config::UpgradeConfig;
 use crate::cost::CostFunction;
 use crate::error::{validate_query, SkyupError};
+use crate::probing::record_guard;
 use crate::result::{AnytimeTopK, UpgradeResult};
 use crate::topk::TopK;
 use crate::upgrade::upgrade_single;
 use skyup_geom::dominance::dominates;
 use skyup_geom::{PointId, PointStore, Rect};
-use skyup_obs::{timed, Completion, Counter, ExecutionLimits, NullRecorder, Phase, Recorder};
+use skyup_obs::{
+    timed, Completion, Counter, ExecGuard, ExecutionLimits, NullRecorder, Phase, Recorder,
+};
 use skyup_rtree::RTree;
 use skyup_skyline::skyline_sfs_rec;
 
@@ -55,51 +58,8 @@ pub fn basic_probing_topk_rec<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
     if t_store.is_empty() {
         return Vec::new();
     }
-    let dims = p_store.dims();
-    let mut topk = TopK::new(k);
-    let mut candidates: Vec<PointId> = Vec::new();
-
-    timed(rec, Phase::ProbeLoop, |rec| {
-        for (tid, t) in t_store.iter() {
-            // Lines 3-4: dominators <- RangeQuery(R_P, ADR(t)), then their
-            // skyline — the basic algorithm's stand-in for Algorithm 3.
-            let skyline = timed(rec, Phase::DominatingSky, |rec| {
-                let dominators: Vec<PointId> = if p_tree.is_empty() {
-                    Vec::new()
-                } else {
-                    let root_lo = p_tree.root().mbr().lo();
-                    let adr_lo: Vec<f64> = (0..dims).map(|i| root_lo[i].min(t[i])).collect();
-                    let adr = Rect::new(&adr_lo, t);
-                    p_tree.range_query_into_rec(p_store, &adr, &mut candidates, rec);
-                    rec.incr(Counter::AdrCandidates, candidates.len() as u64);
-                    candidates
-                        .iter()
-                        .copied()
-                        .filter(|&p| {
-                            rec.bump(Counter::DominanceTests);
-                            dominates(p_store.point(p), t)
-                        })
-                        .collect()
-                };
-                skyline_sfs_rec(p_store, &dominators, rec)
-            });
-
-            // Line 5: upgrade(S, t, f_p).
-            let (cost, upgraded) = timed(rec, Phase::Upgrade, |_| {
-                upgrade_single(p_store, &skyline, t, cost_fn, cfg)
-            });
-            rec.bump(Counter::ProductsEvaluated);
-            topk.offer(UpgradeResult {
-                product: tid,
-                original: t.to_vec(),
-                upgraded,
-                cost,
-            });
-        }
-    });
-    let results = topk.into_sorted();
-    rec.incr(Counter::ResultsEmitted, results.len() as u64);
-    results
+    let guard = &mut ExecGuard::unlimited();
+    basic_probe_loop(p_store, p_tree, t_store, k, cost_fn, cfg, guard, rec).results
 }
 
 /// Fallible, guarded basic probing: validates the inputs up front
@@ -108,7 +68,8 @@ pub fn basic_probing_topk_rec<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
 /// under `limits`. When a limit fires the loop stops between products
 /// and the exact top-k over the fully evaluated prefix of `T` is
 /// returned tagged [`Completion::Partial`]; with no limits the output
-/// is bit-identical to [`basic_probing_topk_rec`].
+/// is bit-identical to [`basic_probing_topk_rec`] (both run the same
+/// loop).
 #[allow(clippy::too_many_arguments)]
 pub fn try_basic_probing_topk<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
     p_store: &PointStore,
@@ -122,6 +83,25 @@ pub fn try_basic_probing_topk<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
 ) -> Result<AnytimeTopK, SkyupError> {
     validate_query(p_store, p_tree, t_store, k, cost_fn)?;
     let mut guard = limits.start();
+    let out = basic_probe_loop(p_store, p_tree, t_store, k, cost_fn, cfg, &mut guard, rec);
+    record_guard(rec, guard.node_visits(), out.completion);
+    Ok(out)
+}
+
+/// The basic probe loop behind every entry point above. The guard is
+/// checked between products and charged for every range-query node
+/// read; an interrupted product is discarded whole.
+#[allow(clippy::too_many_arguments)]
+fn basic_probe_loop<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
+    p_store: &PointStore,
+    p_tree: &RTree,
+    t_store: &PointStore,
+    k: usize,
+    cost_fn: &C,
+    cfg: &UpgradeConfig,
+    guard: &mut ExecGuard,
+    rec: &mut R,
+) -> AnytimeTopK {
     let dims = p_store.dims();
     let mut topk = TopK::new(k);
     let mut completion = Completion::Exact;
@@ -134,31 +114,38 @@ pub fn try_basic_probing_topk<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
                 completion = Completion::Partial(i);
                 break;
             }
+            // Lines 3-4: dominators <- RangeQuery(R_P, ADR(t)), then their
+            // skyline — the basic algorithm's stand-in for Algorithm 3.
             let sky_res = timed(rec, Phase::DominatingSky, |rec| {
-                let root_lo = p_tree.root().mbr().lo();
-                let adr_lo: Vec<f64> = (0..dims).map(|i| root_lo[i].min(t[i])).collect();
-                let adr = Rect::new(&adr_lo, t);
-                p_tree.range_query_into_lim(p_store, &adr, &mut candidates, rec, &mut guard)?;
-                rec.incr(Counter::AdrCandidates, candidates.len() as u64);
-                let dominators: Vec<PointId> = candidates
-                    .iter()
-                    .copied()
-                    .filter(|&p| {
-                        rec.bump(Counter::DominanceTests);
-                        dominates(p_store.point(p), t)
-                    })
-                    .collect();
+                let dominators: Vec<PointId> = if p_tree.is_empty() {
+                    Vec::new()
+                } else {
+                    let root_lo = p_tree.root().mbr().lo();
+                    let adr_lo: Vec<f64> = (0..dims).map(|i| root_lo[i].min(t[i])).collect();
+                    let adr = Rect::new(&adr_lo, t);
+                    p_tree.range_query_into_lim(p_store, &adr, &mut candidates, rec, guard)?;
+                    rec.incr(Counter::AdrCandidates, candidates.len() as u64);
+                    candidates
+                        .iter()
+                        .copied()
+                        .filter(|&p| {
+                            rec.bump(Counter::DominanceTests);
+                            dominates(p_store.point(p), t)
+                        })
+                        .collect()
+                };
                 Ok(skyline_sfs_rec(p_store, &dominators, rec))
             });
             let skyline = match sky_res {
                 Ok(s) => s,
                 Err(i) => {
-                    // The interrupted product's work is discarded whole:
-                    // a truncated dominator set is unsound for upgrades.
+                    // A truncated dominator set is unsound for upgrades.
                     completion = Completion::Partial(i);
                     break;
                 }
             };
+
+            // Line 5: upgrade(S, t, f_p).
             let (cost, upgraded) = timed(rec, Phase::Upgrade, |_| {
                 upgrade_single(p_store, &skyline, t, cost_fn, cfg)
             });
@@ -172,16 +159,11 @@ pub fn try_basic_probing_topk<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
             });
         }
     });
-
     let results = topk.into_sorted();
     rec.incr(Counter::ResultsEmitted, results.len() as u64);
-    rec.incr(Counter::GuardedNodeVisits, guard.node_visits());
-    if !completion.is_exact() {
-        rec.bump(Counter::LimitInterrupts);
-    }
-    Ok(AnytimeTopK {
+    AnytimeTopK {
         results,
         completion,
         evaluated,
-    })
+    }
 }

@@ -4,13 +4,16 @@
 use crate::config::UpgradeConfig;
 use crate::cost::CostFunction;
 use crate::error::{validate_query, SkyupError};
+use crate::probing::record_guard;
 use crate::result::{AnytimeTopK, UpgradeResult};
 use crate::topk::TopK;
-use crate::upgrade::{dominators_from_skyline, upgrade_single};
-use skyup_geom::{PointId, PointStore};
-use skyup_obs::{timed, Completion, Counter, ExecutionLimits, NullRecorder, Phase, Recorder};
+use crate::upgrade::upgrade_single;
+use skyup_geom::PointStore;
+use skyup_obs::{
+    timed, Completion, Counter, ExecGuard, ExecutionLimits, NullRecorder, Phase, Recorder,
+};
 use skyup_rtree::RTree;
-use skyup_skyline::{dominating_skyline_lim, dominating_skyline_rec};
+use skyup_skyline::dominating_skyline_lim;
 
 /// Runs the improved probing algorithm: for every `t ∈ T`, the skyline
 /// of `t`'s dominators is computed directly by a constrained BBS
@@ -50,98 +53,8 @@ pub fn improved_probing_topk_rec<C: CostFunction + ?Sized, R: Recorder + ?Sized>
     if t_store.is_empty() {
         return Vec::new();
     }
-    let mut topk = TopK::new(k);
-    timed(rec, Phase::ProbeLoop, |rec| {
-        for (tid, t) in t_store.iter() {
-            let skyline = timed(rec, Phase::DominatingSky, |rec| {
-                dominating_skyline_rec(p_store, p_tree, t, rec)
-            });
-            let (cost, upgraded) = timed(rec, Phase::Upgrade, |_| {
-                upgrade_single(p_store, &skyline, t, cost_fn, cfg)
-            });
-            rec.bump(Counter::ProductsEvaluated);
-            topk.offer(UpgradeResult {
-                product: tid,
-                original: t.to_vec(),
-                upgraded,
-                cost,
-            });
-        }
-    });
-    let results = topk.into_sorted();
-    rec.incr(Counter::ResultsEmitted, results.len() as u64);
-    results
-}
-
-/// Improved probing over an externally supplied, precomputed skyline of
-/// the full competitor set: per product, `getDominatingSky` is replaced
-/// by a linear filter of `p_skyline` down to `t`'s dominators (see
-/// [`dominators_from_skyline`] for the identity making this exact).
-/// Needs no competitor R-tree at query time, which is what lets a
-/// serving snapshot amortize one skyline computation across every
-/// request. Results equal [`improved_probing_topk`] when `p_skyline` is
-/// the skyline of `p_store`.
-pub fn improved_probing_topk_with_skyline<C: CostFunction + ?Sized>(
-    p_store: &PointStore,
-    p_skyline: &[PointId],
-    t_store: &PointStore,
-    k: usize,
-    cost_fn: &C,
-    cfg: &UpgradeConfig,
-) -> Vec<UpgradeResult> {
-    improved_probing_topk_with_skyline_rec(
-        p_store,
-        p_skyline,
-        t_store,
-        k,
-        cost_fn,
-        cfg,
-        &mut NullRecorder,
-    )
-}
-
-/// [`improved_probing_topk_with_skyline`] with instrumentation; the
-/// skyline filter is charged to [`Phase::DominatingSky`] and its
-/// dominance tests are counted like any other variant's.
-#[allow(clippy::too_many_arguments)]
-pub fn improved_probing_topk_with_skyline_rec<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
-    p_store: &PointStore,
-    p_skyline: &[PointId],
-    t_store: &PointStore,
-    k: usize,
-    cost_fn: &C,
-    cfg: &UpgradeConfig,
-    rec: &mut R,
-) -> Vec<UpgradeResult> {
-    assert_eq!(
-        p_store.dims(),
-        t_store.dims(),
-        "P and T dimensionality differ"
-    );
-    if t_store.is_empty() {
-        return Vec::new();
-    }
-    let mut topk = TopK::new(k);
-    timed(rec, Phase::ProbeLoop, |rec| {
-        for (tid, t) in t_store.iter() {
-            let skyline = timed(rec, Phase::DominatingSky, |rec| {
-                dominators_from_skyline(p_store, p_skyline, t, rec)
-            });
-            let (cost, upgraded) = timed(rec, Phase::Upgrade, |_| {
-                upgrade_single(p_store, &skyline, t, cost_fn, cfg)
-            });
-            rec.bump(Counter::ProductsEvaluated);
-            topk.offer(UpgradeResult {
-                product: tid,
-                original: t.to_vec(),
-                upgraded,
-                cost,
-            });
-        }
-    });
-    let results = topk.into_sorted();
-    rec.incr(Counter::ResultsEmitted, results.len() as u64);
-    results
+    let guard = &mut ExecGuard::unlimited();
+    improved_probe_loop(p_store, p_tree, t_store, k, cost_fn, cfg, guard, rec).results
 }
 
 /// Fallible, guarded improved probing: input validation as in
@@ -149,7 +62,8 @@ pub fn improved_probing_topk_with_skyline_rec<C: CostFunction + ?Sized, R: Recor
 /// under `limits` with every `getDominatingSky` traversal charged to
 /// the guard. On interruption the exact top-k over the fully evaluated
 /// prefix of `T` comes back tagged [`Completion::Partial`]; unlimited
-/// runs are bit-identical to [`improved_probing_topk_rec`].
+/// runs are bit-identical to [`improved_probing_topk_rec`] (both run
+/// the same loop).
 #[allow(clippy::too_many_arguments)]
 pub fn try_improved_probing_topk<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
     p_store: &PointStore,
@@ -163,6 +77,26 @@ pub fn try_improved_probing_topk<C: CostFunction + ?Sized, R: Recorder + ?Sized>
 ) -> Result<AnytimeTopK, SkyupError> {
     validate_query(p_store, p_tree, t_store, k, cost_fn)?;
     let mut guard = limits.start();
+    let out = improved_probe_loop(p_store, p_tree, t_store, k, cost_fn, cfg, &mut guard, rec);
+    record_guard(rec, guard.node_visits(), out.completion);
+    Ok(out)
+}
+
+/// The improved probe loop behind every entry point above. The guard is
+/// checked between products and charged inside every
+/// `getDominatingSky` traversal; an interrupted product is discarded
+/// whole.
+#[allow(clippy::too_many_arguments)]
+fn improved_probe_loop<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
+    p_store: &PointStore,
+    p_tree: &RTree,
+    t_store: &PointStore,
+    k: usize,
+    cost_fn: &C,
+    cfg: &UpgradeConfig,
+    guard: &mut ExecGuard,
+    rec: &mut R,
+) -> AnytimeTopK {
     let mut topk = TopK::new(k);
     let mut completion = Completion::Exact;
     let mut evaluated = 0usize;
@@ -174,7 +108,7 @@ pub fn try_improved_probing_topk<C: CostFunction + ?Sized, R: Recorder + ?Sized>
                 break;
             }
             let sky_res = timed(rec, Phase::DominatingSky, |rec| {
-                dominating_skyline_lim(p_store, p_tree, t, rec, &mut guard)
+                dominating_skyline_lim(p_store, p_tree, t, rec, guard)
             });
             let skyline = match sky_res {
                 Ok(s) => s,
@@ -196,16 +130,11 @@ pub fn try_improved_probing_topk<C: CostFunction + ?Sized, R: Recorder + ?Sized>
             });
         }
     });
-
     let results = topk.into_sorted();
     rec.incr(Counter::ResultsEmitted, results.len() as u64);
-    rec.incr(Counter::GuardedNodeVisits, guard.node_visits());
-    if !completion.is_exact() {
-        rec.bump(Counter::LimitInterrupts);
-    }
-    Ok(AnytimeTopK {
+    AnytimeTopK {
         results,
         completion,
         evaluated,
-    })
+    }
 }

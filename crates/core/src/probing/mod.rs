@@ -14,52 +14,61 @@
 //! Neither algorithm is progressive: no result can be reported until all
 //! of `T` has been processed (Section IV-B notes this).
 //!
-//! Library extensions: [`improved_probing_topk_parallel`] partitions
-//! `T` across threads (bit-identical results),
-//! [`improved_probing_topk_pruned`] screens products with a cheap
-//! admissible lower bound before paying for the full evaluation, and
-//! [`run_probe_batch`] evaluates the flattened product union of many
-//! *requests* against one shared skyline with work stealing, a
-//! cross-request dominator memo, and per-request execution limits
-//! (the `skyup-serve` batch pipeline's engine).
+//! Each algorithm comes as a plain / `_rec` (instrumented) / `try_`
+//! (validated, guarded) triplet, and all three run one private probe
+//! loop under an [`skyup_obs::ExecGuard`]: the unguarded entry points
+//! pass [`skyup_obs::ExecGuard::unlimited`], so they are bit-identical
+//! to an unlimited `try_` run by construction. When a budget of
+//! [`skyup_obs::ExecutionLimits`] fires, a `try_` call returns the exact
+//! top-k over the products it fully evaluated, tagged
+//! [`crate::AnytimeTopK`] partial; invalid inputs return
+//! [`crate::SkyupError`] instead of panicking.
 //!
-//! Every variant also has a fallible `try_*` twin that validates its
-//! inputs (returning [`crate::SkyupError`] instead of panicking) and
-//! runs under [`skyup_obs::ExecutionLimits`], degrading to a tagged
-//! best-so-far answer ([`crate::AnytimeTopK`]) when a budget fires.
+//! Library extensions, each with its own loop:
+//!
+//! * [`improved_probing_topk_scheduled_rec`] /
+//!   [`try_improved_probing_topk_scheduled`] — improved probing across
+//!   worker threads under a [`ProbeStrategy`]: `WorkStealing` claims
+//!   products in id order, `BoundSorted` claims them in ascending order
+//!   of an admissible lower bound and prunes against a shared top-k
+//!   threshold. Results are bit-identical to [`improved_probing_topk`].
+//! * [`run_probe_batch`] evaluates the flattened product union of many
+//!   *requests* against one shared skyline with work stealing, a
+//!   cross-request dominator memo, and per-request execution limits
+//!   (the `skyup-serve` batch pipeline's engine).
 
 mod basic;
 mod batch;
 mod improved;
-mod parallel;
-mod pruned;
 mod scheduler;
 
 pub use basic::{basic_probing_topk, basic_probing_topk_rec, try_basic_probing_topk};
 pub use batch::{run_probe_batch, BatchItem, BatchOutput, ItemAnswer};
-pub use improved::{
-    improved_probing_topk, improved_probing_topk_rec, improved_probing_topk_with_skyline,
-    improved_probing_topk_with_skyline_rec, try_improved_probing_topk,
-};
-pub use parallel::{
-    improved_probing_topk_parallel, improved_probing_topk_parallel_rec,
-    try_improved_probing_topk_parallel,
-};
-pub use pruned::{
-    improved_probing_topk_pruned, improved_probing_topk_pruned_rec,
-    try_improved_probing_topk_pruned, PruningStats,
-};
+pub use improved::{improved_probing_topk, improved_probing_topk_rec, try_improved_probing_topk};
 pub use scheduler::{
-    improved_probing_topk_scheduled, improved_probing_topk_scheduled_rec,
-    try_improved_probing_topk_scheduled, ProbeStrategy,
+    improved_probing_topk_scheduled_rec, try_improved_probing_topk_scheduled, ProbeStrategy,
+    PruningStats,
 };
+
+use skyup_obs::{Completion, Counter, Recorder};
+
+/// The guard summary every guarded probe reports once it is done: the
+/// node visits it charged and, if a limit fired, one interrupt.
+fn record_guard<R: Recorder + ?Sized>(rec: &mut R, visits: u64, completion: Completion) {
+    rec.incr(Counter::GuardedNodeVisits, visits);
+    if !completion.is_exact() {
+        rec.bump(Counter::LimitInterrupts);
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::SumCost;
+    use crate::upgrade::{dominators_from_skyline, upgrade_single};
     use crate::UpgradeConfig;
     use skyup_geom::PointStore;
+    use skyup_obs::NullRecorder;
     use skyup_rtree::{RTree, RTreeParams};
 
     fn pseudo_random_store(n: usize, dims: usize, lo: f64, hi: f64, seed: u64) -> PointStore {
@@ -101,6 +110,9 @@ mod tests {
         }
     }
 
+    /// The identity a serving snapshot relies on: filtering the full
+    /// skyline down to `t`'s dominators and running Algorithm 1 gives
+    /// improved probing's answer bit for bit.
     #[test]
     fn with_skyline_matches_self_computed_path() {
         for dims in [2, 3] {
@@ -113,7 +125,18 @@ mod tests {
             let mut sky = skyup_skyline::skyline_sfs(&p, &all);
             sky.sort();
             let a = improved_probing_topk(&p, &rp, &t, 10, &cost, &cfg);
-            let b = improved_probing_topk_with_skyline(&p, &sky, &t, 10, &cost, &cfg);
+            let mut topk = crate::TopK::new(10);
+            for (tid, tp) in t.iter() {
+                let dominators = dominators_from_skyline(&p, &sky, tp, &mut NullRecorder);
+                let (c, upgraded) = upgrade_single(&p, &dominators, tp, &cost, &cfg);
+                topk.offer(crate::UpgradeResult {
+                    product: tid,
+                    original: tp.to_vec(),
+                    upgraded,
+                    cost: c,
+                });
+            }
+            let b = topk.into_sorted();
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.product, y.product);

@@ -1,29 +1,28 @@
 //! Work-stealing probe scheduler with an optional bound-sorted probe
 //! order and a shared admission threshold.
 //!
-//! Static chunking (one contiguous slice of `T` per worker) balances
-//! poorly: dominator-skyline cost varies wildly across products, so one
-//! unlucky slice can hold the whole join back. The scheduler instead
-//! lets workers *claim* products one at a time from a shared atomic
-//! counter — idle workers steal whatever is left, so the makespan tracks
-//! the slowest single product rather than the slowest slice.
+//! Dominator-skyline cost varies wildly across products, so a fixed
+//! partition of `T` (one contiguous slice per worker) balances poorly:
+//! one unlucky slice can hold the whole query back. Workers instead
+//! *claim* products one at a time from a shared atomic counter — idle
+//! workers steal whatever is left, so the makespan tracks the slowest
+//! single product rather than the slowest slice.
 //!
-//! Three strategies share one engine:
+//! Two strategies share one loop:
 //!
-//! * [`ProbeStrategy::StaticChunk`] — the legacy contiguous partition,
-//!   kept as the bench baseline.
 //! * [`ProbeStrategy::WorkStealing`] — atomic-counter claims in product
 //!   id order; per-worker top-k, no pruning. Merged counters are fully
 //!   deterministic (every product is evaluated exactly once).
 //! * [`ProbeStrategy::BoundSorted`] — claims walk a probe order
 //!   pre-sorted ascending by the cheap admissible NLB/ALB list bound
-//!   ([`crate::join::list_bound`]), and workers prune against a shared
-//!   [`SharedThreshold`] cell that caches the global top-k admission
-//!   threshold. Because the bound stream is sorted and admissible, the
-//!   first claim whose bound exceeds the threshold proves every
-//!   *remaining* claim is also prunable: the worker drains the counter
-//!   (`swap(n)`) and accounts the whole tail as `ThresholdPrunes` in one
-//!   step.
+//!   ([`crate::join::list_bound`]) over a shallow frontier of `R_P`, and
+//!   workers prune against a shared [`SharedThreshold`] cell that caches
+//!   the global top-k admission threshold. Because the bound stream is
+//!   sorted and admissible, the first claim whose bound exceeds the
+//!   threshold proves every *remaining* claim is also prunable: the
+//!   worker drains the counter (`swap(n)`) and accounts the whole tail
+//!   as `ThresholdPrunes` in one step. At one thread this is the
+//!   classic screened sequential prober.
 //!
 //! # Why the pruned answer is still exact
 //!
@@ -41,14 +40,22 @@
 //!
 //! # Determinism
 //!
-//! Results are bit-identical for every strategy and thread count. Merged
-//! counters are deterministic for `StaticChunk` and `WorkStealing`
+//! Results are bit-identical for both strategies and every thread
+//! count. Merged counters are deterministic for `WorkStealing`
 //! (`StealEvents == |T|`); under `BoundSorted` only the invariant
 //! `ProductsEvaluated + ThresholdPrunes == |T|` is guaranteed for
 //! unlimited runs — *which* products get pruned depends on timing (more
 //! threads publish the threshold sooner), and `SharedThresholdUpdates`
 //! varies with the interleaving. With one thread the entire run is
 //! deterministic.
+//!
+//! # Guardrails
+//!
+//! The guard is armed before the bound sort, so a deadline counts the
+//! sort's time and a cancelled token stops it: the sort checks the
+//! guard once per product, and a trip there returns `Partial` with no
+//! results. During the probe loop each worker checks a forked guard
+//! between products and charges it inside every traversal.
 //!
 //! Each worker owns a [`SkylineScratch`] and an [`UpgradeScratch`], so
 //! after warmup the probe loop performs no per-product heap allocation
@@ -59,13 +66,14 @@ use crate::config::UpgradeConfig;
 use crate::cost::CostFunction;
 use crate::error::{panic_message, validate_query, SkyupError};
 use crate::join::{list_bound, BoundMode, LowerBound};
-use crate::probing::pruned::{screen_frontier, PruningStats};
+use crate::probing::record_guard;
 use crate::result::{AnytimeTopK, UpgradeResult};
 use crate::topk::{SharedThreshold, TopK};
 use crate::upgrade::{upgrade_single_into, UpgradeScratch};
 use skyup_geom::{PointId, PointStore};
 use skyup_obs::{
-    timed, Completion, Counter, ExecutionLimits, NullRecorder, Phase, QueryMetrics, Recorder,
+    timed, Completion, Counter, ExecGuard, ExecutionLimits, NullRecorder, Phase, QueryMetrics,
+    Recorder,
 };
 use skyup_rtree::{EntryRef, RTree};
 use skyup_skyline::{dominating_skyline_into, SkylineScratch};
@@ -75,9 +83,6 @@ use std::sync::Mutex;
 /// How the probe loop distributes the products of `T` across workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProbeStrategy {
-    /// Contiguous `⌈n/threads⌉`-sized slices, one per worker (the legacy
-    /// partition). No stealing, no pruning.
-    StaticChunk,
     /// Workers claim products in id order from a shared atomic counter.
     /// No pruning; merged counters are fully deterministic.
     WorkStealing,
@@ -90,18 +95,27 @@ impl ProbeStrategy {
     /// Stable snake_case name (bench/CLI vocabulary).
     pub fn name(self) -> &'static str {
         match self {
-            ProbeStrategy::StaticChunk => "static_chunk",
             ProbeStrategy::WorkStealing => "work_stealing",
             ProbeStrategy::BoundSorted => "bound_sorted",
         }
     }
 }
 
+/// The evaluated/pruned split of one scheduled run; always equal to the
+/// `ProductsEvaluated` / `ThresholdPrunes` counters the run records.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PruningStats {
+    /// Products fully evaluated (skyline + Algorithm 1).
+    pub evaluated: u64,
+    /// Products skipped by the lower-bound screen.
+    pub pruned: u64,
+}
+
 /// What one worker hands back on clean (non-panicking) exit.
 struct WorkerOut {
     part: Vec<UpgradeResult>,
     metrics: Option<QueryMetrics>,
-    evaluated: usize,
+    evaluated: u64,
     pruned: u64,
     completion: Completion,
     visits: u64,
@@ -113,12 +127,11 @@ struct EngineOut {
     results: Vec<UpgradeResult>,
     stats: PruningStats,
     completion: Completion,
-    evaluated: usize,
     visits: u64,
 }
 
 /// The shared engine. Callers guarantee `threads >= 1`, matching
-/// dimensionalities, and a non-empty `T`.
+/// dimensionalities, and a non-empty `T`; `guard` is already armed.
 #[allow(clippy::too_many_arguments)]
 fn run_scheduled<C, R>(
     p_store: &PointStore,
@@ -129,7 +142,7 @@ fn run_scheduled<C, R>(
     cfg: &UpgradeConfig,
     threads: usize,
     strategy: ProbeStrategy,
-    limits: &ExecutionLimits,
+    mut guard: ExecGuard,
     rec: &mut R,
 ) -> Result<EngineOut, SkyupError>
 where
@@ -143,15 +156,15 @@ where
 
     // Probe order. BoundSorted pays one admissible list bound per
     // product up front (`LowerBoundEvals` += |T|, under `BoundSort`)
-    // and sorts ascending by `(bound, id)`; the other strategies walk
-    // id order.
+    // and sorts ascending by `(bound, id)`; WorkStealing walks id order.
     let (order, bounds): (Vec<u32>, Vec<f64>) = if strategy == ProbeStrategy::BoundSorted {
-        timed(rec, Phase::BoundSort, |rec| {
+        let sorted = timed(rec, Phase::BoundSort, |rec| {
             let frontier = screen_frontier(p_tree);
             let mut bounds = vec![0.0f64; n];
             if !frontier.is_empty() {
                 let mut screened: Vec<EntryRef> = Vec::with_capacity(frontier.len());
                 for (i, (_tid, t)) in t_store.iter().enumerate() {
+                    guard.checkpoint()?;
                     screened.clear();
                     screened.extend(frontier.iter().copied().filter(|&e| {
                         p_tree
@@ -178,18 +191,24 @@ where
                     .total_cmp(&bounds[b as usize])
                     .then(a.cmp(&b))
             });
-            (order, bounds)
-        })
+            Ok((order, bounds))
+        });
+        match sorted {
+            Ok(sorted) => sorted,
+            Err(i) => {
+                return Ok(EngineOut {
+                    results: Vec::new(),
+                    stats: PruningStats::default(),
+                    completion: Completion::Partial(i),
+                    visits: 0,
+                })
+            }
+        }
     } else {
         ((0..n as u32).collect(), Vec::new())
     };
 
-    let guard = limits.start();
-    let chunk = n.div_ceil(threads);
-    let workers = match strategy {
-        ProbeStrategy::StaticChunk => n.div_ceil(chunk),
-        _ => threads.min(n),
-    };
+    let workers = threads.min(n);
     let per_worker_topk = strategy != ProbeStrategy::BoundSorted;
 
     // Shared scheduler state: the claim counter, the threshold cache,
@@ -213,33 +232,20 @@ where
                         let mut sky = SkylineScratch::new(dims);
                         let mut upg = UpgradeScratch::new();
                         let mut completion = Completion::Exact;
-                        let mut evaluated = 0usize;
+                        let mut evaluated = 0u64;
                         let mut pruned = 0u64;
-                        let mut range = if strategy == ProbeStrategy::StaticChunk {
-                            w * chunk..((w + 1) * chunk).min(n)
-                        } else {
-                            0..0
-                        };
                         loop {
                             if let Err(i) = wguard.checkpoint() {
                                 completion = Completion::Partial(i);
                                 break;
                             }
-                            let pos = if strategy == ProbeStrategy::StaticChunk {
-                                match range.next() {
-                                    Some(p) => p,
-                                    None => break,
-                                }
-                            } else {
-                                let p = next.fetch_add(1, Ordering::Relaxed);
-                                if p >= n {
-                                    break;
-                                }
-                                if let Some(m) = &mut local {
-                                    m.bump(Counter::StealEvents);
-                                }
-                                p
-                            };
+                            let pos = next.fetch_add(1, Ordering::Relaxed);
+                            if pos >= n {
+                                break;
+                            }
+                            if let Some(m) = &mut local {
+                                m.bump(Counter::StealEvents);
+                            }
                             let idx = order[pos] as usize;
                             if strategy == ProbeStrategy::BoundSorted
                                 && bounds[idx] > threshold.get()
@@ -390,8 +396,7 @@ where
 
     let mut merged = TopK::new(k);
     let mut completion = Completion::Exact;
-    let mut evaluated = 0usize;
-    let mut pruned = 0u64;
+    let mut stats = PruningStats::default();
     let mut visits = 0u64;
     for (_, out) in outcomes {
         let o = out.expect("panics were handled above");
@@ -401,8 +406,8 @@ where
         if completion.is_exact() {
             completion = o.completion;
         }
-        evaluated += o.evaluated;
-        pruned += o.pruned;
+        stats.evaluated += o.evaluated;
+        stats.pruned += o.pruned;
         visits += o.visits;
         for r in o.part {
             merged.offer(r);
@@ -418,12 +423,8 @@ where
     };
     Ok(EngineOut {
         results,
-        stats: PruningStats {
-            evaluated: evaluated as u64,
-            pruned,
-        },
+        stats,
         completion,
-        evaluated,
         visits,
     })
 }
@@ -431,43 +432,14 @@ where
 /// Runs improved probing under `strategy` across `threads` workers and
 /// returns the `k` cheapest upgrades (bit-identical to sequential
 /// [`crate::improved_probing_topk`]) plus the evaluated/pruned split.
+/// Each worker collects into a private [`QueryMetrics`] (only when
+/// `rec` is enabled) which is folded into `rec` after the join.
 ///
-/// `threads == 0` is clamped to one worker thread, matching
-/// [`crate::improved_probing_topk_parallel`].
-#[allow(clippy::too_many_arguments)]
-pub fn improved_probing_topk_scheduled<C>(
-    p_store: &PointStore,
-    p_tree: &RTree,
-    t_store: &PointStore,
-    k: usize,
-    cost_fn: &C,
-    cfg: &UpgradeConfig,
-    threads: usize,
-    strategy: ProbeStrategy,
-) -> (Vec<UpgradeResult>, PruningStats)
-where
-    C: CostFunction + Sync + ?Sized,
-{
-    improved_probing_topk_scheduled_rec(
-        p_store,
-        p_tree,
-        t_store,
-        k,
-        cost_fn,
-        cfg,
-        threads,
-        strategy,
-        &mut NullRecorder,
-    )
-}
-
-/// [`improved_probing_topk_scheduled`] with instrumentation. Each worker
-/// collects into a private [`QueryMetrics`] (only when `rec` is enabled)
-/// which is folded into `rec` after the join.
+/// `threads == 0` is clamped to one worker thread
+/// ([`try_improved_probing_topk_scheduled`] rejects it instead).
 ///
 /// # Panics
-/// Propagates a worker panic (after all workers have been joined), like
-/// the legacy parallel entry point. Use
+/// Propagates a worker panic (after all workers have been joined). Use
 /// [`try_improved_probing_topk_scheduled`] for contained panics.
 #[allow(clippy::too_many_arguments)]
 pub fn improved_probing_topk_scheduled_rec<C, R>(
@@ -494,17 +466,9 @@ where
     if t_store.is_empty() {
         return (Vec::new(), PruningStats::default());
     }
+    let guard = ExecGuard::unlimited();
     match run_scheduled(
-        p_store,
-        p_tree,
-        t_store,
-        k,
-        cost_fn,
-        cfg,
-        threads,
-        strategy,
-        &ExecutionLimits::none(),
-        rec,
+        p_store, p_tree, t_store, k, cost_fn, cfg, threads, strategy, guard, rec,
     ) {
         Ok(out) => {
             rec.incr(Counter::ResultsEmitted, out.results.len() as u64);
@@ -530,8 +494,9 @@ where
 /// answer is the exact top-k over the union of the evaluated products
 /// (under [`ProbeStrategy::BoundSorted`] the shared collector has the
 /// same property: the offer gate only skips products provably outside
-/// the top-k of the evaluated set). Unlimited runs are bit-identical to
-/// [`improved_probing_topk_scheduled_rec`].
+/// the top-k of the evaluated set). A limit that fires during the bound
+/// sort ends the call before any product is evaluated. Unlimited runs
+/// are bit-identical to [`improved_probing_topk_scheduled_rec`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_improved_probing_topk_scheduled<C, R>(
     p_store: &PointStore,
@@ -565,38 +530,73 @@ where
             PruningStats::default(),
         ));
     }
+    let guard = limits.start();
     let out = run_scheduled(
-        p_store, p_tree, t_store, k, cost_fn, cfg, threads, strategy, limits, rec,
+        p_store, p_tree, t_store, k, cost_fn, cfg, threads, strategy, guard, rec,
     )?;
     rec.incr(Counter::ResultsEmitted, out.results.len() as u64);
-    rec.incr(Counter::GuardedNodeVisits, out.visits);
-    if !out.completion.is_exact() {
-        rec.bump(Counter::LimitInterrupts);
-    }
+    record_guard(rec, out.visits, out.completion);
     Ok((
         AnytimeTopK {
             results: out.results,
             completion: out.completion,
-            evaluated: out.evaluated,
+            evaluated: out.stats.evaluated as usize,
         },
         out.stats,
     ))
 }
 
+/// Builds the shallow frontier of the competitor tree used by the
+/// lower-bound screen: top levels expanded breadth-first until a few
+/// dozen entries are available (capped so the per-product screen stays
+/// O(1) in |P|).
+fn screen_frontier(p_tree: &RTree) -> Vec<EntryRef> {
+    if p_tree.is_empty() {
+        return Vec::new();
+    }
+    let mut frontier: Vec<EntryRef> = vec![EntryRef::Node(p_tree.root_id())];
+    loop {
+        let expandable = frontier
+            .iter()
+            .filter(|e| matches!(e, EntryRef::Node(n) if !p_tree.node(*n).is_leaf()))
+            .count();
+        if frontier.len() >= 32 || expandable == 0 {
+            break;
+        }
+        let mut next = Vec::with_capacity(frontier.len() * 4);
+        for e in frontier {
+            match e {
+                EntryRef::Node(n) if !p_tree.node(n).is_leaf() => {
+                    next.extend(p_tree.node(n).entries());
+                }
+                other => next.push(other),
+            }
+        }
+        frontier = next;
+        if frontier.len() > 512 {
+            break;
+        }
+    }
+    frontier
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{LinearCost, SumCost};
+    use crate::cost::{AttributeCost, LinearCost, SumCost};
+    use crate::probing::improved_probing_topk;
+    use skyup_data::synthetic::{paper_competitors, paper_products, Distribution};
+    use skyup_obs::{CancellationToken, Interrupt};
+    use skyup_rtree::RTreeParams;
+    use std::time::Duration;
 
     fn linear_cost(dims: usize) -> SumCost {
         SumCost::new(
             (0..dims)
-                .map(|_| Box::new(LinearCost::new(2.0, 1.0)) as Box<dyn crate::cost::AttributeCost>)
+                .map(|_| Box::new(LinearCost::new(2.0, 1.0)) as Box<dyn AttributeCost>)
                 .collect(),
         )
     }
-    use crate::probing::improved_probing_topk;
-    use skyup_rtree::RTreeParams;
 
     fn pseudo_random_store(n: usize, dims: usize, lo: f64, hi: f64, seed: u64) -> PointStore {
         let mut state = seed | 1;
@@ -623,32 +623,136 @@ mod tests {
         (p, t, rp, linear_cost(3))
     }
 
+    fn scheduled(
+        p: &PointStore,
+        rp: &RTree,
+        t: &PointStore,
+        k: usize,
+        cost: &SumCost,
+        threads: usize,
+        strategy: ProbeStrategy,
+    ) -> (Vec<UpgradeResult>, PruningStats) {
+        let cfg = UpgradeConfig::default();
+        improved_probing_topk_scheduled_rec(
+            p,
+            rp,
+            t,
+            k,
+            cost,
+            &cfg,
+            threads,
+            strategy,
+            &mut NullRecorder,
+        )
+    }
+
+    /// One row of the equivalence table: a workload, its `k`, and the
+    /// thread counts both strategies run it at.
+    struct Case {
+        name: &'static str,
+        p: PointStore,
+        t: PointStore,
+        cost: SumCost,
+        k: usize,
+        threads: &'static [usize],
+    }
+
+    fn cases() -> Vec<Case> {
+        let store = pseudo_random_store;
+        let (p, t, _, cost) = pruning_workload();
+        let mut cases = vec![
+            Case {
+                name: "interleaved domains, linear cost (the screen fires)",
+                p,
+                t,
+                cost,
+                k: 10,
+                threads: &[1, 2, 7],
+            },
+            Case {
+                name: "reciprocal cost (the screen stays idle)",
+                p: store(400, 2, 0.0, 1.0, 0x61),
+                t: store(61, 2, 0.5, 1.5, 0x62),
+                cost: SumCost::reciprocal(2, 1e-3),
+                k: 7,
+                threads: &[4],
+            },
+            Case {
+                name: "odd |T| = 97",
+                p: store(600, 3, 0.0, 1.0, 0xa),
+                t: store(97, 3, 0.5, 1.5, 0xb),
+                cost: SumCost::reciprocal(3, 1e-3),
+                k: 10,
+                threads: &[1, 2, 3, 8, 64],
+            },
+            Case {
+                name: "more threads than products",
+                p: store(50, 2, 0.0, 1.0, 0xc),
+                t: store(3, 2, 1.1, 2.0, 0xd),
+                cost: SumCost::reciprocal(2, 1e-3),
+                k: 5,
+                threads: &[16, 64],
+            },
+            Case {
+                name: "empty T",
+                p: store(50, 2, 0.0, 1.0, 0xe),
+                t: PointStore::new(2),
+                cost: SumCost::reciprocal(2, 1e-3),
+                k: 5,
+                threads: &[4],
+            },
+            Case {
+                name: "threads == 0 is clamped to one",
+                p: store(200, 2, 0.0, 1.0, 0xf),
+                t: store(17, 2, 0.5, 1.5, 0x10),
+                cost: SumCost::reciprocal(2, 1e-3),
+                k: 5,
+                threads: &[0],
+            },
+        ];
+        for (name, dist) in [
+            ("paper domains, independent", Distribution::Independent),
+            (
+                "paper domains, anti-correlated",
+                Distribution::AntiCorrelated,
+            ),
+        ] {
+            cases.push(Case {
+                name,
+                p: paper_competitors(3000, 3, dist, 0x91),
+                t: paper_products(500, 3, dist, 0x92),
+                cost: SumCost::reciprocal(3, 1e-3),
+                k: 10,
+                threads: &[1, 2],
+            });
+        }
+        cases
+    }
+
     #[test]
     fn every_strategy_matches_sequential_bit_for_bit() {
-        let (p, t, rp, cost) = pruning_workload();
         let cfg = UpgradeConfig::default();
-        let seq = improved_probing_topk(&p, &rp, &t, 10, &cost, &cfg);
-        for strategy in [
-            ProbeStrategy::StaticChunk,
-            ProbeStrategy::WorkStealing,
-            ProbeStrategy::BoundSorted,
-        ] {
-            for threads in [1, 2, 7] {
-                let (out, stats) = improved_probing_topk_scheduled(
-                    &p, &rp, &t, 10, &cost, &cfg, threads, strategy,
-                );
-                assert_eq!(out.len(), seq.len(), "{strategy:?} threads={threads}");
-                for (a, b) in seq.iter().zip(&out) {
-                    assert_eq!(a.product, b.product, "{strategy:?} threads={threads}");
-                    assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-                    assert_eq!(a.upgraded, b.upgraded);
-                    assert_eq!(a.original, b.original);
+        for case in cases() {
+            let rp = RTree::bulk_load(&case.p, RTreeParams::with_max_entries(8));
+            let seq = improved_probing_topk(&case.p, &rp, &case.t, case.k, &case.cost, &cfg);
+            for strategy in [ProbeStrategy::WorkStealing, ProbeStrategy::BoundSorted] {
+                for &threads in case.threads {
+                    let what = format!("{}: {strategy:?} threads={threads}", case.name);
+                    let (out, stats) =
+                        scheduled(&case.p, &rp, &case.t, case.k, &case.cost, threads, strategy);
+                    assert_eq!(out.len(), seq.len(), "{what}");
+                    for (a, b) in seq.iter().zip(&out) {
+                        assert_eq!(a.product, b.product, "{what}");
+                        assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{what}");
+                        assert_eq!(a.upgraded, b.upgraded, "{what}");
+                        assert_eq!(a.original, b.original, "{what}");
+                    }
+                    assert_eq!(
+                        stats.evaluated + stats.pruned,
+                        case.t.len() as u64,
+                        "{what}"
+                    );
                 }
-                assert_eq!(
-                    stats.evaluated + stats.pruned,
-                    t.len() as u64,
-                    "{strategy:?} threads={threads}"
-                );
             }
         }
     }
@@ -656,17 +760,7 @@ mod tests {
     #[test]
     fn bound_sorted_actually_prunes_on_interleaved_workload() {
         let (p, t, rp, cost) = pruning_workload();
-        let cfg = UpgradeConfig::default();
-        let (_, stats) = improved_probing_topk_scheduled(
-            &p,
-            &rp,
-            &t,
-            5,
-            &cost,
-            &cfg,
-            1,
-            ProbeStrategy::BoundSorted,
-        );
+        let (_, stats) = scheduled(&p, &rp, &t, 5, &cost, 1, ProbeStrategy::BoundSorted);
         assert!(
             stats.pruned > 0,
             "the interleaved workload must exercise the screen: {stats:?}"
@@ -765,8 +859,7 @@ mod tests {
         let (p, t, rp, cost) = pruning_workload();
         let cfg = UpgradeConfig::default();
         for strategy in [ProbeStrategy::WorkStealing, ProbeStrategy::BoundSorted] {
-            let (plain, _) =
-                improved_probing_topk_scheduled(&p, &rp, &t, 8, &cost, &cfg, 3, strategy);
+            let (plain, _) = scheduled(&p, &rp, &t, 8, &cost, 3, strategy);
             let (any, _) = try_improved_probing_topk_scheduled(
                 &p,
                 &rp,
@@ -827,6 +920,47 @@ mod tests {
         }
     }
 
+    /// The guard is armed before the bound sort and checked once per
+    /// product inside it: a pre-cancelled token or an already-expired
+    /// deadline stops the call before a single bound is paid for.
+    #[test]
+    fn bound_sort_honours_cancellation_and_deadline() {
+        let (p, t, rp, cost) = pruning_workload();
+        let token = CancellationToken::new();
+        token.cancel();
+        for (limits, interrupt) in [
+            (
+                ExecutionLimits::none().with_token(token),
+                Interrupt::Cancelled,
+            ),
+            (
+                ExecutionLimits::none().with_deadline(Duration::ZERO),
+                Interrupt::DeadlineExceeded,
+            ),
+        ] {
+            let mut m = QueryMetrics::new();
+            let (any, stats) = try_improved_probing_topk_scheduled(
+                &p,
+                &rp,
+                &t,
+                5,
+                &cost,
+                &UpgradeConfig::default(),
+                2,
+                ProbeStrategy::BoundSorted,
+                &limits,
+                &mut m,
+            )
+            .unwrap();
+            assert_eq!(any.completion, Completion::Partial(interrupt));
+            assert!(any.results.is_empty());
+            assert_eq!(any.evaluated, 0);
+            assert_eq!(stats, PruningStats::default());
+            assert_eq!(m.get(Counter::LowerBoundEvals), 0, "{interrupt:?}");
+            assert_eq!(m.get(Counter::LimitInterrupts), 1);
+        }
+    }
+
     #[test]
     fn try_scheduled_rejects_zero_threads() {
         let (p, t, rp, cost) = pruning_workload();
@@ -844,33 +978,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SkyupError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn reciprocal_cost_keeps_screen_idle_but_results_exact() {
-        // Bounds collapse to ~0 under reciprocal costs, so BoundSorted
-        // degenerates to plain stealing — results must still match.
-        let p = pseudo_random_store(400, 2, 0.0, 1.0, 0x61);
-        let t = pseudo_random_store(61, 2, 0.5, 1.5, 0x62);
-        let rp = RTree::bulk_load(&p, RTreeParams::with_max_entries(8));
-        let cost = SumCost::reciprocal(2, 1e-3);
-        let cfg = UpgradeConfig::default();
-        let seq = improved_probing_topk(&p, &rp, &t, 7, &cost, &cfg);
-        let (out, stats) = improved_probing_topk_scheduled(
-            &p,
-            &rp,
-            &t,
-            7,
-            &cost,
-            &cfg,
-            4,
-            ProbeStrategy::BoundSorted,
-        );
-        assert_eq!(out.len(), seq.len());
-        for (a, b) in seq.iter().zip(&out) {
-            assert_eq!(a.product, b.product);
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-        }
-        assert_eq!(stats.evaluated + stats.pruned, t.len() as u64);
+        assert!(err.to_string().contains("worker thread"));
     }
 }

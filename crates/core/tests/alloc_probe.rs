@@ -11,8 +11,9 @@
 //! the measurement.
 
 use skyup_core::cost::{AttributeCost, LinearCost, SumCost};
-use skyup_core::{improved_probing_topk_scheduled, ProbeStrategy, UpgradeConfig};
+use skyup_core::{improved_probing_topk_scheduled_rec, ProbeStrategy, UpgradeConfig};
 use skyup_geom::PointStore;
+use skyup_obs::NullRecorder;
 use skyup_rtree::{RTree, RTreeParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,7 +87,17 @@ fn probe_loop_allocations_do_not_scale_with_t() {
         (ProbeStrategy::BoundSorted, 2),
     ] {
         let run = |t: &PointStore| {
-            improved_probing_topk_scheduled(&p, &rp, t, k, &cost, &cfg, threads, strategy)
+            improved_probing_topk_scheduled_rec(
+                &p,
+                &rp,
+                t,
+                k,
+                &cost,
+                &cfg,
+                threads,
+                strategy,
+                &mut NullRecorder,
+            )
         };
         // Warmup: populate any lazily-grown shared state (thread stacks
         // cached by the OS, allocator arenas, ...).

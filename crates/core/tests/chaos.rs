@@ -15,12 +15,11 @@
 
 use skyup_core::cost::SumCost;
 use skyup_core::join::join_topk;
-use skyup_core::probing::improved_probing_topk_pruned;
 use skyup_core::{
-    basic_probing_topk, improved_probing_topk, improved_probing_topk_parallel,
-    try_basic_probing_topk, try_improved_probing_topk, try_improved_probing_topk_parallel,
-    try_improved_probing_topk_pruned, try_join_topk, try_upgrade_single, upgrade_single,
-    AnytimeTopK, JoinUpgrader, SkyupError, UpgradeConfig, UpgradeResult,
+    basic_probing_topk, improved_probing_topk, improved_probing_topk_scheduled_rec,
+    try_basic_probing_topk, try_improved_probing_topk, try_improved_probing_topk_scheduled,
+    try_join_topk, try_upgrade_single, upgrade_single, AnytimeTopK, JoinUpgrader, ProbeStrategy,
+    SkyupError, UpgradeConfig, UpgradeResult,
 };
 use skyup_core::{CancellationToken, Completion, ExecutionLimits, Interrupt};
 use skyup_data::synthetic::{paper_competitors, paper_products, Distribution};
@@ -42,6 +41,33 @@ fn setup(n_p: usize, n_t: usize, seed: u64) -> (PointStore, RTree, PointStore) {
 
 fn cost() -> SumCost {
     SumCost::reciprocal(DIMS, 1e-3)
+}
+
+/// Guarded scheduled probing with default config and no recorder; the
+/// evaluated/pruned split is dropped.
+fn try_scheduled(
+    p: &PointStore,
+    rp: &RTree,
+    t: &PointStore,
+    k: usize,
+    threads: usize,
+    strategy: ProbeStrategy,
+    limits: &ExecutionLimits,
+) -> Result<AnytimeTopK, SkyupError> {
+    let cfg = UpgradeConfig::default();
+    try_improved_probing_topk_scheduled(
+        p,
+        rp,
+        t,
+        k,
+        &cost(),
+        &cfg,
+        threads,
+        strategy,
+        limits,
+        &mut NullRecorder,
+    )
+    .map(|(any, _)| any)
 }
 
 /// The unlimited run's exact upgrade for every product, by id.
@@ -128,24 +154,16 @@ fn budget_sweep_sequential_variants_degrade_to_exact_prefix_topk() {
             }
         }
 
-        let (pruned, stats) = try_improved_probing_topk_pruned(
-            &p,
-            &rp,
-            &t,
-            k,
-            &cost(),
-            &cfg,
-            &limits,
-            &mut NullRecorder,
-        )
-        .expect("budget exhaustion is a degradation, not an error");
-        assert_results_exact_and_sorted(&pruned, &full);
-        // Screened-out products are *processed* without being
-        // *evaluated*; the prefix is their sum.
-        let prefix = (stats.evaluated + stats.pruned) as usize;
-        assert_eq!(pruned.results, expected_prefix_topk(&full, prefix, k));
-        if !pruned.is_exact() {
-            saw_partial += 1;
+        // The bound-sorted scheduler walks T in bound order, not id
+        // order, so its partial answer is no id prefix; the contract is
+        // exact per-product upgrades, sorted, at most min(k, evaluated).
+        let sorted = try_scheduled(&p, &rp, &t, k, 1, ProbeStrategy::BoundSorted, &limits)
+            .expect("budget exhaustion is a degradation, not an error");
+        assert_results_exact_and_sorted(&sorted, &full);
+        assert!(sorted.results.len() <= k.min(sorted.evaluated));
+        match sorted.completion {
+            Completion::Exact => assert_eq!(sorted.results, exact_improved),
+            Completion::Partial(_) => saw_partial += 1,
         }
     }
     // The sweep's small budgets must actually have exercised the
@@ -154,7 +172,7 @@ fn budget_sweep_sequential_variants_degrade_to_exact_prefix_topk() {
 }
 
 #[test]
-fn budget_sweep_parallel_results_stay_exact_per_product() {
+fn budget_sweep_work_stealing_results_stay_exact_per_product() {
     let (p, rp, t) = setup(1000, 120, 0xbead);
     let k = 8;
     let cfg = UpgradeConfig::default();
@@ -165,16 +183,14 @@ fn budget_sweep_parallel_results_stay_exact_per_product() {
     for budget in [1u64, 20, 200, 2000, 20_000, u64::MAX / 2] {
         for threads in [1usize, 3, 8] {
             let limits = ExecutionLimits::none().with_max_node_visits(budget);
-            let out = try_improved_probing_topk_parallel(
+            let out = try_scheduled(
                 &p,
                 &rp,
                 &t,
                 k,
-                &cost(),
-                &cfg,
                 threads,
+                ProbeStrategy::WorkStealing,
                 &limits,
-                &mut NullRecorder,
             )
             .expect("budget exhaustion is a degradation, not an error");
             // The merged answer is the exact top-k over the union of
@@ -259,7 +275,7 @@ fn injected_worker_panic_is_contained_and_reported() {
     // worker trips it early in the run.
     let limits = ExecutionLimits::none().with_faults(FaultPlan::new().panic_at_visit(25));
     let mut metrics = QueryMetrics::new();
-    let err = try_improved_probing_topk_parallel(
+    let err = try_improved_probing_topk_scheduled(
         &p,
         &rp,
         &t,
@@ -267,6 +283,7 @@ fn injected_worker_panic_is_contained_and_reported() {
         &cost(),
         &cfg,
         4,
+        ProbeStrategy::WorkStealing,
         &limits,
         &mut metrics,
     )
@@ -370,31 +387,38 @@ fn unlimited_try_twins_are_bit_identical_to_infallible() {
         improved_probing_topk(&p, &rp, &t, k, &cost(), &cfg)
     );
 
-    let (pruned, stats) =
-        try_improved_probing_topk_pruned(&p, &rp, &t, k, &cost(), &cfg, &none, &mut NullRecorder)
-            .unwrap();
-    let (pruned_plain, stats_plain) = improved_probing_topk_pruned(&p, &rp, &t, k, &cost(), &cfg);
-    assert!(pruned.is_exact());
-    assert_eq!(pruned.results, pruned_plain);
-    assert_eq!(stats, stats_plain);
-
-    let parallel = try_improved_probing_topk_parallel(
-        &p,
-        &rp,
-        &t,
-        k,
-        &cost(),
-        &cfg,
-        4,
-        &none,
-        &mut NullRecorder,
-    )
-    .unwrap();
-    assert!(parallel.is_exact());
-    assert_eq!(
-        parallel.results,
-        improved_probing_topk_parallel(&p, &rp, &t, k, &cost(), &cfg, 4)
-    );
+    for (strategy, threads) in [
+        (ProbeStrategy::BoundSorted, 1),
+        (ProbeStrategy::WorkStealing, 4),
+    ] {
+        let (guarded, stats) = try_improved_probing_topk_scheduled(
+            &p,
+            &rp,
+            &t,
+            k,
+            &cost(),
+            &cfg,
+            threads,
+            strategy,
+            &none,
+            &mut NullRecorder,
+        )
+        .unwrap();
+        let (plain, plain_stats) = improved_probing_topk_scheduled_rec(
+            &p,
+            &rp,
+            &t,
+            k,
+            &cost(),
+            &cfg,
+            threads,
+            strategy,
+            &mut NullRecorder,
+        );
+        assert!(guarded.is_exact());
+        assert_eq!(guarded.results, plain, "{strategy:?} threads={threads}");
+        assert_eq!(stats, plain_stats, "{strategy:?} threads={threads}");
+    }
 
     let join = try_join_topk(
         &p,
@@ -463,17 +487,7 @@ fn invalid_inputs_are_structured_errors_not_panics() {
 
     // Zero worker threads.
     assert!(matches!(
-        try_improved_probing_topk_parallel(
-            &p,
-            &rp,
-            &t,
-            3,
-            &cost(),
-            &cfg,
-            0,
-            &none,
-            &mut NullRecorder
-        ),
+        try_scheduled(&p, &rp, &t, 3, 0, ProbeStrategy::WorkStealing, &none),
         Err(SkyupError::InvalidConfig(_))
     ));
 
@@ -562,21 +576,8 @@ fn tiny_deadline_never_panics_and_tags_partial() {
         try_basic_probing_topk(&p, &rp, &t, 5, &cost(), &cfg, &limits, &mut NullRecorder).unwrap();
     let i = try_improved_probing_topk(&p, &rp, &t, 5, &cost(), &cfg, &limits, &mut NullRecorder)
         .unwrap();
-    let (pr, _) =
-        try_improved_probing_topk_pruned(&p, &rp, &t, 5, &cost(), &cfg, &limits, &mut NullRecorder)
-            .unwrap();
-    let pa = try_improved_probing_topk_parallel(
-        &p,
-        &rp,
-        &t,
-        5,
-        &cost(),
-        &cfg,
-        3,
-        &limits,
-        &mut NullRecorder,
-    )
-    .unwrap();
+    let bs = try_scheduled(&p, &rp, &t, 5, 1, ProbeStrategy::BoundSorted, &limits).unwrap();
+    let ws = try_scheduled(&p, &rp, &t, 5, 3, ProbeStrategy::WorkStealing, &limits).unwrap();
     let j = try_join_topk(
         &p,
         &rp,
@@ -590,7 +591,7 @@ fn tiny_deadline_never_panics_and_tags_partial() {
         &mut NullRecorder,
     )
     .unwrap();
-    for out in [&b, &i, &pr, &pa, &j] {
+    for out in [&b, &i, &bs, &ws, &j] {
         assert_eq!(
             out.completion,
             Completion::Partial(Interrupt::DeadlineExceeded)

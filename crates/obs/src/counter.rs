@@ -25,10 +25,10 @@ pub enum Counter {
     /// Skyline points retained across skyline computations.
     SkylinePointsRetained,
     /// Lower-bound evaluations (`LBC` list bounds, NLB/CLB/ALB, and the
-    /// pruned-probing screen).
+    /// bound-sorted probe scheduler's sort).
     LowerBoundEvals,
     /// Products short-circuited by the top-k threshold before full
-    /// evaluation (pruned probing's screen hits).
+    /// evaluation (the bound-sorted scheduler's pruned tail).
     ThresholdPrunes,
     /// Products fully evaluated (dominator skyline + Algorithm 1).
     ProductsEvaluated,
@@ -53,13 +53,13 @@ pub enum Counter {
     /// Queries cut short by an execution limit (deadline, budget, or
     /// cancellation) — each partial completion bumps this once.
     LimitInterrupts,
-    /// Worker panics contained by the parallel prober's unwind barrier.
+    /// Worker panics contained by the probe scheduler's unwind barrier.
     WorkerPanics,
     /// Probe tasks claimed dynamically from the shared work-stealing
-    /// counter (zero under static chunking).
+    /// counter.
     StealEvents,
     /// Successful CAS improvements of the shared top-k threshold cell
-    /// published by parallel probing workers.
+    /// published by bound-sorted probe scheduler workers.
     SharedThresholdUpdates,
     /// 64-point blocks scanned by the columnar dominance kernel.
     KernelBlockScans,
@@ -269,8 +269,8 @@ impl Counter {
 pub enum Phase {
     /// R-tree construction (bulk load or insertion build).
     IndexBuild,
-    /// The per-product probing loop (basic, improved, parallel, or
-    /// pruned).
+    /// The per-product probing loop (basic, improved, or the probe
+    /// scheduler's workers).
     ProbeLoop,
     /// `getDominatingSky` traversals (Algorithm 3) and the basic
     /// algorithm's range-query + skyline replacement for it.

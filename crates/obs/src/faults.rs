@@ -4,13 +4,13 @@
 //! evaluated by [`crate::ExecGuard::visit_node`] against the *shared*
 //! visit count, so a fault scheduled at visit `N` fires exactly once
 //! per query, at a reproducible point of the traversal (sequentially
-//! deterministic; under parallel probing, at the Nth global visit in
+//! deterministic; under the probe scheduler, at the Nth global visit in
 //! whatever interleaving occurs).
 //!
 //! Three failure modes cover the interesting containment stories:
 //!
 //! * `panic_at_visit` — simulates a bug inside a traversal; the
-//!   parallel prober must contain it via `catch_unwind` and surface a
+//!   probe scheduler must contain it via `catch_unwind` and surface a
 //!   structured error instead of aborting the process.
 //! * `stall_at_visit` — simulates a slow disk/lock by sleeping inside
 //!   the traversal, burning the wall-clock deadline so the query comes

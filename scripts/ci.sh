@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Offline-safe CI gate: formatting, lints, the tier-1 build + test
-# suite, the declarative scenario suite, and the perf-regression bench
-# gate.
+# suite, the ledger benchmark's own build + tests, the declarative
+# scenario suite, and the perf-regression bench gate.
 #
 # Exit-code contract (what a red run means):
 #   0    every step passed
 #   124  a test step exceeded its hard wall-clock cap
-#        ($SKYUP_CI_TEST_TIMEOUT, default 900 s). The guardrail suite
-#        deliberately injects stalls and unbounded-looking budgets, so a
-#        hang must fail loudly instead of wedging CI.
+#        ($SKYUP_CI_TEST_TIMEOUT, default 900 s, for the workspace
+#        tests; each dedicated step below has its own, e.g.
+#        $SKYUP_CI_LEDGER_TIMEOUT, default 300 s, for the ledger). The
+#        guardrail suite deliberately injects stalls and
+#        unbounded-looking budgets, so a hang must fail loudly instead
+#        of wedging CI.
 #   1    any other step failed; `set -e` aborts at the first failing
 #        step and this script exits with that step's status. In
 #        particular scripts/bench_gate.sh exits 1 only after
@@ -28,6 +31,15 @@
 # test binary is invoked twice, and the full-scale bench gate subsumes
 # the old tiny-scale bench smokes (both bench binaries self-assert
 # bit-identity before reporting timings).
+#
+# `ledger/` (the end-to-end benchmark) is its own cargo workspace, so
+# `cargo test --workspace` never compiles it. A dedicated step builds
+# it and runs its tests in release mode (unit tests plus a tiny-scale
+# smoke of every workload), so a public-API change in `crates/*` that
+# breaks the benchmark turns CI red here instead of in a benchmark run.
+# From a cold `ledger/target` it took ~38 s on a 2-vCPU host, ~16 s of
+# it in the smoke tests; the 300 s default cap leaves room for slower
+# runners.
 #
 # Each step's wall-clock is recorded; a plain-text timing summary is
 # printed at the end (also on failure, covering the steps that ran) and
@@ -101,6 +113,14 @@ step "tier-1: cargo build --release (MSRV-pinned, std-only)" \
 
 step "tier-1 + workspace tests (unit, chaos, CLI contract, serve smoke, property suites)" \
     timeout "$TEST_TIMEOUT" cargo test --offline -q --workspace
+
+# The ledger is a separate cargo workspace with path dependencies on
+# crates/*; building it here catches API drift the workspace sweep
+# cannot see. Release mode, because its smoke tests run every workload;
+# they drive the target/release/skyup built by the tier-1 step above.
+step "ledger benchmark: build + tests (own workspace, dedicated hard cap)" \
+    timeout "${SKYUP_CI_LEDGER_TIMEOUT:-300}" \
+    cargo test --release --offline -q --manifest-path ledger/Cargo.toml
 
 # Runs again outside the workspace sweep, under its own much tighter
 # wall-clock cap: the harness SIGKILLs real server processes and

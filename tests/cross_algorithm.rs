@@ -5,10 +5,8 @@
 
 use skyup::core::cost::{AttributeCost, LinearCost, SumCost};
 use skyup::core::join::{BoundMode, JoinUpgrader, LowerBound};
-use skyup::core::probing::improved_probing_topk_pruned_rec;
 use skyup::core::{
-    basic_probing_topk, basic_probing_topk_rec, improved_probing_topk,
-    improved_probing_topk_parallel_rec, improved_probing_topk_rec,
+    basic_probing_topk, basic_probing_topk_rec, improved_probing_topk, improved_probing_topk_rec,
     improved_probing_topk_scheduled_rec, single_set_topk, ProbeStrategy, UpgradeConfig,
 };
 use skyup::data::synthetic::{generate, Distribution, SyntheticConfig};
@@ -132,15 +130,35 @@ fn counter_consistency_across_algorithms() {
     let mut mi = QueryMetrics::new();
     let improved = improved_probing_topk_rec(&p, &rp, &t, k, &cost_fn, &cfg, &mut mi);
     let mut mp = QueryMetrics::new();
-    let parallel = improved_probing_topk_parallel_rec(&p, &rp, &t, k, &cost_fn, &cfg, 4, &mut mp);
+    let (stealing, _) = improved_probing_topk_scheduled_rec(
+        &p,
+        &rp,
+        &t,
+        k,
+        &cost_fn,
+        &cfg,
+        4,
+        ProbeStrategy::WorkStealing,
+        &mut mp,
+    );
     let mut mq = QueryMetrics::new();
-    let (pruned, _) = improved_probing_topk_pruned_rec(&p, &rp, &t, k, &cost_fn, &cfg, &mut mq);
+    let (sorted, _) = improved_probing_topk_scheduled_rec(
+        &p,
+        &rp,
+        &t,
+        k,
+        &cost_fn,
+        &cfg,
+        1,
+        ProbeStrategy::BoundSorted,
+        &mut mq,
+    );
 
-    // All four algorithms produce the identical top-k plan.
+    // All four runs produce the identical top-k plan.
     for (label, other) in [
         ("improved", &improved),
-        ("parallel", &parallel),
-        ("pruned", &pruned),
+        ("work stealing", &stealing),
+        ("bound sorted", &sorted),
     ] {
         assert_eq!(basic.len(), other.len(), "{label}");
         for (a, b) in basic.iter().zip(other.iter()) {
@@ -167,7 +185,7 @@ fn counter_consistency_across_algorithms() {
         assert_eq!(m.get(Counter::ProductsEvaluated), t.len() as u64);
         assert_eq!(m.get(Counter::ResultsEmitted), k as u64);
     }
-    // The same per-product work happens under the parallel split: its
+    // The same per-product work happens under work stealing: its
     // counters are deterministic and equal the sequential improved run.
     for c in [
         Counter::DominanceTests,
@@ -177,7 +195,7 @@ fn counter_consistency_across_algorithms() {
         Counter::HeapPushes,
         Counter::HeapPops,
     ] {
-        assert_eq!(mp.get(c), mi.get(c), "parallel vs improved {}", c.name());
+        assert_eq!(mp.get(c), mi.get(c), "stealing vs improved {}", c.name());
     }
     // Both skyline strategies retain the same dominator skylines.
     assert_eq!(

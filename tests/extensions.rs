@@ -1,14 +1,13 @@
 //! Integration tests for the library extensions: floors, discrete
-//! domains, skybands, pruned and parallel probing, the single-set
+//! domains, skybands, the probe scheduler, the single-set
 //! variant, and the optimal-upgrade oracle — exercised through the
 //! facade crate the way a downstream user would.
 
 use skyup::core::cost::SumCost;
-use skyup::core::probing::improved_probing_topk_pruned;
 use skyup::core::{
-    improved_probing_topk, improved_probing_topk_parallel, optimal_upgrade, single_set_topk,
+    improved_probing_topk, improved_probing_topk_scheduled_rec, optimal_upgrade, single_set_topk,
     upgrade_single, upgrade_single_discrete, upgrade_single_with_floors, DiscreteDomains,
-    UpgradeConfig,
+    ProbeStrategy, UpgradeConfig,
 };
 use skyup::data::synthetic::{
     generate, paper_competitors, paper_products, Distribution, SyntheticConfig,
@@ -160,8 +159,23 @@ fn parallel_and_pruned_probing_match_baseline() {
     let cfg = UpgradeConfig::default();
 
     let baseline = improved_probing_topk(&p, &rp, &t, 7, &cost, &cfg);
-    let parallel = improved_probing_topk_parallel(&p, &rp, &t, 7, &cost, &cfg, 4);
-    let (pruned, stats) = improved_probing_topk_pruned(&p, &rp, &t, 7, &cost, &cfg);
+    // "Parallel" is work stealing across 4 threads; "pruned" is the
+    // bound-sorted screen at 1 thread.
+    let scheduled = |threads, strategy| {
+        improved_probing_topk_scheduled_rec(
+            &p,
+            &rp,
+            &t,
+            7,
+            &cost,
+            &cfg,
+            threads,
+            strategy,
+            &mut skyup::obs::NullRecorder,
+        )
+    };
+    let (parallel, _) = scheduled(4, ProbeStrategy::WorkStealing);
+    let (pruned, stats) = scheduled(1, ProbeStrategy::BoundSorted);
 
     for (a, b) in baseline.iter().zip(&parallel) {
         assert_eq!(a.product, b.product);
