@@ -304,17 +304,11 @@ pub fn execute_batch_stats(
         .filter_map(|(item, outcome)| {
             outcome.as_ref().map(|a| {
                 let req = &reqs[valid[item.request as usize]];
-                let key = CacheKey::new(item.coords, req.cost.tag());
-                let used = a.dominators.iter().map(|&pid| snap.cid(pid)).collect();
-                (
-                    key,
-                    item.coords,
-                    Answer {
-                        cost: a.cost,
-                        upgraded: a.upgraded.clone(),
-                        used,
-                    },
-                )
+                let answer = Answer {
+                    cost: a.cost,
+                    upgraded: a.upgraded.clone(),
+                };
+                (CacheKey::new(item.coords, req.cost.tag()), answer)
             })
         });
     engine.fill_cache(fills, snap.epoch());

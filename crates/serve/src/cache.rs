@@ -2,25 +2,28 @@
 //!
 //! Completed per-product answers are memoized under `(t, cost-fn)` and
 //! survive competitor mutations *selectively* instead of being flushed
-//! wholesale on every epoch swap:
+//! wholesale on every epoch swap. An answer for product `t` depends only
+//! on `t`'s dominator skyline `D(t) = {s ∈ skyline(P) : s ≻ t}`:
 //!
-//! * **Insert of competitor `p`** — a cached answer for product `t`
-//!   depends only on the skyline of `t`'s dominators, so it can change
-//!   only if `p` dominates `t`, i.e. `p ∈ ADR(t)`. The eviction test is
-//!   [`skyup_geom::point_in_adr`]`(p, t)`, which also covers the
-//!   boundary case `p == t` — conservative (may evict a still-valid
-//!   entry when `p` merely ties `t` on every dimension) but never keeps
-//!   a stale one.
-//! * **Delete of competitor `c`** — the answer changes only if `c` was
-//!   in the entry's dominator skyline, recorded verbatim in
-//!   [`Answer::used`]. This test is exact: removing a competitor the
-//!   answer never looked at leaves the dominator skyline untouched
-//!   (a point dominated by the removed one stays dominated by whichever
-//!   skyline member covered it).
+//! * **Insert of competitor `p`** — `D(t)` can change only if `p`
+//!   dominates `t`: a new member must dominate `t`, and a member
+//!   `s ≻ t` leaves the skyline only for a `p ≻ s`, which dominates `t`
+//!   too. The eviction test is [`skyup_geom::point_in_adr`]`(p, t)`,
+//!   which also covers the boundary case `p == t` — conservative (may
+//!   evict a still-valid entry when `p` merely ties `t` on every
+//!   dimension) but never keeps a stale one.
+//! * **Delete of competitor `c`** — every entry still cached was
+//!   computed from the current `D(t)`: an insert that could change it
+//!   evicted it, and so did any earlier delete by this rule. Removing a
+//!   non-member changes no `D(t)`, so nothing is evicted and nothing is
+//!   scanned. Removing a member `c` exposes only points `c` dominated,
+//!   and none of those can dominate a `t` that `c` does not, so exactly
+//!   the entries with [`dominates`]`(c, t)` go. This test is exact.
 //!
 //! Keys hash the product's coordinate *bits*, so two requests must
 //! agree to the last ulp to share an entry — the right call for a
-//! bit-identity serving contract.
+//! bit-identity serving contract. The eviction tests read `t` back
+//! from those bits.
 //!
 //! Epoch discipline: the cache belongs to the engine's shared state and
 //! is mutated under the same lock that swaps the snapshot. A worker
@@ -30,7 +33,7 @@
 //! the intervening mutations affected its product.
 
 use crate::snapshot::Answer;
-use crate::CompetitorId;
+use skyup_geom::dominance::dominates;
 use skyup_geom::point_in_adr;
 use std::collections::HashMap;
 
@@ -61,16 +64,10 @@ impl CacheKey {
     }
 }
 
-struct Entry {
-    /// The product's coordinates, kept plainly for the ADR test.
-    t: Vec<f64>,
-    answer: Answer,
-}
-
 /// The dominance-aware result cache. Not internally synchronized: the
 /// engine guards it with the shared-state lock.
 pub struct ResultCache {
-    entries: HashMap<CacheKey, Entry>,
+    entries: HashMap<CacheKey, Answer>,
     capacity: usize,
 }
 
@@ -97,7 +94,7 @@ impl ResultCache {
 
     /// Looks up a completed answer.
     pub fn get(&self, key: &CacheKey) -> Option<&Answer> {
-        self.entries.get(key).map(|e| &e.answer)
+        self.entries.get(key)
     }
 
     /// Admits an answer computed against epoch `computed_at`, provided
@@ -106,7 +103,6 @@ impl ResultCache {
     pub fn insert_if_current(
         &mut self,
         key: CacheKey,
-        t: &[f64],
         answer: Answer,
         computed_at: u64,
         current: u64,
@@ -119,35 +115,38 @@ impl ResultCache {
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             return false;
         }
-        self.entries.insert(
-            key,
-            Entry {
-                t: t.to_vec(),
-                answer,
-            },
-        );
+        self.entries.insert(key, answer);
         true
     }
 
-    /// Insert-invalidation: evicts every entry whose product the new
-    /// competitor `p` could dominate. Returns the eviction count.
+    /// Insert-invalidation: evicts every entry whose product lies in the
+    /// ADR of the new competitor `p`. Returns the eviction count.
     pub fn evict_dominated_by(&mut self, p: &[f64]) -> u64 {
+        self.evict_where(|t| point_in_adr(p, t))
+    }
+
+    /// Delete-invalidation for a removed skyline member `s`: evicts
+    /// every entry whose product `s` strictly dominates. Returns the
+    /// eviction count.
+    pub fn evict_strictly_dominated_by(&mut self, s: &[f64]) -> u64 {
+        self.evict_where(|t| dominates(s, t))
+    }
+
+    /// Evicts the entries whose product coordinates, read back from the
+    /// key bits, satisfy `doomed`.
+    fn evict_where(&mut self, mut doomed: impl FnMut(&[f64]) -> bool) -> u64 {
         let before = self.entries.len();
-        self.entries.retain(|_, e| !point_in_adr(p, &e.t));
+        let mut t = Vec::new();
+        self.entries.retain(|key, _| {
+            t.clear();
+            t.extend(key.t_bits.iter().map(|&b| f64::from_bits(b)));
+            !doomed(&t)
+        });
         (before - self.entries.len()) as u64
     }
 
-    /// Delete-invalidation: evicts every entry whose dominator skyline
-    /// used competitor `cid`. Returns the eviction count.
-    pub fn evict_using(&mut self, cid: CompetitorId) -> u64 {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| !e.answer.used.contains(&cid));
-        (before - self.entries.len()) as u64
-    }
-
-    /// Drops everything (index rebuilds don't need this — compaction
-    /// renumbers points, not competitor ids — but warm-start replacement
-    /// does).
+    /// Drops everything (index rebuilds don't need this — answers hold
+    /// no point ids — but warm-start replacement does).
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -157,70 +156,67 @@ impl ResultCache {
 mod tests {
     use super::*;
 
-    fn answer(used: &[CompetitorId]) -> Answer {
+    fn answer(cost: f64) -> Answer {
         Answer {
-            cost: 1.0,
+            cost,
             upgraded: vec![0.5, 0.5],
-            used: used.to_vec(),
         }
     }
 
-    fn put(cache: &mut ResultCache, t: &[f64], used: &[CompetitorId]) {
-        let key = CacheKey::new(t, CostTag::Reciprocal(0));
-        assert!(cache.insert_if_current(key, t, answer(used), 3, 3));
+    fn key(t: &[f64]) -> CacheKey {
+        CacheKey::new(t, CostTag::Reciprocal(0))
+    }
+
+    fn put(cache: &mut ResultCache, t: &[f64]) {
+        assert!(cache.insert_if_current(key(t), answer(1.0), 3, 3));
     }
 
     #[test]
     fn stale_epoch_insert_dropped() {
         let mut c = ResultCache::new(16);
-        let key = CacheKey::new(&[1.0, 1.0], CostTag::Reciprocal(0));
-        assert!(!c.insert_if_current(key, &[1.0, 1.0], answer(&[]), 2, 3));
+        assert!(!c.insert_if_current(key(&[1.0, 1.0]), answer(1.0), 2, 3));
         assert!(c.is_empty());
     }
 
     #[test]
     fn insert_evicts_only_dominated_products() {
         let mut c = ResultCache::new(16);
-        put(&mut c, &[0.9, 0.9], &[1]);
-        put(&mut c, &[0.2, 0.9], &[2]);
-        put(&mut c, &[0.9, 0.2], &[3]);
+        put(&mut c, &[0.9, 0.9]);
+        put(&mut c, &[0.2, 0.9]);
+        put(&mut c, &[0.9, 0.2]);
         // New competitor dominates only the first product.
         assert_eq!(c.evict_dominated_by(&[0.5, 0.5]), 1);
         assert_eq!(c.len(), 2);
-        assert!(c
-            .get(&CacheKey::new(&[0.9, 0.9], CostTag::Reciprocal(0)))
-            .is_none());
+        assert!(c.get(&key(&[0.9, 0.9])).is_none());
     }
 
     #[test]
-    fn delete_evicts_only_entries_using_the_cid() {
+    fn removed_member_evicts_only_strictly_dominated_products() {
         let mut c = ResultCache::new(16);
-        put(&mut c, &[0.9, 0.9], &[1, 2]);
-        put(&mut c, &[0.8, 0.8], &[2]);
-        put(&mut c, &[0.7, 0.7], &[3]);
-        assert_eq!(c.evict_using(2), 2);
-        assert_eq!(c.len(), 1);
-        assert!(c
-            .get(&CacheKey::new(&[0.7, 0.7], CostTag::Reciprocal(0)))
-            .is_some());
+        put(&mut c, &[0.9, 0.9]);
+        put(&mut c, &[0.5, 0.9]); // ties on dim 0, still strictly dominated
+        put(&mut c, &[0.5, 0.5]); // equal: never in the member's D(t)
+        put(&mut c, &[0.4, 0.9]);
+        assert_eq!(c.evict_strictly_dominated_by(&[0.5, 0.5]), 2);
+        assert_eq!(c.len(), 2);
+        assert!(c.get(&key(&[0.5, 0.5])).is_some());
+        assert!(c.get(&key(&[0.4, 0.9])).is_some());
     }
 
     #[test]
     fn capacity_caps_admission() {
         let mut c = ResultCache::new(1);
-        put(&mut c, &[0.9, 0.9], &[1]);
-        let key = CacheKey::new(&[0.8, 0.8], CostTag::Reciprocal(0));
-        assert!(!c.insert_if_current(key, &[0.8, 0.8], answer(&[]), 3, 3));
+        put(&mut c, &[0.9, 0.9]);
+        assert!(!c.insert_if_current(key(&[0.8, 0.8]), answer(1.0), 3, 3));
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn full_cache_still_overwrites_existing_key() {
         let mut c = ResultCache::new(1);
-        put(&mut c, &[0.9, 0.9], &[1]);
-        let key = CacheKey::new(&[0.9, 0.9], CostTag::Reciprocal(0));
-        assert!(c.insert_if_current(key.clone(), &[0.9, 0.9], answer(&[2]), 3, 3));
+        put(&mut c, &[0.9, 0.9]);
+        assert!(c.insert_if_current(key(&[0.9, 0.9]), answer(2.0), 3, 3));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&key).unwrap().used, vec![2]);
+        assert_eq!(c.get(&key(&[0.9, 0.9])).unwrap().cost, 2.0);
     }
 }

@@ -8,17 +8,18 @@
 //!   skyline over the live rows, and the stable competitor-id maps.
 //!   Mutations are applied here one at a time.
 //! * `shared` — what queries see: the current [`Snapshot`] (an `Arc`
-//!   cloned per request) plus the [`ResultCache`]. The writer publishes
-//!   a new epoch by swapping the snapshot and running the selective
-//!   cache invalidation for the mutation *under the same lock*, so a
-//!   reader can never pair a new snapshot with not-yet-invalidated
-//!   cache entries or vice versa.
+//!   cloned per request; only the skyline rows and their ids, copied in
+//!   O(|skyline|)) plus the [`ResultCache`]. The writer publishes a new
+//!   epoch by swapping the snapshot and running the selective cache
+//!   invalidation for the mutation *under the same lock*, so a reader
+//!   can never pair a new snapshot with not-yet-invalidated cache
+//!   entries or vice versa.
 //!
 //! Competitor ids are stable `u64`s decoupled from [`PointId`]s: an
-//! index rebuild compacts the store and renumbers points, but cached
-//! answers and client handles speak cids, so nothing they hold goes
-//! stale — which is why a rebuild publishes a new epoch without
-//! flushing the cache.
+//! index rebuild compacts the store and renumbers points, but client
+//! handles speak cids and cached answers hold no ids at all, so nothing
+//! they hold goes stale — which is why a rebuild publishes a new epoch
+//! without flushing the cache.
 
 use crate::cache::{CacheKey, CostTag, ResultCache};
 use crate::snapshot::{Answer, Snapshot};
@@ -114,8 +115,11 @@ struct Shared {
 }
 
 enum Evict {
+    /// An added competitor's coordinates.
     Inserted(Vec<f64>),
-    Removed(CompetitorId),
+    /// A removed competitor's coordinates, present only when it was a
+    /// skyline member (no cached answer depends on a non-member).
+    Removed(Option<Vec<f64>>),
 }
 
 /// A point-in-time view of the engine for `stats` requests.
@@ -511,7 +515,7 @@ impl Engine {
         let mut sh = self.shared.lock().unwrap();
         let current = sh.snapshot.epoch;
         sh.cache
-            .insert_if_current(key, t, answer.clone(), snap.epoch, current);
+            .insert_if_current(key, answer.clone(), snap.epoch, current);
         answer
     }
 
@@ -529,15 +533,15 @@ impl Engine {
     /// acquisition. Each entry is epoch-gated exactly like
     /// [`Engine::answer_product`]'s fill: it only lands while
     /// `computed_at` is still the published epoch.
-    pub(crate) fn fill_cache<'a, I>(&self, entries: I, computed_at: u64)
+    pub(crate) fn fill_cache<I>(&self, entries: I, computed_at: u64)
     where
-        I: IntoIterator<Item = (CacheKey, &'a [f64], Answer)>,
+        I: IntoIterator<Item = (CacheKey, Answer)>,
     {
         let mut sh = self.shared.lock().unwrap();
         let current = sh.snapshot.epoch;
-        for (key, t, answer) in entries {
+        for (key, answer) in entries {
             sh.cache
-                .insert_if_current(key, t, answer, computed_at, current);
+                .insert_if_current(key, answer, computed_at, current);
         }
     }
 
@@ -599,8 +603,7 @@ impl Engine {
                 w.live[pid.index()] = false;
                 w.live_count -= 1;
                 w.dead += 1;
-                Self::skyline_remove(w, pid);
-                (Evict::Removed(cid), None, true)
+                (Evict::Removed(Self::skyline_remove(w, pid)), None, true)
             }
         };
         let rebuilt = self.maybe_rebuild(w);
@@ -710,10 +713,11 @@ impl Engine {
     /// non-skyline point changes nothing (whatever dominated it still
     /// does). Removing a skyline point exposes exactly the live points
     /// inside its dominance region that no surviving skyline point
-    /// dominates; their own skyline is merged in.
-    fn skyline_remove(w: &mut Writer, pid: PointId) {
+    /// dominates; their own skyline is merged in. Returns the removed
+    /// point's coordinates when it was a skyline member.
+    fn skyline_remove(w: &mut Writer, pid: PointId) -> Option<Vec<f64>> {
         let Ok(pos) = w.skyline.binary_search(&pid) else {
-            return;
+            return None;
         };
         w.skyline.remove(pos);
         let lo = w.store.point(pid).to_vec();
@@ -740,6 +744,7 @@ impl Engine {
             w.skyline.windows(2).all(|p| p[0] != p[1]),
             "skyline must stay duplicate-free"
         );
+        Some(lo)
     }
 
     /// The degradation heuristic: compact when tombstones pile up or
@@ -768,8 +773,8 @@ impl Engine {
     }
 
     /// Copies the live rows into a fresh store, preserving relative
-    /// order; competitor ids follow their rows, so nothing a client or
-    /// cache entry holds is invalidated.
+    /// order; competitor ids follow their rows, so nothing a client
+    /// holds is invalidated.
     fn compact(
         w: &Writer,
     ) -> (
@@ -791,13 +796,20 @@ impl Engine {
         (store, cid_of, pid_of)
     }
 
+    /// Copies what readers use — the skyline rows, in `PointId` order,
+    /// with their competitor ids — so a publish costs O(|skyline|).
     fn snapshot_of(w: &Writer) -> Snapshot {
+        let mut store = PointStore::with_capacity(w.store.dims(), w.skyline.len());
+        let mut cid_of = Vec::with_capacity(w.skyline.len());
+        for &pid in &w.skyline {
+            store.push(w.store.point(pid));
+            cid_of.push(w.cid_of[pid.index()]);
+        }
         Snapshot {
             epoch: w.epoch,
-            store: w.store.clone(),
-            tree: w.tree.clone(),
-            skyline: w.skyline.clone(),
-            cid_of: w.cid_of.clone(),
+            skyline: store.ids().collect(),
+            store,
+            cid_of,
             live_count: w.live_count,
         }
     }
@@ -811,7 +823,8 @@ impl Engine {
             let mut sh = self.shared.lock().unwrap();
             let evicted = match evict {
                 Evict::Inserted(coords) => sh.cache.evict_dominated_by(&coords),
-                Evict::Removed(cid) => sh.cache.evict_using(cid),
+                Evict::Removed(Some(coords)) => sh.cache.evict_strictly_dominated_by(&coords),
+                Evict::Removed(None) => 0,
             };
             sh.snapshot = snapshot;
             evicted

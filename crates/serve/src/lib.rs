@@ -7,15 +7,15 @@
 //!
 //! * [`engine`] — the epoch-based engine: a single writer applies
 //!   competitor mutations ([`Mutation`]) to a working copy and
-//!   atomically publishes immutable [`Snapshot`]s (store + R-tree +
-//!   precomputed live-set skyline) that query workers read lock-free
-//!   after one `Arc` clone. A degradation heuristic triggers periodic
+//!   atomically publishes immutable [`Snapshot`]s (the precomputed
+//!   live-set skyline rows and their competitor ids) that query workers
+//!   read lock-free after one `Arc` clone. A degradation heuristic triggers periodic
 //!   STR rebuilds with store compaction; stable competitor ids survive
 //!   the renumbering.
 //! * [`cache`] — the dominance-aware result cache: completed
 //!   per-product answers invalidated *selectively* on mutation (ADR
-//!   test for inserts, used-dominator test for deletes) instead of
-//!   flushed per epoch.
+//!   test for inserts, strict dominance by a removed skyline member for
+//!   deletes) instead of flushed per epoch.
 //! * [`server`] / [`net`] / [`proto`] — the front-end: a fixed worker
 //!   pool draining a bounded queue, per-request deadlines and budgets
 //!   mapped onto [`skyup_obs::ExecutionLimits`], overload shed as

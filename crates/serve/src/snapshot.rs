@@ -1,47 +1,41 @@
 //! Immutable epoch snapshots: the unit of publication between the
 //! single writer and the query workers.
 //!
-//! A snapshot freezes everything a query needs — the competitor point
-//! store, the R-tree over its live points, and the precomputed skyline
-//! of the live set — so workers answer requests with zero coordination
-//! beyond one `Arc` clone. The store is append-only and may contain
-//! tombstoned rows; the tree and the skyline cover live rows only.
+//! A snapshot freezes exactly what a query reads: the skyline of the
+//! live competitor set, copied in the writer's [`PointId`] order into a
+//! compact store of its own, plus each row's competitor id. Workers
+//! answer requests with zero coordination beyond one `Arc` clone.
 //!
-//! Per-product answering is tree-free: the skyline of a product's
-//! dominators is a linear filter of the live-set skyline
-//! ([`skyup_core::dominators_from_skyline`]), which is what makes the
-//! precomputed skyline worth carrying in every epoch.
+//! Nothing more is needed because per-product answering is tree-free:
+//! the skyline of a product's dominators is a linear filter of the
+//! live-set skyline ([`skyup_core::dominators_from_skyline`]). The
+//! writer's full store, R-tree and tombstones never leave it, so a
+//! publish costs O(|skyline|), not O(|P|).
 
 use crate::CompetitorId;
 use skyup_core::cost::CostFunction;
 use skyup_core::{dominators_from_skyline, upgrade_single, UpgradeConfig};
 use skyup_geom::{PointId, PointStore};
 use skyup_obs::Recorder;
-use skyup_rtree::RTree;
 
-/// One fully evaluated per-product answer, expressed without
-/// [`PointId`]s so it stays valid across index rebuilds (which compact
-/// the store and renumber points, but never change competitor ids).
+/// One fully evaluated per-product answer. It depends only on the
+/// product's dominator skyline, so it stays valid across epochs until a
+/// mutation changes that skyline (see [`crate::cache`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Answer {
     /// Minimal upgrade cost (0.0 when already competitive).
     pub cost: f64,
     /// The upgraded coordinates achieving that cost.
     pub upgraded: Vec<f64>,
-    /// Competitor ids of the product's dominator skyline — exactly the
-    /// points the answer depends on, which is what delete invalidation
-    /// keys off.
-    pub used: Vec<CompetitorId>,
 }
 
 /// An immutable view of the competitor set at one epoch.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     pub(crate) epoch: u64,
+    /// The live-set skyline rows, in the writer's `PointId` order.
     pub(crate) store: PointStore,
-    pub(crate) tree: RTree,
-    /// Skyline of the live rows, sorted by [`PointId`] so every code
-    /// path that consumes it sees one canonical order.
+    /// Every row of `store`, in id order.
     pub(crate) skyline: Vec<PointId>,
     pub(crate) cid_of: Vec<CompetitorId>,
     pub(crate) live_count: usize,
@@ -53,17 +47,16 @@ impl Snapshot {
         self.epoch
     }
 
-    /// The competitor store (live and tombstoned rows).
+    /// The skyline rows of the live competitor set, in the same relative
+    /// order as the writer's store (so filters over it visit points in
+    /// one canonical order). Non-skyline and tombstoned competitors are
+    /// not copied.
     pub fn store(&self) -> &PointStore {
         &self.store
     }
 
-    /// The R-tree over the live competitors.
-    pub fn tree(&self) -> &RTree {
-        &self.tree
-    }
-
-    /// The id-sorted skyline of the live competitor set.
+    /// The id-sorted skyline of the live competitor set: every row of
+    /// [`Snapshot::store`].
     pub fn skyline(&self) -> &[PointId] {
         &self.skyline
     }
@@ -84,8 +77,7 @@ impl Snapshot {
     }
 
     /// Computes product `t`'s answer against this snapshot: filter the
-    /// live-set skyline down to `t`'s dominators, run Algorithm 1, and
-    /// report the dominator set as competitor ids.
+    /// live-set skyline down to `t`'s dominators and run Algorithm 1.
     pub fn answer<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
         &self,
         t: &[f64],
@@ -95,11 +87,6 @@ impl Snapshot {
     ) -> Answer {
         let dominators = dominators_from_skyline(&self.store, &self.skyline, t, rec);
         let (cost, upgraded) = upgrade_single(&self.store, &dominators, t, cost_fn, cfg);
-        let used = dominators.iter().map(|&pid| self.cid(pid)).collect();
-        Answer {
-            cost,
-            upgraded,
-            used,
-        }
+        Answer { cost, upgraded }
     }
 }
