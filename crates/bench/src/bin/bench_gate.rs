@@ -417,16 +417,17 @@ fn gate_serve(gate: &mut Gate, fresh: &Json, baseline: &Json) {
     gate_serve_scatter(gate, fresh, baseline);
 }
 
-/// Scatter/gather rows (`scatter_gather`, keyed by shard count): the
-/// gathered answer must stay bit-identical to the single-engine
-/// oracle, the fan-out and publish counters are exact functions of the
-/// committed workload, the sampled merge-filter chain must be
-/// conserved (per-shard dominator sum >= gathered union >= merged
-/// skyline), and gather qps / publish throughput are wall-clock with
-/// the usual one-sided tolerance.
+/// Sharded-topology rows (`scatter_gather`, keyed by shard count): the
+/// coordinator's answer must stay bit-identical to the single-engine
+/// oracle, the publish and replica counters are exact functions of the
+/// committed workload, queries must make no shard call, the rows synced
+/// must equal the rows the links delivered, the only resyncs are the
+/// bootstrap's, the replica must hold |U| >= |global skyline| == the
+/// oracle's skyline >= 1, and query qps / publish throughput are
+/// wall-clock with the usual one-sided tolerance.
 fn gate_serve_scatter(gate: &mut Gate, fresh: &Json, baseline: &Json) {
     gate.check(is_true(fresh, "scatter_gather_bit_identical"), || {
-        "scatter_gather_bit_identical is not true: a gathered answer \
+        "scatter_gather_bit_identical is not true: a coordinator answer \
          diverged from the single-engine oracle"
             .into()
     });
@@ -450,23 +451,36 @@ fn gate_serve_scatter(gate: &mut Gate, fresh: &Json, baseline: &Json) {
             "mutations",
             "identity_checks",
             "queries",
-            "scatter_probes",
-            "gather_points",
-            "merge_dropped",
             "stage_acks",
             "epoch_flips",
-            "sample_per_shard_sum",
-            "sample_union",
-            "sample_merged",
+            "query_shard_calls",
+            "skyline_rows_synced",
+            "link_rows",
+            "shard_resyncs",
+            "union_rows",
+            "global_skyline",
+            "oracle_skyline",
         ] {
             gate.exact(&what, field, frow, brow);
         }
         let g = |key: &str| num(frow, key).unwrap_or(-1.0);
-        gate.check(g("scatter_probes") == g("queries") * shards, || {
+        gate.check(g("query_shard_calls") == 0.0, || {
             format!(
-                "{what}: scatter fan-out broke: {} probes for {} queries x {shards} shards",
-                g("scatter_probes"),
-                g("queries")
+                "{what}: queries made {} shard calls",
+                g("query_shard_calls")
+            )
+        });
+        gate.check(g("skyline_rows_synced") == g("link_rows"), || {
+            format!(
+                "{what}: {} rows synced for {} rows the links delivered",
+                g("skyline_rows_synced"),
+                g("link_rows")
+            )
+        });
+        gate.check(g("shard_resyncs") == shards, || {
+            format!(
+                "{what}: {} resyncs for {shards} shards bootstrapped",
+                g("shard_resyncs")
             )
         });
         gate.check(g("stage_acks") == g("epoch_flips") * shards, || {
@@ -485,16 +499,16 @@ fn gate_serve_scatter(gate: &mut Gate, fresh: &Json, baseline: &Json) {
             )
         });
         gate.check(
-            g("sample_per_shard_sum") >= g("sample_union")
-                && g("sample_union") >= g("sample_merged")
-                && g("sample_merged") >= 1.0,
+            g("union_rows") >= g("global_skyline")
+                && g("global_skyline") == g("oracle_skyline")
+                && g("global_skyline") >= 1.0,
             || {
                 format!(
-                    "{what}: merge-filter chain broke: per-shard sum {} >= union {} >= \
-                     merged {} >= 1 must hold",
-                    g("sample_per_shard_sum"),
-                    g("sample_union"),
-                    g("sample_merged")
+                    "{what}: replica broke: |U| {} >= |global skyline| {} == oracle {} >= 1 \
+                     must hold",
+                    g("union_rows"),
+                    g("global_skyline"),
+                    g("oracle_skyline")
                 )
             },
         );

@@ -49,15 +49,17 @@ use skyup_bench::parse_args;
 use skyup_data::synthetic::{generate, Distribution, SyntheticConfig};
 use skyup_data::Rng;
 use skyup_geom::PointStore;
-use skyup_obs::json::Json;
+use skyup_obs::json::{parse, Json};
 use skyup_obs::{Completion, Counter};
 use skyup_rtree::persist::fnv1a;
 use skyup_serve::proto::render_query_response;
 use skyup_serve::{
-    execute_query, Coordinator, CostSpec, Engine, EngineConfig, FsyncPolicy, LocalLink, Mutation,
-    Partition, ProbeRequest, QueryRequest, ServeConfig, ServeHandle, ShardState, WalConfig,
+    execute_query, Coordinator, CostSpec, Engine, EngineConfig, FlipAck, FsyncPolicy, LocalLink,
+    Mutation, Partition, QueryRequest, ServeConfig, ServeHandle, ShardLink, ShardState,
+    SkylineRows, StagedOp, WalConfig,
 };
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -98,6 +100,45 @@ fn durable_engine(competitors: &PointStore, tag: String) -> Engine {
     };
     Engine::with_durability(competitors.clone(), EngineConfig::default(), wal_cfg)
         .expect("fresh bench wal directory")
+}
+
+/// A [`LocalLink`] that counts every call and the skyline rows it
+/// delivers, so the report can pin the coordinator's sync accounting.
+struct CountingLink {
+    inner: LocalLink,
+    calls: Arc<AtomicU64>,
+    rows: Arc<AtomicU64>,
+}
+
+impl ShardLink for CountingLink {
+    fn stage(&self, epoch: u64, op: Option<&StagedOp>) -> Result<u64, String> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.stage(epoch, op)
+    }
+
+    fn flip(&self, epoch: u64) -> Result<FlipAck, String> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        let ack = self.inner.flip(epoch)?;
+        self.rows
+            .fetch_add(ack.entered.len() as u64, Ordering::Relaxed);
+        Ok(ack)
+    }
+
+    fn local_skyline(&self) -> Result<(u64, SkylineRows), String> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        let (label, rows) = self.inner.local_skyline()?;
+        self.rows.fetch_add(rows.len() as u64, Ordering::Relaxed);
+        Ok((label, rows))
+    }
+
+    fn reachable(&self) -> bool {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.reachable()
+    }
+
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
 }
 
 fn product_pool(n: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -401,19 +442,23 @@ fn main() {
         }
     }
 
-    // Scatter/gather: the multi-shard coordinator over in-process shard
-    // links at 1, 2 and 4 shards. The machine-dependent half is gather
-    // qps/p99 and two-phase publish throughput; the machine-independent
-    // half is bit-identity against a single-engine oracle holding the
-    // full set, the exact scatter-fanout and merge-filter counters, and
-    // a sampled per-shard-sum >= union >= merged-skyline chain the gate
-    // pins exactly.
+    // Sharded topology: the coordinator over in-process shard links at
+    // 1, 2 and 4 shards, answering from its replicated global skyline.
+    // The machine-dependent half is query qps/p99 and two-phase publish
+    // throughput; the machine-independent half is bit-identity against a
+    // single-engine oracle holding the full set, plus the replica's
+    // exact invariants the gate pins: queries make no shard call, the
+    // rows synced equal the rows the links delivered, one resync per
+    // shard (the bootstrap), and |U| >= |global skyline| == the oracle's
+    // skyline >= 1.
     let sg_mutations = ((64.0 * args.scale) as usize).max(8);
     let sg_checks = (pool.len() / 4).clamp(8.min(pool.len()), pool.len());
     let mut scatter_gather = Vec::new();
     let mut sg_identical = true;
     for shards in [1u32, 2, 4] {
         let partition = Partition::new(shards).expect("shard count");
+        let calls = Arc::new(AtomicU64::new(0));
+        let rows = Arc::new(AtomicU64::new(0));
         let mut links = Vec::new();
         let mut states = Vec::new();
         for id in 0..shards {
@@ -436,11 +481,28 @@ fn main() {
                 id,
                 shards,
             ));
-            links.push(LocalLink(Arc::clone(&state)));
+            links.push(CountingLink {
+                inner: LocalLink(Arc::clone(&state)),
+                calls: Arc::clone(&calls),
+                rows: Arc::clone(&rows),
+            });
             states.push(state);
         }
         let coordinator = Coordinator::new(links, partition, &competitors).expect("topology");
         let oracle = Engine::with_competitors(competitors.clone(), EngineConfig::default());
+        let request = |t: &Vec<f64>| QueryRequest {
+            products: vec![t.clone()],
+            k: 1,
+            cost: CostSpec::Reciprocal(1e-3),
+            max_products: None,
+            deadline: None,
+        };
+        // The first request bootstraps the replica (one `local_skyline`
+        // per shard), a once-per-coordinator cost kept out of the timed
+        // publish loop; the oracle answers it too, so both caches hold
+        // the same keys.
+        coordinator.query(&request(&pool[0])).expect("bootstrap");
+        execute_query(&oracle, &request(&pool[0])).expect("oracle");
 
         // Two-phase publish throughput, mirrored into the oracle so the
         // identity checks below run at the same epoch.
@@ -460,55 +522,35 @@ fn main() {
                 .apply(Mutation::AddCompetitor(p))
                 .expect("oracle add");
         }
+        let calls_before_queries = calls.load(Ordering::Relaxed);
 
-        // Bit-identity self-check: the gathered response line must be
-        // byte-for-byte the oracle's.
-        let request = |t: &Vec<f64>| QueryRequest {
-            products: vec![t.clone()],
-            k: 1,
-            cost: CostSpec::Reciprocal(1e-3),
-            max_products: None,
-            deadline: None,
-        };
+        // Bit-identity self-check: the coordinator's response line must
+        // be byte-for-byte the oracle's.
         for t in pool.iter().take(sg_checks) {
-            let got = coordinator.query(&request(t)).expect("gathered");
+            let got = coordinator.query(&request(t)).expect("coordinated");
             let want = execute_query(&oracle, &request(t)).expect("oracle");
             sg_identical &= render_query_response(&got) == render_query_response(&want);
         }
 
-        // Merge-filter sample on one product: per-shard dominator counts
-        // (probed directly) against the gathered union and the merged
-        // skyline the coordinator's counters report for the same query.
-        let sample = ProbeRequest {
-            products: vec![pool[0].clone()],
-            deadline: None,
-        };
-        let per_shard_sum: u64 = states
-            .iter()
-            .map(|s| s.probe(&sample).dominators[0].len() as u64)
-            .sum();
-        let before = coordinator.metrics();
-        coordinator.query(&request(&pool[0])).expect("sample query");
-        let after = coordinator.metrics();
-        let union = after.get(Counter::GatherPoints) - before.get(Counter::GatherPoints);
-        let merged = union - (after.get(Counter::MergeDropped) - before.get(Counter::MergeDropped));
-
-        // Timed gather pass over the whole pool, per-request latency.
+        // Timed pass over the whole pool, per-request latency.
         let mut lat = Vec::with_capacity(pool.len());
         let start = Instant::now();
         for t in pool.iter() {
             let t0 = Instant::now();
-            let resp = coordinator.query(&request(t)).expect("gathered");
+            let resp = coordinator.query(&request(t)).expect("coordinated");
             lat.push(t0.elapsed().as_nanos() as u64);
             assert!(
                 matches!(resp.completion, Completion::Exact),
-                "unbudgeted gather came back partial"
+                "unbudgeted query came back partial"
             );
         }
         let elapsed = start.elapsed().as_secs_f64();
         lat.sort_unstable();
         let p99 = lat[(lat.len() * 99 / 100).min(lat.len() - 1)];
+        let query_shard_calls = calls.load(Ordering::Relaxed) - calls_before_queries;
 
+        let stats = parse(&coordinator.stats_json()).expect("stats line is JSON");
+        let replica = |key: &str| Json::Uint(stats.get(key).and_then(Json::as_u64).unwrap_or(0));
         let m = coordinator.metrics();
         scatter_gather.push(Json::obj(vec![
             ("shards", Json::Uint(shards as u64)),
@@ -518,17 +560,24 @@ fn main() {
                 Json::Num(sg_mutations as f64 / publish_s.max(1e-9)),
             ),
             ("identity_checks", Json::Uint(sg_checks as u64)),
-            ("queries", Json::Uint((sg_checks + 1 + pool.len()) as u64)),
+            ("queries", Json::Uint((1 + sg_checks + pool.len()) as u64)),
             ("qps", Json::Num(pool.len() as f64 / elapsed.max(1e-9))),
             ("p99_us", Json::Num(p99 as f64 / 1e3)),
-            ("scatter_probes", Json::Uint(m.get(Counter::ScatterProbes))),
-            ("gather_points", Json::Uint(m.get(Counter::GatherPoints))),
-            ("merge_dropped", Json::Uint(m.get(Counter::MergeDropped))),
             ("stage_acks", Json::Uint(m.get(Counter::StageAcks))),
             ("epoch_flips", Json::Uint(m.get(Counter::EpochFlips))),
-            ("sample_per_shard_sum", Json::Uint(per_shard_sum)),
-            ("sample_union", Json::Uint(union)),
-            ("sample_merged", Json::Uint(merged)),
+            ("query_shard_calls", Json::Uint(query_shard_calls)),
+            (
+                "skyline_rows_synced",
+                Json::Uint(m.get(Counter::SkylineRowsSynced)),
+            ),
+            ("link_rows", Json::Uint(rows.load(Ordering::Relaxed))),
+            ("shard_resyncs", Json::Uint(m.get(Counter::ShardResyncs))),
+            ("union_rows", replica("union")),
+            ("global_skyline", replica("skyline")),
+            (
+                "oracle_skyline",
+                Json::Uint(oracle.stats().skyline_len as u64),
+            ),
         ]));
         for s in states {
             s.handle().shutdown();
@@ -586,6 +635,6 @@ fn main() {
     );
     assert!(
         sg_identical,
-        "a gathered answer diverged from the single-engine oracle"
+        "a coordinator answer diverged from the single-engine oracle"
     );
 }

@@ -119,17 +119,14 @@ pub enum Counter {
     /// checksum-failed final record left by a crash mid-append (never
     /// an abort — recovery keeps the longest valid prefix).
     TornTailTruncated,
-    /// Per-shard probes issued by the scatter phase of a coordinated
-    /// query (one per reachable shard per admitted request).
-    ScatterProbes,
-    /// Distinct competitor points gathered from shard probe responses
-    /// (union size after cross-shard cid dedup, before the merge
-    /// dominance filter).
-    GatherPoints,
-    /// Gathered union points discarded by the coordinator's merge
-    /// dominance filter (`gather_points - merge_dropped` points feed
-    /// the upgrade join).
-    MergeDropped,
+    /// Local-skyline rows a coordinator received from its shards: the
+    /// rows that entered a shard's skyline, carried by flip acks, plus
+    /// every row of each whole-skyline resync.
+    SkylineRowsSynced,
+    /// Whole local skylines a coordinator fetched from a shard: one per
+    /// shard at bootstrap, then one per repair of a lost owner
+    /// flip-ack.
+    ShardResyncs,
     /// Stage acknowledgements collected during two-phase epoch
     /// publishes (a committed publish acks once per shard, so
     /// `stage_acks == epoch_flips * shards`).
@@ -152,7 +149,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration (= array) order.
-    pub const ALL: [Counter; 46] = [
+    pub const ALL: [Counter; 45] = [
         Counter::DominanceTests,
         Counter::RtreeNodeAccesses,
         Counter::RtreeEntryAccesses,
@@ -191,9 +188,8 @@ impl Counter {
         Counter::CheckpointsWritten,
         Counter::RecoveryReplayedRecords,
         Counter::TornTailTruncated,
-        Counter::ScatterProbes,
-        Counter::GatherPoints,
-        Counter::MergeDropped,
+        Counter::SkylineRowsSynced,
+        Counter::ShardResyncs,
         Counter::StageAcks,
         Counter::EpochFlips,
         Counter::RowsIngested,
@@ -245,9 +241,8 @@ impl Counter {
             Counter::CheckpointsWritten => "checkpoints_written",
             Counter::RecoveryReplayedRecords => "recovery_replayed_records",
             Counter::TornTailTruncated => "torn_tail_truncated",
-            Counter::ScatterProbes => "scatter_probes",
-            Counter::GatherPoints => "gather_points",
-            Counter::MergeDropped => "merge_dropped",
+            Counter::SkylineRowsSynced => "skyline_rows_synced",
+            Counter::ShardResyncs => "shard_resyncs",
             Counter::StageAcks => "stage_acks",
             Counter::EpochFlips => "epoch_flips",
             Counter::RowsIngested => "rows_ingested",

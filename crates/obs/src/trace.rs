@@ -12,9 +12,12 @@
 //! The [`FlightRecorder`] keeps the last N completed traces in a
 //! fixed-size ring. Writers claim a slot with one `fetch_add` on the
 //! ring cursor — wait-free, no shared lock — then store the trace
-//! under that slot's own mutex. Two writers contend on a slot mutex
-//! only when one laps the other around the whole ring (N writes
-//! apart), so in practice the slot lock is always uncontended; readers
+//! under that slot's own mutex. Slots are allocated a chunk at a time,
+//! when the first trace lands in the chunk, so a deep ring costs memory
+//! in proportion to the traces it has held, not to its depth. Two
+//! writers contend on a slot mutex only when one laps the other around
+//! the whole ring (N writes apart), so in practice the slot lock is
+//! always uncontended; readers
 //! ([`FlightRecorder::dump`]) lock each slot briefly to clone. This is
 //! "lock-free" in the operational sense that matters here — no global
 //! lock, writers never wait on each other or on readers in the common
@@ -25,7 +28,7 @@
 use crate::exec::Completion;
 use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Monotonically increasing per-server request id, minted at ingress.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -150,12 +153,21 @@ impl Trace {
     }
 }
 
+/// Flight-recorder slots allocated together, on the first trace that
+/// lands in one of them.
+const SLOT_CHUNK: usize = 64;
+
+type Slot = Mutex<Option<Trace>>;
+
 /// A fixed-size ring of the last N completed traces.
 ///
 /// Writers claim slots wait-free with a `fetch_add`; see the module
 /// docs for the honest concurrency story.
 pub struct FlightRecorder {
-    slots: Vec<Mutex<Option<Trace>>>,
+    /// `capacity` slots in chunks of [`SLOT_CHUNK`] (the last one may
+    /// be shorter), each allocated on its first write.
+    chunks: Vec<OnceLock<Box<[Slot]>>>,
+    capacity: usize,
     next: AtomicU64,
 }
 
@@ -164,14 +176,17 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            chunks: (0..capacity.div_ceil(SLOT_CHUNK))
+                .map(|_| OnceLock::new())
+                .collect(),
+            capacity,
             next: AtomicU64::new(0),
         }
     }
 
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Total traces ever recorded (not the current occupancy).
@@ -183,11 +198,14 @@ impl FlightRecorder {
     /// full.
     pub fn record(&self, trace: Trace) {
         let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        let slot = (seq % self.slots.len() as u64) as usize;
+        let slot = (seq % self.capacity as u64) as usize;
+        let (chunk, at) = (slot / SLOT_CHUNK, slot % SLOT_CHUNK);
+        let len = SLOT_CHUNK.min(self.capacity - chunk * SLOT_CHUNK);
+        let slots = self.chunks[chunk].get_or_init(|| (0..len).map(|_| Mutex::new(None)).collect());
         // Poisoning cannot happen here (no panic while holding the
         // lock), but telemetry must never take the server down, so a
         // poisoned slot is simply skipped.
-        if let Ok(mut guard) = self.slots[slot].lock() {
+        if let Ok(mut guard) = slots[at].lock() {
             *guard = Some(trace);
         }
     }
@@ -198,8 +216,10 @@ impl FlightRecorder {
     /// order).
     pub fn dump(&self, n: usize) -> Vec<Trace> {
         let mut out: Vec<Trace> = self
-            .slots
+            .chunks
             .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|slots| slots.iter())
             .filter_map(|s| s.lock().ok().and_then(|g| g.clone()))
             .collect();
         out.sort_by_key(|t| std::cmp::Reverse(t.id));
@@ -245,6 +265,28 @@ mod tests {
         assert_eq!(ids, vec![9, 8, 7, 6]);
         let ids: Vec<u64> = fr.dump(2).iter().map(|t| t.id.0).collect();
         assert_eq!(ids, vec![9, 8]);
+    }
+
+    #[test]
+    fn slots_are_allocated_only_where_traces_land() {
+        let fr = FlightRecorder::new(3 * SLOT_CHUNK + 5);
+        let live = |fr: &FlightRecorder| fr.chunks.iter().filter(|c| c.get().is_some()).count();
+        assert_eq!(live(&fr), 0, "a fresh ring holds no slots");
+        fr.record(trace(0));
+        assert_eq!(live(&fr), 1);
+        for id in 1..=(3 * SLOT_CHUNK as u64) {
+            fr.record(trace(id));
+        }
+        assert_eq!(live(&fr), 4, "the short tail chunk is allocated too");
+        // Wrapping around reuses the allocated slots.
+        for id in 0..(4 * SLOT_CHUNK as u64) {
+            fr.record(trace(1000 + id));
+        }
+        assert_eq!(live(&fr), 4);
+        let ids: Vec<u64> = fr.dump(3).iter().map(|t| t.id.0).collect();
+        let last = 1000 + 4 * SLOT_CHUNK as u64 - 1;
+        assert_eq!(ids, vec![last, last - 1, last - 2]);
+        assert_eq!(fr.dump(usize::MAX).len(), fr.capacity());
     }
 
     #[test]

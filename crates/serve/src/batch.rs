@@ -34,7 +34,7 @@
 //! sequential path, so a batch warms the cache for its successors.
 
 use crate::cache::CacheKey;
-use crate::engine::Engine;
+use crate::engine::Published;
 use crate::server::{validate_request, ProductAnswer, QueryRequest, QueryResponse};
 use crate::snapshot::Answer;
 use skyup_core::{run_probe_batch, BatchItem, SkyupError, UpgradeConfig};
@@ -85,22 +85,22 @@ pub struct BatchStats {
 /// Requests are validated individually: an invalid request gets its own
 /// `Err` slot and the rest of the batch still executes.
 pub fn execute_batch(
-    engine: &Engine,
+    published: &Published,
     reqs: &[QueryRequest],
     threads: usize,
 ) -> Vec<Result<QueryResponse, SkyupError>> {
-    execute_batch_stats(engine, reqs, threads).0
+    execute_batch_stats(published, reqs, threads).0
 }
 
 /// [`execute_batch`] plus the per-request telemetry attribution the
 /// dispatcher turns into traces. The answers are byte-for-byte the
 /// same; the stats are derived from accounting the batch already does.
 pub fn execute_batch_stats(
-    engine: &Engine,
+    published: &Published,
     reqs: &[QueryRequest],
     threads: usize,
 ) -> (Vec<Result<QueryResponse, SkyupError>>, BatchStats) {
-    let dims = engine.dims();
+    let dims = published.dims();
     let mut stats = BatchStats {
         per_request: vec![BatchRequestStats::default(); reqs.len()],
         ..BatchStats::default()
@@ -119,7 +119,7 @@ pub fn execute_batch_stats(
         return (results.into_iter().map(|r| r.unwrap()).collect(), stats);
     }
 
-    let snap = engine.snapshot();
+    let snap = published.snapshot();
     let cfg = UpgradeConfig::default();
     let mut rec = QueryMetrics::new();
     rec.bump(Counter::BatchesExecuted);
@@ -151,7 +151,7 @@ pub fn execute_batch_stats(
             }
             guards.push(limits.start());
         }
-        engine.with_cache(|cache, current_epoch| {
+        published.with_cache(|cache, current_epoch| {
             let cache_live = current_epoch == snap.epoch();
             for (dense, &slot) in valid.iter().enumerate() {
                 let req = &reqs[slot];
@@ -211,7 +211,7 @@ pub fn execute_batch_stats(
     let out = match ran {
         Ok(out) => out,
         Err(SkyupError::WorkerPanicked { worker, message }) => {
-            engine.absorb_metrics(&rec);
+            published.absorb_metrics(&rec);
             for &slot in &valid {
                 results[slot] = Some(Err(SkyupError::WorkerPanicked {
                     worker,
@@ -221,7 +221,7 @@ pub fn execute_batch_stats(
             return (results.into_iter().map(|r| r.unwrap()).collect(), stats);
         }
         Err(e) => {
-            engine.absorb_metrics(&rec);
+            published.absorb_metrics(&rec);
             for &slot in &valid {
                 results[slot] = Some(Err(match &e {
                     SkyupError::InvalidInput(m) => SkyupError::InvalidInput(m.clone()),
@@ -311,7 +311,7 @@ pub fn execute_batch_stats(
                 (CacheKey::new(item.coords, req.cost.tag()), answer)
             })
         });
-    engine.fill_cache(fills, snap.epoch());
-    engine.absorb_metrics(&rec);
+    published.fill_cache(fills, snap.epoch());
+    published.absorb_metrics(&rec);
     (results.into_iter().map(|r| r.unwrap()).collect(), stats)
 }

@@ -1,69 +1,79 @@
-//! The scatter/gather coordinator over a partitioned competitor set.
+//! The coordinator over a partitioned competitor set.
 //!
-//! The coordinator owns the three pieces of global state a sharded
-//! topology needs — the epoch counter, the competitor-id sequence, and
-//! the cid→shard ownership map — and drives N shards that each hold one
+//! The coordinator owns the global state a sharded topology needs — the
+//! epoch counter, the competitor-id sequence, and the cid→shard
+//! ownership map — and drives N shards that each hold one
 //! [`crate::shard::Partition`] slab of `P` behind a full epoch engine.
 //!
-//! **Queries** scatter: every shard returns, per product `t`, its local
-//! dominator skyline restricted to ADR(t) under its published label.
-//! The gather dominance-filters the union of those skylines (via the
-//! same columnar-kernel batch path single servers use) and runs the
-//! upgrade join on the merged set. This is exact, not approximate: the
-//! global dominator skyline `D(t)` is a subset of the union of local
-//! skylines (a point dominating `t` that is globally undominated is
-//! also locally undominated), so
-//! `{s ∈ skyline(∪ₖ localₖ) : s dominates t} = D(t)` — and because
-//! global cids are assigned in insertion order and every store
-//! preserves relative row order across compaction, sorting the union by
-//! cid reproduces the oracle's row order exactly. The answer is
-//! bit-identical to a single engine holding all of `P` at the same
-//! epoch; the property suite enforces this byte-for-byte on rendered
-//! responses.
+//! **Queries** never reach a shard. The coordinator replicates U, the
+//! union of the shards' local skylines, ordered by cid, and maintains
+//! skyline(U), which is the global skyline: a point no competitor
+//! dominates is undominated in its own slab too, so it is in U; and a
+//! dominated point is dominated by some global skyline member, which is
+//! in U. An answer for `t` depends only on the global skyline members
+//! that dominate `t`, so the coordinator publishes skyline(U) as an
+//! epoch [`Snapshot`] — rows in cid order, which is a single engine's
+//! row order, because cids are assigned in insertion order and every
+//! store keeps relative row order across compaction — next to a
+//! [`crate::ResultCache`] run under the single engine's two eviction
+//! rules. Queries then take the single engine's reader path
+//! ([`execute_query`]) over it, so an answer is byte-identical to one
+//! engine holding all of `P` at the same epoch by construction. A query
+//! neither contacts a shard nor waits for a publish in flight; only the
+//! first query or mutation bootstraps the replica, with one
+//! `local_skyline` call per shard.
 //!
 //! **Mutations** run a two-phase epoch publish: stage epoch `E` on
 //! *every* shard (the owner's stage carries the op and the assigned
 //! cid; the rest are pure bumps), collect all stage acks — the commit
-//! point — then flip. A query cannot interleave (queries take the
-//! state read-lock, publishes the write-lock), so no gathered answer
-//! ever mixes labels. Failure handling, by phase:
+//! point — then flip. The owner's flip ack carries its local-skyline
+//! delta: the rows that entered and the cids that left. The coordinator
+//! folds the delta into U and skyline(U), then publishes epoch `E` with
+//! the mutation's cache invalidation. Failure handling, by phase:
 //!
 //! * **Stage fails** (shard down, timeout): the publish aborts before
-//!   the commit point; nothing flipped, the coordinator's epoch is
-//!   unchanged, and the staged epoch left on other shards is
-//!   overwritten by the next publish of the same epoch.
-//! * **Flip fails / flip-ack lost** (after all stages acked): the
-//!   mutation is committed — flips are idempotent and retried here,
-//!   and a shard that still missed its flip is repaired on the next
-//!   query (the gather sees its stale label and re-issues the flip
-//!   before answering).
-//! * **Shard unreachable at query time**: the gather degrades to
-//!   `Completion::Partial(Interrupt::Overloaded)` with zero evaluated
-//!   products — never a wrong exact answer.
+//!   the commit point with an error naming the shard; nothing flipped,
+//!   the epoch is unchanged, and the epoch left staged on other shards
+//!   is overwritten by the next publish of the same epoch.
+//! * **A non-owner's flip fails** (after all stages acked): the
+//!   mutation is committed and published — a pure bump changes no local
+//!   skyline. The shard's label lags, and it is re-flipped before the
+//!   next stage round.
+//! * **The owner's flip-ack is lost**: the mutation is committed and
+//!   acked, but its delta is unknown, so the epoch is not published yet
+//!   (the ack reports `evicted: 0`; the held-back invalidation runs when
+//!   it is). The next query re-flips the owner and resyncs its whole
+//!   local skyline before it answers; while that fails, queries return
+//!   an empty `Completion::Partial(Interrupt::Overloaded)` — never a
+//!   wrong exact answer.
+//! * **A shard is unreachable**: reads are unaffected once the replica
+//!   is bootstrapped (before that, queries return the same empty
+//!   partial until every shard answered once); every mutation aborts at
+//!   its stage round (or at the repair of a lagging shard) with an
+//!   error, leaving the epoch unchanged.
 
-use crate::engine::{Mutation, MutationOutcome};
+use crate::engine::{EngineConfig, Evict, Mutation, MutationOutcome, Published};
 use crate::net::{ClientPool, Dispatch};
 use crate::proto::{
-    parse_flip_ack, parse_probe_response, parse_stage_ack, render_error, render_flip_request,
-    render_health, render_mutation_outcome, render_probe_request, render_query_response,
-    render_skyup_error, render_stage_request, Request, Topology,
+    parse_flip_ack, parse_local_skyline, parse_stage_ack, render_error, render_flip_request,
+    render_health, render_mutation_outcome, render_query_response, render_skyup_error,
+    render_stage_request, Request, Topology,
 };
-use crate::server::{validate_request, ProductAnswer, QueryRequest, QueryResponse};
-use crate::shard::{FlipAck, Partition, ProbeRequest, ProbeResponse, ShardState, StagedOp};
+use crate::server::{execute_query, validate_request, QueryRequest, QueryResponse};
+use crate::shard::{FlipAck, Partition, ShardState, SkylineRows, StagedOp};
+use crate::snapshot::Snapshot;
 use crate::CompetitorId;
-use skyup_core::{run_probe_batch, BatchItem, SkyupError, UpgradeConfig};
-use skyup_geom::{PointId, PointStore};
+use skyup_core::SkyupError;
+use skyup_geom::dominance::dominates;
+use skyup_geom::PointStore;
 use skyup_obs::json::Json;
-use skyup_obs::{
-    Completion, Counter, ExecutionLimits, Interrupt, QueryMetrics, Recorder, WindowedHistogram,
-};
-use skyup_skyline::skyline_sfs;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use skyup_obs::{Completion, Counter, Interrupt, QueryMetrics};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Flip attempts per shard before a committed publish gives up and
-/// leaves the shard to repair-on-read.
+/// leaves the shard to be repaired.
 const FLIP_ATTEMPTS: u32 = 3;
 
 /// A coordinator's channel to one shard. Implemented over TCP
@@ -76,8 +86,9 @@ pub trait ShardLink: Send + Sync {
     fn stage(&self, epoch: u64, op: Option<&StagedOp>) -> Result<u64, String>;
     /// Flips the staged `epoch`; idempotent on retries.
     fn flip(&self, epoch: u64) -> Result<FlipAck, String>;
-    /// Scatter probe.
-    fn probe(&self, req: &ProbeRequest) -> Result<ProbeResponse, String>;
+    /// The shard's published label and its whole local skyline, for
+    /// bootstrap and resync.
+    fn local_skyline(&self) -> Result<(u64, SkylineRows), String>;
     /// Cheap reachability check for the health report.
     fn reachable(&self) -> bool;
     /// Human-readable target (address or in-process tag).
@@ -98,8 +109,8 @@ impl ShardLink for LocalLink {
         self.0.flip(epoch).map_err(|e| e.to_string())
     }
 
-    fn probe(&self, req: &ProbeRequest) -> Result<ProbeResponse, String> {
-        Ok(self.0.probe(req))
+    fn local_skyline(&self) -> Result<(u64, SkylineRows), String> {
+        Ok(self.0.local_skyline())
     }
 
     fn reachable(&self) -> bool {
@@ -112,7 +123,7 @@ impl ShardLink for LocalLink {
 }
 
 /// A pooled NDJSON-over-TCP link to a shard process, speaking the
-/// `stage`/`flip`/`local_probe` protocol verbs.
+/// `stage`/`flip`/`local_skyline` protocol verbs.
 pub struct TcpLink {
     pool: ClientPool,
 }
@@ -143,11 +154,10 @@ impl ShardLink for TcpLink {
         })
     }
 
-    fn probe(&self, req: &ProbeRequest) -> Result<ProbeResponse, String> {
-        let line = render_probe_request(req);
+    fn local_skyline(&self) -> Result<(u64, SkylineRows), String> {
         self.pool.with(|c| {
-            let resp = c.request(&line)?;
-            parse_probe_response(&resp)
+            let resp = c.request("{\"op\":\"local_skyline\"}")?;
+            parse_local_skyline(&resp)
         })
     }
 
@@ -163,29 +173,91 @@ impl ShardLink for TcpLink {
     }
 }
 
-/// Global topology state, guarded by one RwLock: queries hold it shared
-/// (so a publish can never slide between scatter and gather), publishes
-/// hold it exclusively.
+/// Global topology state, guarded by one mutex that publishes and
+/// repairs hold; healthy queries never take it.
 struct CoordState {
-    /// The published global epoch.
+    /// The committed global epoch.
     epoch: u64,
     /// The next competitor id to assign.
     next_cid: CompetitorId,
     /// Owning shard of every live competitor.
     owner_of: HashMap<CompetitorId, u32>,
+    /// U: the union of the shards' local skylines, by cid. A row's
+    /// shard is the partition's `shard_of` its coordinates.
+    union: BTreeMap<CompetitorId, Vec<f64>>,
+    /// skyline(U): the global skyline.
+    skyline: BTreeSet<CompetitorId>,
+    /// Shards whose label is behind `epoch` (they missed a flip).
+    lagging: Vec<bool>,
+    /// Shards whose rows in `union` are unknown until a resync: all of
+    /// them before the bootstrap, then the owner of a lost flip-ack.
+    unsynced: Vec<bool>,
+    /// The committed cache invalidation not yet published. At most one:
+    /// a mutation aborts unless its repair published the previous one.
+    pending: Option<Evict>,
 }
 
-/// The scatter/gather front-end over `L`-linked shards.
+/// Folds `candidates` (cids of `union` rows) into the skyline `sky`: a
+/// candidate joins unless a member dominates it, and evicts the members
+/// it dominates, so `sky` ends as the skyline of its old members plus
+/// the candidates, whatever their order.
+fn admit(
+    union: &BTreeMap<CompetitorId, Vec<f64>>,
+    sky: &mut BTreeSet<CompetitorId>,
+    candidates: impl IntoIterator<Item = CompetitorId>,
+) {
+    for c in candidates {
+        let p = &union[&c];
+        if sky.iter().any(|s| dominates(&union[s], p)) {
+            continue;
+        }
+        sky.retain(|s| !dominates(p, &union[s]));
+        sky.insert(c);
+    }
+}
+
+/// Folds an owner's local-skyline delta into U and skyline(U). Rows
+/// only a dropped global-skyline member dominated may be exposed, so
+/// they are re-admitted along with the entered rows; every other row of
+/// U stays dominated by a surviving member.
+fn apply_delta(st: &mut CoordState, entered: SkylineRows, left: &[CompetitorId]) {
+    let mut dropped = Vec::new();
+    for cid in left {
+        if let Some(coords) = st.union.remove(cid) {
+            if st.skyline.remove(cid) {
+                dropped.push(coords);
+            }
+        }
+    }
+    let mut candidates: Vec<CompetitorId> = Vec::new();
+    if !dropped.is_empty() {
+        candidates.extend(
+            st.union
+                .iter()
+                .filter(|(cid, coords)| {
+                    !st.skyline.contains(cid) && dropped.iter().any(|d| dominates(d, coords))
+                })
+                .map(|(&cid, _)| cid),
+        );
+    }
+    for (cid, coords) in entered {
+        st.union.insert(cid, coords);
+        candidates.push(cid);
+    }
+    admit(&st.union, &mut st.skyline, candidates);
+}
+
+/// The front-end over `L`-linked shards: answers queries from its
+/// replicated global skyline and drives the two-phase publish.
 pub struct Coordinator<L> {
     links: Vec<L>,
     partition: Partition,
     dims: usize,
-    threads: usize,
-    state: RwLock<CoordState>,
-    metrics: Mutex<QueryMetrics>,
-    /// Per-shard probe round-trip latency (nanoseconds), for the
-    /// latency-attribution view in `metrics`.
-    probe_lat: Vec<Mutex<WindowedHistogram>>,
+    state: Mutex<CoordState>,
+    /// Set while a shard is unsynced: the published epoch trails the
+    /// committed one, and a query repairs before it answers.
+    degraded: AtomicBool,
+    published: Published,
 }
 
 impl<L: ShardLink> Coordinator<L> {
@@ -193,6 +265,9 @@ impl<L: ShardLink> Coordinator<L> {
     /// order) fronting a fresh topology seeded with `seed`: competitor
     /// ids `0..seed.len()` in row order, exactly the ids the shards
     /// were seeded with via [`Partition::shard_seed`], and epoch 0.
+    /// Contacts no shard: the replica starts unsynced, and the first
+    /// query or mutation bootstraps it with one `local_skyline` call
+    /// per shard.
     pub fn new(links: Vec<L>, partition: Partition, seed: &PointStore) -> Result<Self, SkyupError> {
         if links.len() != partition.shards() as usize {
             return Err(SkyupError::InvalidConfig(format!(
@@ -210,35 +285,30 @@ impl<L: ShardLink> Coordinator<L> {
                 )
             })
             .collect();
-        let probe_lat = links
-            .iter()
-            .map(|_| Mutex::new(WindowedHistogram::new()))
-            .collect();
+        let shards = links.len();
+        let empty = Snapshot::from_rows(0, seed.dims(), std::iter::empty(), seed.len());
         Ok(Coordinator {
-            probe_lat,
             links,
             partition,
             dims: seed.dims(),
-            threads: 1,
-            state: RwLock::new(CoordState {
+            state: Mutex::new(CoordState {
                 epoch: 0,
                 next_cid: seed.len() as CompetitorId,
                 owner_of,
+                union: BTreeMap::new(),
+                skyline: BTreeSet::new(),
+                lagging: vec![false; shards],
+                unsynced: vec![true; shards],
+                pending: None,
             }),
-            metrics: Mutex::new(QueryMetrics::new()),
+            degraded: AtomicBool::new(true),
+            published: Published::new(empty, EngineConfig::default().cache_capacity),
         })
     }
 
-    /// Sets the thread count for the gather-side merge kernel (the
-    /// merged set is usually small; 1 is the sensible default).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The published global epoch.
+    /// The committed global epoch.
     pub fn epoch(&self) -> u64 {
-        self.state.read().unwrap().epoch
+        self.state.lock().unwrap().epoch
     }
 
     /// Product dimensionality.
@@ -253,230 +323,131 @@ impl<L: ShardLink> Coordinator<L> {
 
     /// The coordinator's counters accumulated so far.
     pub fn metrics(&self) -> QueryMetrics {
-        self.metrics.lock().unwrap().clone()
+        self.published.metrics()
     }
 
-    /// Scatters `req`'s admitted products to every shard, gathers and
-    /// merges the local dominator skylines, and answers bit-identically
-    /// to a single engine at the same epoch. See the module docs for
-    /// the exactness argument and the degradation rules.
+    /// The published snapshot: the global skyline rows, in cid order, at
+    /// the published epoch.
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        self.published.snapshot()
+    }
+
+    /// Answers `req` from the published global skyline, bit-identically
+    /// to a single engine at the same epoch. See the module docs for the
+    /// exactness argument and the one case that degrades.
     pub fn query(&self, req: &QueryRequest) -> Result<QueryResponse, SkyupError> {
-        validate_request(req, self.dims)?;
-        let state = self.state.read().unwrap();
-        let epoch = state.epoch;
-        let mut rec = QueryMetrics::new();
-
-        // Admission replay: the same guard the single-engine path runs,
-        // charged one unit per product, so `max_products` budgets admit
-        // bit-identical prefixes.
-        let mut limits = ExecutionLimits::default();
-        if let Some(n) = req.max_products {
-            limits = limits.with_max_node_visits(n);
-        }
-        if let Some(d) = req.deadline {
-            limits = limits.with_deadline(d);
-        }
-        let mut guard = limits.start();
-        let mut completion = Completion::Exact;
-        let mut admitted = 0usize;
-        for _ in 0..req.products.len() {
-            if let Err(i) = guard.visit_node() {
-                completion = Completion::Partial(i);
-                break;
-            }
-            admitted += 1;
-        }
-
-        if admitted == 0 {
-            drop(state);
-            return self.finish(epoch, completion, 0, Vec::new(), req.k, rec);
-        }
-
-        // Scatter.
-        let probe_req = ProbeRequest {
-            products: req.products[..admitted].to_vec(),
-            deadline: req.deadline,
-        };
-        rec.incr(Counter::ScatterProbes, self.links.len() as u64);
-        let mut gathered = self.scatter(&probe_req);
-
-        // Gather-side label check: every shard must answer at the
-        // coordinator's epoch. A stale label is a shard that missed its
-        // flip (lost flip-ack) — repair it in place and probe again.
-        for (k, slot) in gathered.iter_mut().enumerate() {
-            let stale = matches!(&slot.1, Ok(resp) if resp.epoch != epoch);
-            if stale {
-                let (nanos, repaired) = {
-                    let start = Instant::now();
-                    let r = self.links[k]
-                        .flip(epoch)
-                        .and_then(|_| self.links[k].probe(&probe_req));
-                    (start.elapsed().as_nanos() as u64, r)
-                };
-                slot.0 += nanos;
-                slot.1 = match repaired {
-                    Ok(resp) if resp.epoch == epoch => Ok(resp),
-                    Ok(resp) => Err(format!(
-                        "shard {k} answers at label {} under published epoch {epoch}",
-                        resp.epoch
-                    )),
-                    Err(e) => Err(e),
-                };
+        if self.degraded.load(Ordering::SeqCst) {
+            let mut st = self.state.lock().unwrap();
+            // Reads need only the unsynced shards back, not every one.
+            let _ = self.repair(&mut st);
+            if self.degraded.load(Ordering::SeqCst) {
+                validate_request(req, self.dims)?;
+                self.published.bump(Counter::LimitInterrupts);
+                return Ok(QueryResponse {
+                    epoch: st.epoch,
+                    completion: Completion::Partial(Interrupt::Overloaded),
+                    evaluated: 0,
+                    results: Vec::new(),
+                });
             }
         }
-        for (k, (nanos, _)) in gathered.iter().enumerate() {
-            self.probe_lat[k].lock().unwrap().record(*nanos);
-        }
+        execute_query(&self.published, req)
+    }
 
-        // An unreachable or inconsistent shard degrades the whole
-        // answer to an empty exact-prefix partial: we cannot prove any
-        // product's dominator set complete without every shard.
-        if gathered.iter().any(|(_, r)| r.is_err()) {
-            drop(state);
-            return self.finish(
-                epoch,
-                Completion::Partial(Interrupt::Overloaded),
-                0,
-                Vec::new(),
-                req.k,
-                rec,
-            );
-        }
-        let responses: Vec<ProbeResponse> = gathered.into_iter().map(|(_, r)| r.unwrap()).collect();
+    fn shard_error(&self, verb: &str, epoch: u64, k: usize, err: &str) -> SkyupError {
+        SkyupError::InvalidInput(format!(
+            "{verb} epoch {epoch} on shard {k} ({}): {err}",
+            self.links[k].describe()
+        ))
+    }
 
-        // A shard that cut its prefix (deadline) caps the evaluated
-        // prefix for the merged answer; the first shard interrupt wins
-        // the completion tag.
-        let mut cut = admitted;
-        for resp in &responses {
-            if resp.evaluated < cut {
-                cut = resp.evaluated;
-            }
-            if let (Completion::Exact, Completion::Partial(i)) = (completion, resp.completion) {
-                completion = Completion::Partial(i);
+    /// Repairs every shard; once none is unsynced, publishes skyline(U)
+    /// at the committed epoch with the held-back invalidation. Returns
+    /// the first shard it could not repair — a lagging shard that stays
+    /// unreachable fails a write but does not hold the publish back.
+    fn repair(&self, st: &mut CoordState) -> Result<(), SkyupError> {
+        let mut failed = None;
+        for k in 0..self.links.len() {
+            if let Err(e) = self.repair_shard(st, k) {
+                failed.get_or_insert(e);
             }
         }
-        if cut < req.products.len() && completion.is_exact() {
-            completion = Completion::Partial(Interrupt::DeadlineExceeded);
+        if self.degraded.load(Ordering::SeqCst) && !st.unsynced.contains(&true) {
+            st.skyline.clear();
+            admit(&st.union, &mut st.skyline, st.union.keys().copied());
+            self.publish(st);
+            self.degraded.store(false, Ordering::SeqCst);
         }
+        failed.map_or(Ok(()), Err)
+    }
 
-        // Merge: union the per-shard dominator skylines (dedup by cid,
-        // ascending — reproducing the oracle's row order), dominance-
-        // filter once for the whole request, and run the upgrade join
-        // through the columnar batch kernel.
-        let mut union: BTreeMap<CompetitorId, &Vec<f64>> = BTreeMap::new();
-        for resp in &responses {
-            for per_product in resp.dominators.iter().take(cut) {
-                for (cid, coords) in per_product {
-                    union.entry(*cid).or_insert(coords);
-                }
-            }
+    /// Re-flips shard `k` to the committed epoch if it lags, then
+    /// replaces its rows of U with its whole local skyline if it is
+    /// unsynced.
+    fn repair_shard(&self, st: &mut CoordState, k: usize) -> Result<(), SkyupError> {
+        let link = &self.links[k];
+        if st.lagging[k] {
+            link.flip(st.epoch)
+                .map_err(|e| self.shard_error("flip", st.epoch, k, &e))?;
+            st.lagging[k] = false;
         }
-        rec.incr(Counter::GatherPoints, union.len() as u64);
-        let mut store = PointStore::new(self.dims);
-        for coords in union.values() {
-            store.push(coords);
+        if !st.unsynced[k] {
+            return Ok(());
         }
-        let all: Vec<PointId> = store.ids().collect();
-        let mut merged = skyline_sfs(&store, &all);
-        merged.sort_unstable();
-        rec.incr(Counter::MergeDropped, (union.len() - merged.len()) as u64);
+        let (label, rows) = link
+            .local_skyline()
+            .map_err(|e| self.shard_error("resync", st.epoch, k, &e))?;
+        if label != st.epoch {
+            let err = format!("the shard is at label {label}");
+            return Err(self.shard_error("resync", st.epoch, k, &err));
+        }
+        self.published.bump(Counter::ShardResyncs);
+        self.published
+            .incr(Counter::SkylineRowsSynced, rows.len() as u64);
+        st.union
+            .retain(|_, coords| self.partition.shard_of(coords) != k as u32);
+        st.union.extend(rows);
+        st.unsynced[k] = false;
+        Ok(())
+    }
 
-        let cost_fn = req.cost.cost_fn(self.dims);
-        let items: Vec<BatchItem<'_>> = req.products[..cut]
+    /// Publishes skyline(U) at the committed epoch, running the
+    /// held-back invalidation under the same lock as the swap. Returns
+    /// the entries evicted.
+    fn publish(&self, st: &mut CoordState) -> u64 {
+        let rows = st
+            .skyline
             .iter()
-            .enumerate()
-            .map(|(index, t)| BatchItem {
-                request: 0,
-                index: index as u32,
-                coords: t,
-            })
-            .collect();
-        let merge_guard = ExecutionLimits::default().start();
-        let out = run_probe_batch(
-            &store,
-            &merged,
-            &items,
-            &[cost_fn],
-            &[merge_guard],
-            &UpgradeConfig::default(),
-            self.threads,
-            &mut rec,
-        )?;
-        drop(state);
-
-        let mut answers: Vec<ProductAnswer> = Vec::with_capacity(cut);
-        for (item, outcome) in items.iter().zip(&out.outcomes) {
-            let a = outcome.as_ref().ok_or_else(|| {
-                SkyupError::InvalidInput("unbudgeted merge execution cut a product".into())
-            })?;
-            answers.push(ProductAnswer {
-                index: item.index as usize,
-                cost: a.cost,
-                upgraded: a.upgraded.clone(),
-            });
-        }
-        self.finish(epoch, completion, cut, answers, req.k, rec)
+            .map(|cid| (*cid, st.union[cid].as_slice()));
+        let snapshot = Snapshot::from_rows(st.epoch, self.dims, rows, st.owner_of.len());
+        self.published.publish(snapshot, st.pending.take())
     }
 
-    /// Probes every shard concurrently; returns per shard the probe
-    /// round-trip nanos and its result.
-    #[allow(clippy::type_complexity)]
-    fn scatter(&self, req: &ProbeRequest) -> Vec<(u64, Result<ProbeResponse, String>)> {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .links
-                .iter()
-                .map(|link| {
-                    s.spawn(move || {
-                        let start = Instant::now();
-                        let r = link.probe(req);
-                        (start.elapsed().as_nanos() as u64, r)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| (0, Err("probe thread panicked".into())))
-                })
-                .collect()
-        })
-    }
-
-    /// The shared tail of every query path: sort, truncate to `k`,
-    /// account, and absorb the request's counters.
-    fn finish(
-        &self,
-        epoch: u64,
-        completion: Completion,
-        evaluated: usize,
-        mut answers: Vec<ProductAnswer>,
-        k: usize,
-        mut rec: QueryMetrics,
-    ) -> Result<QueryResponse, SkyupError> {
-        answers.sort_by(|a, b| a.cost.total_cmp(&b.cost).then(a.index.cmp(&b.index)));
-        answers.truncate(k);
-        rec.incr(Counter::ResultsEmitted, answers.len() as u64);
-        if !completion.is_exact() {
-            rec.bump(Counter::LimitInterrupts);
+    /// Flips `epoch` on shard `k`, retrying; `None` once every attempt
+    /// failed.
+    fn flip(&self, k: usize, epoch: u64) -> Option<FlipAck> {
+        let link = &self.links[k];
+        for attempt in 1..=FLIP_ATTEMPTS {
+            match link.flip(epoch) {
+                Ok(ack) => return Some(ack),
+                Err(e) if attempt == FLIP_ATTEMPTS => eprintln!(
+                    "flip epoch {epoch} on shard {k} ({}) failed after {FLIP_ATTEMPTS} \
+                     attempts: {e}; deferring to repair",
+                    link.describe()
+                ),
+                Err(_) => {}
+            }
         }
-        self.metrics.lock().unwrap().absorb(&rec);
-        Ok(QueryResponse {
-            epoch,
-            completion,
-            evaluated,
-            results: answers,
-        })
+        None
     }
 
     /// Routes a client mutation through the two-phase publish. Returns
-    /// an outcome under the *global* epoch (the per-shard engine
-    /// details — rebuilt, evicted — come from the owning shard's flip).
+    /// an outcome under the *global* epoch whose `evicted` counts this
+    /// coordinator's cache; `rebuilt` is the owning shard's.
     pub fn mutate(&self, m: Mutation) -> Result<MutationOutcome, SkyupError> {
-        let mut state = self.state.write().unwrap();
-        match m {
+        let mut guard = self.state.lock().unwrap();
+        let st = &mut *guard;
+        let (owner, op) = match m {
             Mutation::AddCompetitor(point) => {
                 if point.len() != self.dims {
                     return Err(SkyupError::InvalidInput(format!(
@@ -490,105 +461,112 @@ impl<L: ShardLink> Coordinator<L> {
                         "competitor coordinates must be finite".into(),
                     ));
                 }
-                let owner = self.partition.shard_of(&point);
-                let cid = state.next_cid;
-                let epoch = state.epoch + 1;
-                let owner_ack = self.publish(epoch, owner, StagedOp::Add { cid, point })?;
-                state.epoch = epoch;
-                state.next_cid = cid + 1;
-                state.owner_of.insert(cid, owner);
-                Ok(MutationOutcome {
-                    epoch,
-                    cid: Some(cid),
-                    removed: false,
-                    rebuilt: owner_ack.as_ref().is_some_and(|o| o.rebuilt),
-                    evicted: owner_ack.as_ref().map_or(0, |o| o.evicted),
-                })
+                let cid = st.next_cid;
+                (
+                    self.partition.shard_of(&point),
+                    StagedOp::Add { cid, point },
+                )
             }
             Mutation::RemoveCompetitor(cid) => {
-                let Some(&owner) = state.owner_of.get(&cid) else {
+                let Some(&owner) = st.owner_of.get(&cid) else {
                     // A no-op remove publishes nothing, exactly like a
                     // single engine: the epoch does not advance.
                     return Ok(MutationOutcome {
-                        epoch: state.epoch,
+                        epoch: st.epoch,
                         cid: None,
                         removed: false,
                         rebuilt: false,
                         evicted: 0,
                     });
                 };
-                let epoch = state.epoch + 1;
-                let owner_ack = self.publish(epoch, owner, StagedOp::Remove { cid })?;
-                state.epoch = epoch;
-                state.owner_of.remove(&cid);
-                Ok(MutationOutcome {
-                    epoch,
-                    cid: None,
-                    removed: true,
-                    rebuilt: owner_ack.as_ref().is_some_and(|o| o.rebuilt),
-                    evicted: owner_ack.as_ref().map_or(0, |o| o.evicted),
-                })
+                (owner, StagedOp::Remove { cid })
             }
-            Mutation::AddCompetitorWithCid(..) => Err(SkyupError::InvalidInput(
-                "the coordinator owns the competitor id sequence; use a plain add".into(),
-            )),
-        }
-    }
+            Mutation::AddCompetitorWithCid(..) => {
+                return Err(SkyupError::InvalidInput(
+                    "the coordinator owns the competitor id sequence; use a plain add".into(),
+                ))
+            }
+        };
+        // A lagging shard cannot stage the next epoch, and an unsynced
+        // one leaves skyline(U) — and so the eviction below — unknown.
+        self.repair(st)?;
+        let evict = match &op {
+            StagedOp::Add { point, .. } => Evict::Inserted(point.clone()),
+            StagedOp::Remove { cid } => {
+                Evict::Removed(st.skyline.contains(cid).then(|| st.union[cid].clone()))
+            }
+        };
 
-    /// The two-phase publish of `epoch`, with `op` staged on `owner`
-    /// and pure bumps elsewhere. Called under the state write-lock.
-    /// A stage failure aborts pre-commit (error, epoch unchanged); once
-    /// every stage acked, the publish is committed and flip failures
-    /// are left to repair-on-read.
-    fn publish(
-        &self,
-        epoch: u64,
-        owner: u32,
-        op: StagedOp,
-    ) -> Result<Option<MutationOutcome>, SkyupError> {
+        let epoch = st.epoch + 1;
         for (k, link) in self.links.iter().enumerate() {
             let slice = (k as u32 == owner).then_some(&op);
-            link.stage(epoch, slice).map_err(|e| {
-                SkyupError::InvalidInput(format!(
-                    "stage epoch {epoch} on shard {k} ({}): {e}",
-                    link.describe()
-                ))
-            })?;
+            link.stage(epoch, slice)
+                .map_err(|e| self.shard_error("stage", epoch, k, &e))?;
         }
-        let mut rec = self.metrics.lock().unwrap();
-        rec.incr(Counter::StageAcks, self.links.len() as u64);
-        rec.bump(Counter::EpochFlips);
-        drop(rec);
+        // Commit point: every shard staged `epoch`.
+        st.epoch = epoch;
+        let cid = match &op {
+            StagedOp::Add { cid, .. } => {
+                st.next_cid = cid + 1;
+                st.owner_of.insert(*cid, owner);
+                Some(*cid)
+            }
+            StagedOp::Remove { cid } => {
+                st.owner_of.remove(cid);
+                None
+            }
+        };
+        self.published
+            .incr(Counter::StageAcks, self.links.len() as u64);
+        self.published.bump(Counter::EpochFlips);
 
         let mut owner_ack = None;
-        for (k, link) in self.links.iter().enumerate() {
-            for attempt in 1..=FLIP_ATTEMPTS {
-                match link.flip(epoch) {
-                    Ok(ack) => {
-                        if k as u32 == owner {
-                            owner_ack = ack.outcome;
-                        }
-                        break;
-                    }
-                    Err(e) if attempt == FLIP_ATTEMPTS => {
-                        // Committed anyway: the next gather that sees
-                        // this shard's stale label re-issues the flip.
-                        eprintln!(
-                            "flip epoch {epoch} on shard {k} ({}) failed after \
-                             {FLIP_ATTEMPTS} attempts: {e}; deferring to repair-on-read",
-                            link.describe()
-                        );
-                    }
-                    Err(_) => {}
-                }
+        for k in 0..self.links.len() {
+            match self.flip(k, epoch) {
+                Some(ack) if k as u32 == owner => owner_ack = Some(ack),
+                Some(_) => {}
+                None => st.lagging[k] = true,
             }
         }
-        Ok(owner_ack)
+        let rebuilt = match owner_ack {
+            Some(FlipAck {
+                outcome: Some(out),
+                entered,
+                left,
+                ..
+            }) => {
+                self.published
+                    .incr(Counter::SkylineRowsSynced, entered.len() as u64);
+                apply_delta(st, entered, &left);
+                out.rebuilt
+            }
+            // The owner applied the op (or will, on its re-flip) but its
+            // delta never arrived.
+            _ => {
+                st.unsynced[owner as usize] = true;
+                self.degraded.store(true, Ordering::SeqCst);
+                false
+            }
+        };
+        debug_assert!(st.pending.is_none(), "the repair published it");
+        st.pending = Some(evict);
+        let evicted = if self.degraded.load(Ordering::SeqCst) {
+            0
+        } else {
+            self.publish(st)
+        };
+        Ok(MutationOutcome {
+            epoch,
+            cid,
+            removed: cid.is_none(),
+            rebuilt,
+            evicted,
+        })
     }
 
-    /// The health line: global epoch plus per-shard reachability.
+    /// The health line: committed epoch plus per-shard reachability.
     pub fn health_json(&self) -> String {
-        let epoch = self.state.read().unwrap().epoch;
+        let epoch = self.epoch();
         let shards = self
             .links
             .iter()
@@ -597,20 +575,21 @@ impl<L: ShardLink> Coordinator<L> {
         render_health(epoch, 0, None, &Topology::Coordinator { shards })
     }
 
-    /// The stats line: topology shape and the scatter/gather counters.
+    /// The stats line: topology shape, replica sizes (|U| and the
+    /// global skyline), and the coordinator's counters.
     pub fn stats_json(&self) -> String {
-        let (epoch, next_cid, live) = {
-            let s = self.state.read().unwrap();
-            (s.epoch, s.next_cid, s.owner_of.len() as u64)
-        };
-        let m = self.metrics();
+        let st = self.state.lock().unwrap();
+        let m = self.published.metrics();
         let counters = Json::obj(
             [
-                Counter::ScatterProbes,
-                Counter::GatherPoints,
-                Counter::MergeDropped,
                 Counter::StageAcks,
                 Counter::EpochFlips,
+                Counter::SkylineRowsSynced,
+                Counter::ShardResyncs,
+                Counter::EpochSwaps,
+                Counter::CacheHit,
+                Counter::CacheMiss,
+                Counter::CacheEvictions,
                 Counter::ResultsEmitted,
                 Counter::LimitInterrupts,
             ]
@@ -620,19 +599,21 @@ impl<L: ShardLink> Coordinator<L> {
         );
         Json::obj(vec![
             ("ok", Json::Bool(true)),
-            ("epoch", Json::Uint(epoch)),
+            ("epoch", Json::Uint(st.epoch)),
             ("shards", Json::Uint(self.links.len() as u64)),
-            ("next_cid", Json::Uint(next_cid)),
-            ("live", Json::Uint(live)),
+            ("next_cid", Json::Uint(st.next_cid)),
+            ("live", Json::Uint(st.owner_of.len() as u64)),
+            ("union", Json::Uint(st.union.len() as u64)),
+            ("skyline", Json::Uint(st.skyline.len() as u64)),
+            ("cached", Json::Uint(self.published.cached() as u64)),
             ("counters", counters),
         ])
         .render()
     }
 
-    /// The metrics line: scatter/gather counters plus per-shard probe
-    /// latency attribution (cumulative and rolling histograms).
+    /// The metrics line: every non-zero counter.
     pub fn metrics_json(&self) -> String {
-        let m = self.metrics();
+        let m = self.published.metrics();
         let counters = Json::obj(
             Counter::ALL
                 .iter()
@@ -640,25 +621,7 @@ impl<L: ShardLink> Coordinator<L> {
                 .map(|&c| (c.name(), Json::Uint(m.get(c))))
                 .collect(),
         );
-        let shards = self
-            .links
-            .iter()
-            .zip(&self.probe_lat)
-            .enumerate()
-            .map(|(k, (link, lat))| {
-                Json::obj(vec![
-                    ("shard", Json::Uint(k as u64)),
-                    ("target", Json::Str(link.describe())),
-                    ("probe_latency_ns", lat.lock().unwrap().to_json()),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("counters", counters),
-            ("shards", Json::Arr(shards)),
-        ])
-        .render()
+        Json::obj(vec![("ok", Json::Bool(true)), ("counters", counters)]).render()
     }
 }
 
@@ -688,7 +651,7 @@ impl Dispatch for CoordinatorDispatch {
             Request::Health => self.0.health_json(),
             Request::Metrics => self.0.metrics_json(),
             Request::Trace(_) => render_error("tracing is shard-local; ask a shard directly"),
-            Request::Stage { .. } | Request::Flip { .. } | Request::LocalProbe(_) => {
+            Request::Stage { .. } | Request::Flip { .. } | Request::LocalSkyline => {
                 render_error("the coordinator issues shard verbs; it does not serve them")
             }
             Request::Shutdown => unreachable!("the line loop handles shutdown"),

@@ -7,13 +7,15 @@
 //!   point store (tombstoned rows included), the R-tree and id-sorted
 //!   skyline over the live rows, and the stable competitor-id maps.
 //!   Mutations are applied here one at a time.
-//! * `shared` — what queries see: the current [`Snapshot`] (an `Arc`
-//!   cloned per request; only the skyline rows and their ids, copied in
-//!   O(|skyline|)) plus the [`ResultCache`]. The writer publishes a new
-//!   epoch by swapping the snapshot and running the selective cache
-//!   invalidation for the mutation *under the same lock*, so a reader
-//!   can never pair a new snapshot with not-yet-invalidated cache
-//!   entries or vice versa.
+//! * [`Published`] — what queries see: the current [`Snapshot`] (an
+//!   `Arc` cloned per request; only the skyline rows and their ids,
+//!   copied in O(|skyline|)) plus the [`ResultCache`]. The writer
+//!   publishes a new epoch by swapping the snapshot and running the
+//!   selective cache invalidation for the mutation *under the same
+//!   lock*, so a reader can never pair a new snapshot with
+//!   not-yet-invalidated cache entries or vice versa. A coordinator
+//!   publishes its replicated global skyline into the same type, so
+//!   both topologies answer through one reader path.
 //!
 //! Competitor ids are stable `u64`s decoupled from [`PointId`]s: an
 //! index rebuild compacts the store and renumbers points, but client
@@ -26,15 +28,15 @@ use crate::snapshot::{Answer, Snapshot};
 use crate::wal::{self, RecoveryReport, Wal, WalConfig};
 use crate::CompetitorId;
 use skyup_core::cost::CostFunction;
-use skyup_core::upgrade::dominated_by_any;
 use skyup_core::{SkyupError, UpgradeConfig};
 use skyup_geom::dominance::dominates;
-use skyup_geom::{PointId, PointStore, Rect};
+use skyup_geom::{ColumnarPoints, PointId, PointStore, Rect};
 use skyup_obs::{Counter, QueryMetrics, Recorder};
 use skyup_rtree::persist::{snapshot_from_bytes, snapshot_to_bytes};
 use skyup_rtree::{RTree, RTreeParams};
 use skyup_skyline::skyline_sfs;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
 /// A competitor-set mutation, the unit of the writer's log.
@@ -99,6 +101,9 @@ struct Writer {
     store: PointStore,
     tree: RTree,
     skyline: Vec<PointId>,
+    /// Scratch columnar copy of `skyline`, gathered once per mutation
+    /// for the dominance filters (the allocation is reused).
+    cols: ColumnarPoints,
     live: Vec<bool>,
     cid_of: Vec<CompetitorId>,
     pid_of: HashMap<CompetitorId, PointId>,
@@ -114,12 +119,155 @@ struct Shared {
     cache: ResultCache,
 }
 
-enum Evict {
+/// The cache invalidation a published mutation runs.
+pub(crate) enum Evict {
     /// An added competitor's coordinates.
     Inserted(Vec<f64>),
     /// A removed competitor's coordinates, present only when it was a
     /// skyline member (no cached answer depends on a non-member).
     Removed(Option<Vec<f64>>),
+}
+
+/// The reader half of a serving topology: the published [`Snapshot`],
+/// the [`ResultCache`] kept consistent with it, and the serving
+/// counters. A single engine's writer publishes into one; a
+/// coordinator publishes its replicated global skyline into another.
+/// Queries read only this, so both topologies run the same reader path.
+pub struct Published {
+    shared: Mutex<Shared>,
+    metrics: Mutex<QueryMetrics>,
+}
+
+impl Published {
+    pub(crate) fn new(snapshot: Snapshot, cache_capacity: usize) -> Published {
+        Published {
+            shared: Mutex::new(Shared {
+                snapshot: Arc::new(snapshot),
+                cache: ResultCache::new(cache_capacity),
+            }),
+            metrics: Mutex::new(QueryMetrics::new()),
+        }
+    }
+
+    /// Dimensionality of the competitor space.
+    pub fn dims(&self) -> usize {
+        self.shared.lock().unwrap().snapshot.dims()
+    }
+
+    /// The currently published snapshot.
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.shared.lock().unwrap().snapshot)
+    }
+
+    /// Serving counters accumulated so far.
+    pub fn metrics(&self) -> QueryMetrics {
+        self.metrics.lock().unwrap().clone()
+    }
+
+    /// Folds a per-request metrics object into the tally.
+    pub fn absorb_metrics(&self, m: &QueryMetrics) {
+        self.metrics.lock().unwrap().absorb(m);
+    }
+
+    /// Bumps one counter (front-end shed accounting).
+    pub fn bump(&self, c: Counter) {
+        self.incr(c, 1);
+    }
+
+    /// Adds `n` to one counter.
+    pub(crate) fn incr(&self, c: Counter, n: u64) {
+        self.metrics.lock().unwrap().incr(c, n);
+    }
+
+    /// Answers currently cached.
+    pub fn cached(&self) -> usize {
+        self.shared.lock().unwrap().cache.len()
+    }
+
+    /// Answers one product against the pinned snapshot `snap`, going
+    /// through the result cache when the published epoch still matches.
+    /// Cache hits and misses are recorded on `rec`.
+    pub fn answer_product<C: CostFunction + ?Sized>(
+        &self,
+        snap: &Snapshot,
+        t: &[f64],
+        cost_fn: &C,
+        tag: CostTag,
+        cfg: &UpgradeConfig,
+        rec: &mut QueryMetrics,
+    ) -> Answer {
+        let key = CacheKey::new(t, tag);
+        {
+            let sh = self.shared.lock().unwrap();
+            if sh.snapshot.epoch == snap.epoch {
+                if let Some(a) = sh.cache.get(&key) {
+                    rec.bump(Counter::CacheHit);
+                    return a.clone();
+                }
+            }
+        }
+        rec.bump(Counter::CacheMiss);
+        let answer = snap.answer(t, cost_fn, cfg, rec);
+        let mut sh = self.shared.lock().unwrap();
+        let current = sh.snapshot.epoch;
+        sh.cache
+            .insert_if_current(key, answer.clone(), snap.epoch, current);
+        answer
+    }
+
+    /// Runs `f` with the result cache and the currently published epoch
+    /// under one shared-lock acquisition. The batch pipeline assembles a
+    /// whole admission window's cache lookups in a single critical
+    /// section, so every lookup sees the same epoch.
+    pub(crate) fn with_cache<T>(&self, f: impl FnOnce(&ResultCache, u64) -> T) -> T {
+        let sh = self.shared.lock().unwrap();
+        let epoch = sh.snapshot.epoch;
+        f(&sh.cache, epoch)
+    }
+
+    /// Inserts a batch of computed answers under one shared-lock
+    /// acquisition. Each entry is epoch-gated exactly like
+    /// [`Published::answer_product`]'s fill: it only lands while
+    /// `computed_at` is still the published epoch.
+    pub(crate) fn fill_cache<I>(&self, entries: I, computed_at: u64)
+    where
+        I: IntoIterator<Item = (CacheKey, Answer)>,
+    {
+        let mut sh = self.shared.lock().unwrap();
+        let current = sh.snapshot.epoch;
+        for (key, answer) in entries {
+            sh.cache
+                .insert_if_current(key, answer, computed_at, current);
+        }
+    }
+
+    /// Publishes `snapshot` as the new epoch: runs each mutation's
+    /// selective invalidation and swaps the snapshot in one indivisible
+    /// step. Returns the entries evicted.
+    pub(crate) fn publish(
+        &self,
+        snapshot: Snapshot,
+        evictions: impl IntoIterator<Item = Evict>,
+    ) -> u64 {
+        let snapshot = Arc::new(snapshot);
+        let evicted = {
+            let mut sh = self.shared.lock().unwrap();
+            let evicted = evictions
+                .into_iter()
+                .map(|evict| match evict {
+                    Evict::Inserted(coords) => sh.cache.evict_dominated_by(&coords),
+                    Evict::Removed(Some(coords)) => sh.cache.evict_strictly_dominated_by(&coords),
+                    Evict::Removed(None) => 0,
+                })
+                .sum();
+            sh.snapshot = snapshot;
+            evicted
+        };
+        let mut m = self.metrics.lock().unwrap();
+        m.bump(Counter::EpochSwaps);
+        m.incr(Counter::CacheEvictions, evicted);
+        evicted
+    }
 }
 
 /// A point-in-time view of the engine for `stats` requests.
@@ -154,15 +302,24 @@ pub struct DurabilityStatus {
 /// `Arc`; see the module docs for the locking protocol.
 pub struct Engine {
     writer: Mutex<Writer>,
-    shared: Mutex<Shared>,
-    metrics: Mutex<QueryMetrics>,
+    published: Published,
     cfg: EngineConfig,
     /// The write-ahead log, when durability is on. Locked strictly
     /// after `writer` (appends happen inside `apply`'s critical
-    /// section) and never together with `shared`.
+    /// section) and never together with the published snapshot.
     wal: Option<Mutex<Wal>>,
     /// What recovery did when this engine was constructed.
     recovery: RecoveryReport,
+}
+
+/// An engine is its reader half plus the writer that publishes into it:
+/// snapshots, the cache and the counters are reached through this.
+impl Deref for Engine {
+    type Target = Published;
+
+    fn deref(&self) -> &Published {
+        &self.published
+    }
 }
 
 impl Engine {
@@ -249,6 +406,7 @@ impl Engine {
         let writer = Writer {
             tree,
             skyline,
+            cols: ColumnarPoints::new(store.dims()),
             live: vec![true; n],
             cid_of,
             pid_of,
@@ -259,14 +417,10 @@ impl Engine {
             rebuilds: 0,
             store,
         };
-        let snapshot = Arc::new(Self::snapshot_of(&writer));
+        let snapshot = Self::snapshot_of(&writer);
         Engine {
             writer: Mutex::new(writer),
-            shared: Mutex::new(Shared {
-                snapshot,
-                cache: ResultCache::new(cfg.cache_capacity),
-            }),
-            metrics: Mutex::new(QueryMetrics::new()),
+            published: Published::new(snapshot, cfg.cache_capacity),
             cfg,
             wal: None,
             recovery: RecoveryReport::default(),
@@ -391,7 +545,7 @@ impl Engine {
             torn_truncated: torn,
         };
         {
-            let mut m = engine.metrics.lock().unwrap();
+            let mut m = engine.published.metrics.lock().unwrap();
             m.incr(Counter::RecoveryReplayedRecords, replayed);
             m.incr(Counter::TornTailTruncated, torn);
         }
@@ -449,99 +603,16 @@ impl Engine {
         snapshot_to_bytes(&store, &tree)
     }
 
-    /// Dimensionality of the competitor space.
-    pub fn dims(&self) -> usize {
-        self.shared.lock().unwrap().snapshot.dims()
-    }
-
-    /// The currently published snapshot.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.shared.lock().unwrap().snapshot)
-    }
-
-    /// Engine-wide serving counters accumulated so far.
-    pub fn metrics(&self) -> QueryMetrics {
-        self.metrics.lock().unwrap().clone()
-    }
-
-    /// Folds a per-request metrics object into the engine-wide tally.
-    pub fn absorb_metrics(&self, m: &QueryMetrics) {
-        self.metrics.lock().unwrap().absorb(m);
-    }
-
-    /// Bumps one engine-wide counter (front-end shed accounting).
-    pub fn bump(&self, c: Counter) {
-        self.metrics.lock().unwrap().bump(c);
-    }
-
     /// Current stats for the `stats` request.
     pub fn stats(&self) -> EngineStats {
         let w = self.writer.lock().unwrap();
-        let sh = self.shared.lock().unwrap();
         EngineStats {
             epoch: w.epoch,
             live: w.live_count,
             skyline_len: w.skyline.len(),
             dead: w.dead,
             rebuilds: w.rebuilds,
-            cached: sh.cache.len(),
-        }
-    }
-
-    /// Answers one product against the pinned snapshot `snap`, going
-    /// through the result cache when the published epoch still matches.
-    /// Cache hits and misses are recorded on `rec`.
-    pub fn answer_product<C: CostFunction + ?Sized>(
-        &self,
-        snap: &Snapshot,
-        t: &[f64],
-        cost_fn: &C,
-        tag: CostTag,
-        cfg: &UpgradeConfig,
-        rec: &mut QueryMetrics,
-    ) -> Answer {
-        let key = CacheKey::new(t, tag);
-        {
-            let sh = self.shared.lock().unwrap();
-            if sh.snapshot.epoch == snap.epoch {
-                if let Some(a) = sh.cache.get(&key) {
-                    rec.bump(Counter::CacheHit);
-                    return a.clone();
-                }
-            }
-        }
-        rec.bump(Counter::CacheMiss);
-        let answer = snap.answer(t, cost_fn, cfg, rec);
-        let mut sh = self.shared.lock().unwrap();
-        let current = sh.snapshot.epoch;
-        sh.cache
-            .insert_if_current(key, answer.clone(), snap.epoch, current);
-        answer
-    }
-
-    /// Runs `f` with the result cache and the currently published epoch
-    /// under one shared-lock acquisition. The batch pipeline assembles a
-    /// whole admission window's cache lookups in a single critical
-    /// section, so every lookup sees the same epoch.
-    pub(crate) fn with_cache<T>(&self, f: impl FnOnce(&ResultCache, u64) -> T) -> T {
-        let sh = self.shared.lock().unwrap();
-        let epoch = sh.snapshot.epoch;
-        f(&sh.cache, epoch)
-    }
-
-    /// Inserts a batch of computed answers under one shared-lock
-    /// acquisition. Each entry is epoch-gated exactly like
-    /// [`Engine::answer_product`]'s fill: it only lands while
-    /// `computed_at` is still the published epoch.
-    pub(crate) fn fill_cache<I>(&self, entries: I, computed_at: u64)
-    where
-        I: IntoIterator<Item = (CacheKey, Answer)>,
-    {
-        let mut sh = self.shared.lock().unwrap();
-        let current = sh.snapshot.epoch;
-        for (key, answer) in entries {
-            sh.cache
-                .insert_if_current(key, answer, computed_at, current);
+            cached: self.cached(),
         }
     }
 
@@ -608,7 +679,7 @@ impl Engine {
         };
         let rebuilt = self.maybe_rebuild(w);
         w.epoch += 1;
-        let evicted = self.publish(w, evict);
+        let evicted = self.published.publish(Self::snapshot_of(w), [evict]);
         self.maybe_checkpoint(w);
         Ok(MutationOutcome {
             epoch: w.epoch,
@@ -662,7 +733,7 @@ impl Engine {
         }
         match wal.append(epoch, m) {
             Ok((bytes, synced)) => {
-                let mut metrics = self.metrics.lock().unwrap();
+                let mut metrics = self.published.metrics.lock().unwrap();
                 metrics.bump(Counter::WalAppends);
                 metrics.incr(Counter::WalBytes, bytes);
                 if synced {
@@ -700,7 +771,8 @@ impl Engine {
     /// dominated by a skyline point, which then dominates `coords` by
     /// transitivity); joining, it evicts the members it dominates.
     fn skyline_insert(w: &mut Writer, pid: PointId, coords: &[f64]) {
-        if dominated_by_any(&w.store, &w.skyline, coords) {
+        w.cols.gather(&w.store, &w.skyline);
+        if w.cols.dominated_by_any(coords).dominated {
             return;
         }
         let store = &w.store;
@@ -726,8 +798,8 @@ impl Engine {
         // `pid` is already out of the tree, so the query returns only
         // other live points.
         let candidates = w.tree.range_query(&w.store, &region);
-        let store = &w.store;
-        let skyline = &w.skyline;
+        w.cols.gather(&w.store, &w.skyline);
+        let (store, skyline, cols) = (&w.store, &w.skyline, &w.cols);
         // The boundary-inclusive range query can return surviving
         // skyline members (e.g. a duplicate-coordinate twin of `pid`,
         // which nothing strictly dominates); they are already present,
@@ -735,7 +807,7 @@ impl Engine {
         let exposed: Vec<PointId> = candidates
             .into_iter()
             .filter(|&q| skyline.binary_search(&q).is_err())
-            .filter(|&q| !dominated_by_any(store, skyline, store.point(q)))
+            .filter(|&q| !cols.dominated_by_any(store.point(q)).dominated)
             .collect();
         let mut sub = skyline_sfs(store, &exposed);
         w.skyline.append(&mut sub);
@@ -796,42 +868,14 @@ impl Engine {
         (store, cid_of, pid_of)
     }
 
-    /// Copies what readers use — the skyline rows, in `PointId` order,
-    /// with their competitor ids — so a publish costs O(|skyline|).
+    /// Copies what readers use — the skyline rows, in `PointId` (and so
+    /// cid) order, with their competitor ids — so a publish costs
+    /// O(|skyline|).
     fn snapshot_of(w: &Writer) -> Snapshot {
-        let mut store = PointStore::with_capacity(w.store.dims(), w.skyline.len());
-        let mut cid_of = Vec::with_capacity(w.skyline.len());
-        for &pid in &w.skyline {
-            store.push(w.store.point(pid));
-            cid_of.push(w.cid_of[pid.index()]);
-        }
-        Snapshot {
-            epoch: w.epoch,
-            skyline: store.ids().collect(),
-            store,
-            cid_of,
-            live_count: w.live_count,
-        }
-    }
-
-    /// Publishes the writer's state as a new epoch: build the snapshot,
-    /// then — under the shared lock — run the mutation's selective
-    /// invalidation and swap the snapshot in one indivisible step.
-    fn publish(&self, w: &Writer, evict: Evict) -> u64 {
-        let snapshot = Arc::new(Self::snapshot_of(w));
-        let evicted = {
-            let mut sh = self.shared.lock().unwrap();
-            let evicted = match evict {
-                Evict::Inserted(coords) => sh.cache.evict_dominated_by(&coords),
-                Evict::Removed(Some(coords)) => sh.cache.evict_strictly_dominated_by(&coords),
-                Evict::Removed(None) => 0,
-            };
-            sh.snapshot = snapshot;
-            evicted
-        };
-        let mut m = self.metrics.lock().unwrap();
-        m.bump(Counter::EpochSwaps);
-        m.incr(Counter::CacheEvictions, evicted);
-        evicted
+        let rows = w
+            .skyline
+            .iter()
+            .map(|&pid| (w.cid_of[pid.index()], w.store.point(pid)));
+        Snapshot::from_rows(w.epoch, w.store.dims(), rows, w.live_count)
     }
 }

@@ -33,12 +33,13 @@
 //!   torn-tail-tolerant recovery ([`Engine::recover`]).
 //! * [`shard`] / [`coordinator`] — horizontal scale-out: the
 //!   competitor set partitioned across N shard processes (each a full
-//!   epoch engine under globally assigned ids), a scatter/gather
-//!   coordinator that merges per-shard dominator skylines with a
-//!   dominance filter and runs the upgrade join on the merged set, and
-//!   a two-phase epoch publish (`stage` on every shard, collect acks,
-//!   `flip`) that keeps gathered answers bit-identical to a
-//!   single-engine oracle at every epoch.
+//!   epoch engine under globally assigned ids), and a coordinator that
+//!   replicates the union of the shards' local skylines from the deltas
+//!   their flip acks carry, publishes its skyline (the global one)
+//!   through the same [`Published`] reader half an engine uses, and so
+//!   answers queries without a shard round trip, bit-identically to a
+//!   single-engine oracle at every epoch. Mutations run a two-phase
+//!   epoch publish (`stage` on every shard, collect acks, `flip`).
 //!
 //! Everything is std-only, like the rest of the workspace.
 
@@ -63,15 +64,15 @@ pub type CompetitorId = u64;
 pub use batch::{execute_batch, execute_batch_stats, BatchRequestStats, BatchStats};
 pub use cache::{CacheKey, CostTag, ResultCache};
 pub use coordinator::{Coordinator, CoordinatorDispatch, LocalLink, ShardLink, TcpLink};
-pub use engine::{DurabilityStatus, Engine, EngineConfig, EngineStats, Mutation, MutationOutcome};
+pub use engine::{
+    DurabilityStatus, Engine, EngineConfig, EngineStats, Mutation, MutationOutcome, Published,
+};
 pub use net::{bind_local, handle_lines, serve, Client, ClientPool, Dispatch, MAX_LINE_BYTES};
 pub use server::{
     execute_query, CostSpec, ProductAnswer, QueryRequest, QueryResponse, QueryTicket, ServeConfig,
     ServeHandle,
 };
-pub use shard::{
-    FlipAck, Partition, ProbeRequest, ProbeResponse, ShardDispatch, ShardState, StagedOp,
-};
+pub use shard::{FlipAck, Partition, ShardDispatch, ShardState, SkylineRows, StagedOp};
 pub use snapshot::{Answer, Snapshot};
 pub use telemetry::Telemetry;
 pub use wal::{FsyncPolicy, RecoveryReport, WalConfig};

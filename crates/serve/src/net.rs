@@ -110,7 +110,7 @@ impl Dispatch for ServeHandle {
             }
             Request::Metrics => self.telemetry().metrics_json(self.queue_depth()).render(),
             Request::Trace(n) => self.telemetry().traces_json(n).render(),
-            Request::Stage { .. } | Request::Flip { .. } | Request::LocalProbe(_) => {
+            Request::Stage { .. } | Request::Flip { .. } | Request::LocalSkyline => {
                 render_error("this server is not a shard (start it with --shard-id/--shards)")
             }
             Request::Shutdown => unreachable!("the line loop handles shutdown"),
@@ -327,8 +327,8 @@ impl Client {
     }
 
     /// Applies a per-request read deadline (`None` restores blocking
-    /// reads). Lets a coordinator bound how long a gather waits on a
-    /// wedged shard.
+    /// reads). Lets a coordinator bound how long it waits on a wedged
+    /// shard.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), String> {
         self.reader
             .get_ref()
@@ -338,8 +338,8 @@ impl Client {
 }
 
 /// A small keep-alive pool of [`Client`]s for one address, so
-/// concurrent scatter threads and sequential requests reuse warm
-/// connections instead of paying a handshake per probe. Connections
+/// concurrent and sequential requests reuse warm connections instead of
+/// paying a handshake per request. Connections
 /// that erred are dropped, not returned.
 pub struct ClientPool {
     addr: String,

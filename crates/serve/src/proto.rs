@@ -15,14 +15,14 @@
 //! ```
 //!
 //! Shard servers additionally speak the coordinator-facing verbs of the
-//! two-phase epoch publish and the scatter/gather query path:
+//! two-phase epoch publish and of the coordinator's skyline replica:
 //!
 //! ```text
 //! {"op":"stage","epoch":9}                               // pure epoch bump
 //! {"op":"stage","epoch":9,"add":{"cid":41,"point":[0.4,0.5]}}
 //! {"op":"stage","epoch":9,"remove":41}
-//! {"op":"flip","epoch":9}
-//! {"op":"local_probe","products":[[0.9,0.9]],"deadline_ms":50}
+//! {"op":"flip","epoch":9}       // ack: "entered":[[cid,[..]],..], "left":[cid,..]
+//! {"op":"local_skyline"}        // ack: "epoch":label, "rows":[[cid,[..]],..]
 //! ```
 //!
 //! Responses always carry `"ok"`. Successful queries report the epoch
@@ -33,11 +33,11 @@
 
 use crate::engine::{DurabilityStatus, EngineStats, MutationOutcome};
 use crate::server::{CostSpec, ProductAnswer, QueryRequest, QueryResponse};
-use crate::shard::{FlipAck, ProbeRequest, ProbeResponse, StagedOp};
+use crate::shard::{FlipAck, SkylineRows, StagedOp};
 use skyup_core::SkyupError;
 use skyup_obs::json::{parse, Json};
 use skyup_obs::Counter;
-use skyup_obs::{Completion, Interrupt, QueryMetrics};
+use skyup_obs::{Completion, QueryMetrics};
 use std::time::Duration;
 
 /// A parsed request line.
@@ -72,9 +72,9 @@ pub enum Request {
         /// The staged epoch to publish.
         epoch: u64,
     },
-    /// A coordinator's scatter probe for per-product local dominator
-    /// skylines. Shard servers only.
-    LocalProbe(ProbeRequest),
+    /// The published label and the whole local skyline, for a
+    /// coordinator's bootstrap and resync. Shard servers only.
+    LocalSkyline,
     /// Stop the server.
     Shutdown,
 }
@@ -218,21 +218,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .ok_or("flip needs an integer \"epoch\"")?;
             Ok(Request::Flip { epoch })
         }
-        "local_probe" => {
-            let products = match doc.get("products") {
-                Some(Json::Arr(items)) => items
-                    .iter()
-                    .map(point_field)
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err("local_probe needs \"products\": [[..],..]".into()),
-            };
-            let deadline = doc
-                .get("deadline_ms")
-                .map(|v| v.as_u64().ok_or("\"deadline_ms\" must be an integer"))
-                .transpose()?
-                .map(Duration::from_millis);
-            Ok(Request::LocalProbe(ProbeRequest { products, deadline }))
-        }
+        "local_skyline" => Ok(Request::LocalSkyline),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown op `{other}`")),
     }
@@ -478,23 +464,6 @@ pub fn render_flip_request(epoch: u64) -> String {
     .render()
 }
 
-/// Renders a probe request line (coordinator → shard).
-pub fn render_probe_request(req: &ProbeRequest) -> String {
-    let products = req
-        .products
-        .iter()
-        .map(|p| Json::Arr(p.iter().map(|&v| Json::Num(v)).collect()))
-        .collect();
-    let mut fields = vec![
-        ("op", Json::Str("local_probe".into())),
-        ("products", Json::Arr(products)),
-    ];
-    if let Some(d) = req.deadline {
-        fields.push(("deadline_ms", Json::Uint(d.as_millis() as u64)));
-    }
-    Json::obj(fields).render()
-}
-
 /// Renders a stage acknowledgement: the epoch now buffered (or already
 /// published, for idempotent retries).
 pub fn render_stage_ack(epoch: u64) -> String {
@@ -505,8 +474,42 @@ pub fn render_stage_ack(epoch: u64) -> String {
     .render()
 }
 
+/// Skyline rows as `[[cid, [coords..]], ..]`. Coordinates round-trip
+/// bit-exactly: `Json::Num` renders the shortest representation that
+/// parses back to the same f64, and every stored coordinate is finite.
+fn rows_json(rows: &[(u64, Vec<f64>)]) -> Json {
+    Json::Arr(
+        rows.iter()
+            .map(|(cid, coords)| {
+                Json::Arr(vec![
+                    Json::Uint(*cid),
+                    Json::Arr(coords.iter().map(|&v| Json::Num(v)).collect()),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// Parses the `key` array of [`rows_json`] pairs.
+fn rows_field(doc: &Json, key: &str) -> Result<SkylineRows, String> {
+    match doc.get(key) {
+        Some(Json::Arr(rows)) => rows
+            .iter()
+            .map(|row| match row {
+                Json::Arr(parts) if parts.len() == 2 => {
+                    let cid = parts[0].as_u64().ok_or("row cid is not an integer")?;
+                    Ok((cid, point_field(&parts[1])?))
+                }
+                _ => Err("row is not a [cid, coords] pair".to_string()),
+            })
+            .collect(),
+        _ => Err(format!("response carries no \"{key}\" rows")),
+    }
+}
+
 /// Renders a flip acknowledgement: the published label, plus the
-/// owner's mutation outcome when the flip applied one.
+/// owner's mutation outcome and local-skyline delta when the flip
+/// applied one.
 pub fn render_flip_ack(ack: &FlipAck) -> String {
     let mut fields = vec![("ok", Json::Bool(true)), ("epoch", Json::Uint(ack.epoch))];
     if let Some(out) = &ack.outcome {
@@ -518,54 +521,26 @@ pub fn render_flip_ack(ack: &FlipAck) -> String {
         }
         fields.push(("rebuilt", Json::Bool(out.rebuilt)));
         fields.push(("evicted", Json::Uint(out.evicted)));
+        fields.push(("entered", rows_json(&ack.entered)));
+        fields.push((
+            "left",
+            Json::Arr(ack.left.iter().map(|&cid| Json::Uint(cid)).collect()),
+        ));
     } else {
         fields.push(("applied", Json::Bool(false)));
     }
     Json::obj(fields).render()
 }
 
-/// Renders a probe response: the shard's label, the completion of the
-/// product prefix it evaluated, and per-product `(cid, coords)`
-/// dominator pairs. Coordinates round-trip bit-exactly: `Json::Num`
-/// renders the shortest representation that parses back to the same
-/// f64, and every stored coordinate is finite.
-pub fn render_probe_response(resp: &ProbeResponse) -> String {
-    let dominators = resp
-        .dominators
-        .iter()
-        .map(|per_product| {
-            Json::Arr(
-                per_product
-                    .iter()
-                    .map(|(cid, coords)| {
-                        Json::Arr(vec![
-                            Json::Uint(*cid),
-                            Json::Arr(coords.iter().map(|&v| Json::Num(v)).collect()),
-                        ])
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    let mut fields = vec![("ok", Json::Bool(true)), ("epoch", Json::Uint(resp.epoch))];
-    completion_fields(resp.completion, &mut fields);
-    fields.push(("evaluated", Json::Uint(resp.evaluated as u64)));
-    fields.push(("dominators", Json::Arr(dominators)));
-    Json::obj(fields).render()
-}
-
-/// Maps a wire interrupt reason back to the [`Interrupt`] it came from
-/// (the inverse of [`Interrupt::reason`]).
-pub fn interrupt_from_reason(reason: &str) -> Option<Interrupt> {
-    [
-        Interrupt::DeadlineExceeded,
-        Interrupt::NodeVisitBudget,
-        Interrupt::HeapBudget,
-        Interrupt::Cancelled,
-        Interrupt::Overloaded,
-    ]
-    .into_iter()
-    .find(|i| i.reason() == reason)
+/// Renders a `local_skyline` response: the shard's label and its whole
+/// local skyline.
+pub fn render_local_skyline(label: u64, rows: &[(u64, Vec<f64>)]) -> String {
+    Json::obj(vec![
+        ("ok", Json::Bool(true)),
+        ("epoch", Json::Uint(label)),
+        ("rows", rows_json(rows)),
+    ])
+    .render()
 }
 
 /// Checks `ok` and surfaces `error` on a parsed response line.
@@ -580,22 +555,6 @@ fn checked_response(line: &str) -> Result<Json, String> {
                 .unwrap_or("response is not ok");
             Err(msg.to_string())
         }
-    }
-}
-
-fn completion_of(doc: &Json) -> Result<Completion, String> {
-    match doc.get("completion").and_then(|v| v.as_str()) {
-        Some("exact") => Ok(Completion::Exact),
-        Some("partial") => {
-            let reason = doc
-                .get("interrupt")
-                .and_then(|v| v.as_str())
-                .ok_or("partial completion without an interrupt reason")?;
-            let interrupt = interrupt_from_reason(reason)
-                .ok_or_else(|| format!("unknown interrupt reason `{reason}`"))?;
-            Ok(Completion::Partial(interrupt))
-        }
-        _ => Err("response carries no completion tag".into()),
     }
 }
 
@@ -614,67 +573,41 @@ pub fn parse_flip_ack(line: &str) -> Result<FlipAck, String> {
         .get("epoch")
         .and_then(|v| v.as_u64())
         .ok_or("flip ack carries no \"epoch\"")?;
-    let applied = matches!(doc.get("applied"), Some(Json::Bool(true)));
-    let outcome = if applied {
-        let cid = doc.get("cid").and_then(|v| v.as_u64());
-        let removed = matches!(doc.get("removed"), Some(Json::Bool(true)));
-        let rebuilt = matches!(doc.get("rebuilt"), Some(Json::Bool(true)));
-        let evicted = doc.get("evicted").and_then(|v| v.as_u64()).unwrap_or(0);
-        Some(MutationOutcome {
+    if !matches!(doc.get("applied"), Some(Json::Bool(true))) {
+        return Ok(FlipAck {
             epoch,
-            cid,
-            removed,
-            rebuilt,
-            evicted,
-        })
-    } else {
-        None
+            outcome: None,
+            entered: Vec::new(),
+            left: Vec::new(),
+        });
+    }
+    let left = match doc.get("left") {
+        Some(Json::Arr(cids)) => cids
+            .iter()
+            .map(|v| v.as_u64().ok_or("left cid is not an integer"))
+            .collect::<Result<Vec<_>, _>>()?,
+        _ => return Err("flip ack carries no \"left\" cids".into()),
     };
-    Ok(FlipAck { epoch, outcome })
+    Ok(FlipAck {
+        epoch,
+        outcome: Some(MutationOutcome {
+            epoch,
+            cid: doc.get("cid").and_then(|v| v.as_u64()),
+            removed: matches!(doc.get("removed"), Some(Json::Bool(true))),
+            rebuilt: matches!(doc.get("rebuilt"), Some(Json::Bool(true))),
+            evicted: doc.get("evicted").and_then(|v| v.as_u64()).unwrap_or(0),
+        }),
+        entered: rows_field(&doc, "entered")?,
+        left,
+    })
 }
 
-/// Parses a probe response back into [`ProbeResponse`].
-pub fn parse_probe_response(line: &str) -> Result<ProbeResponse, String> {
+/// Parses a `local_skyline` response into the label and the rows.
+pub fn parse_local_skyline(line: &str) -> Result<(u64, SkylineRows), String> {
     let doc = checked_response(line)?;
-    let epoch = doc
+    let label = doc
         .get("epoch")
         .and_then(|v| v.as_u64())
-        .ok_or("probe response carries no \"epoch\"")?;
-    let completion = completion_of(&doc)?;
-    let evaluated = doc
-        .get("evaluated")
-        .and_then(|v| v.as_u64())
-        .ok_or("probe response carries no \"evaluated\"")? as usize;
-    let dominators = match doc.get("dominators") {
-        Some(Json::Arr(products)) => products
-            .iter()
-            .map(|per_product| match per_product {
-                Json::Arr(pairs) => pairs
-                    .iter()
-                    .map(|pair| match pair {
-                        Json::Arr(parts) if parts.len() == 2 => {
-                            let cid = parts[0].as_u64().ok_or("dominator cid is not an integer")?;
-                            let coords = point_field(&parts[1])?;
-                            Ok((cid, coords))
-                        }
-                        _ => Err("dominator entry is not a [cid, coords] pair".to_string()),
-                    })
-                    .collect::<Result<Vec<_>, _>>(),
-                _ => Err("per-product dominators is not an array".to_string()),
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err("probe response carries no \"dominators\"".into()),
-    };
-    if dominators.len() != evaluated {
-        return Err(format!(
-            "probe response evaluated {evaluated} products but carries {} dominator lists",
-            dominators.len()
-        ));
-    }
-    Ok(ProbeResponse {
-        epoch,
-        completion,
-        evaluated,
-        dominators,
-    })
+        .ok_or("local_skyline response carries no \"epoch\"")?;
+    Ok((label, rows_field(&doc, "rows")?))
 }

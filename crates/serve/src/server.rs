@@ -16,7 +16,7 @@
 //! partial answers bit-for-bit against a cacheless oracle.
 
 use crate::cache::CostTag;
-use crate::engine::{Engine, EngineStats, Mutation, MutationOutcome};
+use crate::engine::{Engine, EngineStats, Mutation, MutationOutcome, Published};
 use crate::telemetry::Telemetry;
 use crate::CompetitorId;
 use skyup_core::cost::{AttributeCost, LinearCost, SumCost};
@@ -620,26 +620,29 @@ pub(crate) fn validate_request(req: &QueryRequest, dims: usize) -> Result<(), Sk
     }
 }
 
-/// Evaluates a query against one pinned snapshot. Public so the bench
-/// harness and the property suite can bypass the pool and drive the
-/// exact code path the workers run.
-pub fn execute_query(engine: &Engine, req: &QueryRequest) -> Result<QueryResponse, SkyupError> {
+/// Evaluates a query against one pinned snapshot of `published` — an
+/// [`Engine`] (through its deref) or a coordinator's replica. Public so
+/// the bench harness and the property suite can bypass the pool and
+/// drive the exact code path the workers run.
+pub fn execute_query(
+    published: &Published,
+    req: &QueryRequest,
+) -> Result<QueryResponse, SkyupError> {
     let mut rec = QueryMetrics::new();
-    execute_query_with(engine, req, &mut rec)
+    execute_query_with(published, req, &mut rec)
 }
 
 /// [`execute_query`] recording into a caller-owned [`QueryMetrics`], so
 /// the worker can read this request's counters (cache hits/misses,
 /// dominance tests) for its trace after the answer is determined. The
-/// metrics are still absorbed into the engine-wide tally here, exactly
-/// as before.
+/// metrics are still absorbed into the published tally here.
 pub(crate) fn execute_query_with(
-    engine: &Engine,
+    published: &Published,
     req: &QueryRequest,
     rec: &mut QueryMetrics,
 ) -> Result<QueryResponse, SkyupError> {
-    validate_request(req, engine.dims())?;
-    let snap = engine.snapshot();
+    validate_request(req, published.dims())?;
+    let snap = published.snapshot();
     let cost_fn = req.cost.cost_fn(snap.dims());
     let tag = req.cost.tag();
     let cfg = UpgradeConfig::default();
@@ -662,7 +665,7 @@ pub(crate) fn execute_query_with(
             completion = Completion::Partial(i);
             break;
         }
-        let answer = engine.answer_product(&snap, t, &cost_fn, tag, &cfg, rec);
+        let answer = published.answer_product(&snap, t, &cost_fn, tag, &cfg, rec);
         evaluated += 1;
         answers.push(ProductAnswer {
             index,
@@ -676,7 +679,7 @@ pub(crate) fn execute_query_with(
     if !completion.is_exact() {
         rec.bump(Counter::LimitInterrupts);
     }
-    engine.absorb_metrics(rec);
+    published.absorb_metrics(rec);
     Ok(QueryResponse {
         epoch: snap.epoch(),
         completion,

@@ -11,14 +11,18 @@
 //! 1. `stage(E, op)` buffers epoch `E` (with the shard's slice of the
 //!    mutation: the owning shard gets the op, every other shard gets a
 //!    pure epoch bump) without touching the engine.
-//! 2. `flip(E)` applies the buffered op to the engine and publishes
-//!    label `E`, atomically with respect to probes.
+//! 2. `flip(E)` applies the buffered op to the engine, publishes label
+//!    `E`, and acks with the op's **local-skyline delta**: the rows that
+//!    entered the shard's skyline and the ids that left it.
 //!
-//! Probes pin `(label, snapshot)` under the same lock the flip holds
-//! while applying, so a gathered answer can never pair one shard's
-//! epoch-`E` points with another's epoch-`E-1` label. Both verbs are
+//! The coordinator replicates every shard's local skyline from those
+//! deltas and answers queries itself; `local_skyline` returns the whole
+//! local skyline with its label, for bootstrap and resync. It pins
+//! `(label, snapshot)` under the lock the flip holds while applying, so
+//! the rows always belong to exactly that label. Both publish verbs are
 //! idempotent against coordinator retries: re-staging the pending epoch
-//! overwrites it, and flipping an already-published epoch is an ack.
+//! overwrites it, and flipping an already-published epoch is an ack
+//! (without a delta — the coordinator resyncs instead).
 //!
 //! The label is *coordinator* state: it starts at 0 for a fresh
 //! topology and is not persisted in the shard's WAL (recovery restores
@@ -28,16 +32,15 @@
 use crate::engine::{Mutation, MutationOutcome};
 use crate::net::Dispatch;
 use crate::proto::{
-    render_error, render_flip_ack, render_health, render_probe_response, render_skyup_error,
+    render_error, render_flip_ack, render_health, render_local_skyline, render_skyup_error,
     render_stage_ack, Request, Topology,
 };
 use crate::server::ServeHandle;
+use crate::snapshot::Snapshot;
 use crate::CompetitorId;
-use skyup_core::{dominators_from_skyline, SkyupError};
+use skyup_core::SkyupError;
 use skyup_geom::PointStore;
-use skyup_obs::{Completion, ExecutionLimits, QueryMetrics};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// The stateless partitioning function: `shards` equal-width slabs over
 /// dimension 0 of the unit cube (the degenerate first level of an STR
@@ -114,34 +117,12 @@ pub enum StagedOp {
     },
 }
 
-/// A scatter probe: the admitted prefix of a query's products, plus the
-/// client deadline so a shard sheds work the gather could never use.
-#[derive(Clone, Debug)]
-pub struct ProbeRequest {
-    /// Product coordinates to probe, in request order.
-    pub products: Vec<Vec<f64>>,
-    /// The query deadline, forwarded from the coordinator.
-    pub deadline: Option<Duration>,
-}
-
-/// A shard's answer to a probe: its local dominator skyline restricted
-/// to ADR(t) for each evaluated product, under the published label.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProbeResponse {
-    /// The shard's published epoch label the dominators are consistent
-    /// with.
-    pub epoch: u64,
-    /// Exact, or partial with the interrupt that cut the prefix.
-    pub completion: Completion,
-    /// Products evaluated (== `dominators.len()`).
-    pub evaluated: usize,
-    /// Per evaluated product: `(cid, coords)` of every local skyline
-    /// point dominating it, ascending by cid.
-    pub dominators: Vec<Vec<(CompetitorId, Vec<f64>)>>,
-}
+/// Local-skyline rows as the coordinator replicates them:
+/// `(cid, coordinates)`, ascending by cid.
+pub type SkylineRows = Vec<(CompetitorId, Vec<f64>)>;
 
 /// A flip acknowledgement: the published label, plus the engine outcome
-/// when this shard owned the staged op.
+/// and local-skyline delta when this shard owned the staged op.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlipAck {
     /// The shard's published label after the flip.
@@ -149,6 +130,28 @@ pub struct FlipAck {
     /// The owning shard's mutation outcome (`None` for pure bumps and
     /// idempotent re-flips).
     pub outcome: Option<MutationOutcome>,
+    /// Rows the applied op brought into the local skyline.
+    pub entered: SkylineRows,
+    /// Ids of the rows it took out of the local skyline.
+    pub left: Vec<CompetitorId>,
+}
+
+/// The rows of `after`'s skyline that `before` lacks and the ids of
+/// `before`'s rows that `after` lacks, by binary search in the other
+/// snapshot's cid-sorted id list.
+fn skyline_delta(before: &Snapshot, after: &Snapshot) -> (SkylineRows, Vec<CompetitorId>) {
+    let has = |snap: &Snapshot, cid: CompetitorId| snap.cid_of.binary_search(&cid).is_ok();
+    let entered = after
+        .rows()
+        .filter(|&(cid, _)| !has(before, cid))
+        .map(|(cid, coords)| (cid, coords.to_vec()))
+        .collect();
+    let left = before
+        .rows()
+        .map(|(cid, _)| cid)
+        .filter(|&cid| !has(after, cid))
+        .collect();
+    (entered, left)
 }
 
 struct ShardEpoch {
@@ -234,21 +237,26 @@ impl ShardState {
     }
 
     /// Phase two: applies the staged op to the engine and publishes
-    /// label `epoch`, atomically with respect to [`ShardState::probe`].
-    /// Flipping an already-published epoch is an idempotent ack (the
-    /// retry path for a lost flip-ack); flipping an unstaged epoch is
-    /// an error. An engine failure (e.g. a read-only WAL) leaves the
-    /// epoch staged so a later retry can still complete the publish.
+    /// label `epoch`, atomically with respect to
+    /// [`ShardState::local_skyline`]; the ack carries the op's
+    /// local-skyline delta. Flipping an already-published epoch is an
+    /// idempotent ack without a delta (the retry path for a lost
+    /// flip-ack); flipping an unstaged epoch is an error. An engine
+    /// failure (e.g. a read-only WAL) leaves the epoch staged so a later
+    /// retry can still complete the publish.
     pub fn flip(&self, epoch: u64) -> Result<FlipAck, SkyupError> {
         let mut e = self.epoch.lock().unwrap();
         if epoch <= e.label {
             return Ok(FlipAck {
                 epoch: e.label,
                 outcome: None,
+                entered: Vec::new(),
+                left: Vec::new(),
             });
         }
         match &e.staged {
             Some((staged, op)) if *staged == epoch => {
+                let before = self.handle.engine().snapshot();
                 let outcome = match op.clone() {
                     None => None,
                     Some(StagedOp::Add { cid, point }) => Some(
@@ -262,7 +270,17 @@ impl ShardState {
                 };
                 e.staged = None;
                 e.label = epoch;
-                Ok(FlipAck { epoch, outcome })
+                // A pure bump leaves the engine, and so the skyline, as is.
+                let (entered, left) = match outcome {
+                    Some(_) => skyline_delta(&before, &self.handle.engine().snapshot()),
+                    None => (Vec::new(), Vec::new()),
+                };
+                Ok(FlipAck {
+                    epoch,
+                    outcome,
+                    entered,
+                    left,
+                })
             }
             _ => Err(SkyupError::InvalidInput(format!(
                 "epoch {epoch} is not staged on shard {} (label {})",
@@ -271,48 +289,20 @@ impl ShardState {
         }
     }
 
-    /// Answers a scatter probe: for each product (within the deadline),
-    /// the local dominator skyline restricted to ADR(t) as
-    /// `(cid, coords)` pairs, ascending by cid. The label and snapshot
-    /// are pinned under the epoch lock, so the answer is consistent
-    /// with exactly one published epoch.
-    pub fn probe(&self, req: &ProbeRequest) -> ProbeResponse {
+    /// The published label and the whole local skyline at that label:
+    /// what a coordinator bootstraps and resyncs its replica from.
+    pub fn local_skyline(&self) -> (u64, SkylineRows) {
         let (label, snap) = {
             let e = self.epoch.lock().unwrap();
             (e.label, self.handle.engine().snapshot())
         };
-        let mut limits = ExecutionLimits::default();
-        if let Some(d) = req.deadline {
-            limits = limits.with_deadline(d);
-        }
-        let mut guard = limits.start();
-        let mut rec = QueryMetrics::new();
-        let mut dominators = Vec::with_capacity(req.products.len());
-        let mut completion = Completion::Exact;
-        for t in &req.products {
-            if let Err(i) = guard.visit_node() {
-                completion = Completion::Partial(i);
-                break;
-            }
-            let doms = dominators_from_skyline(snap.store(), snap.skyline(), t, &mut rec);
-            dominators.push(
-                doms.iter()
-                    .map(|&pid| (snap.cid(pid), snap.store().point(pid).to_vec()))
-                    .collect(),
-            );
-        }
-        self.handle.engine().absorb_metrics(&rec);
-        ProbeResponse {
-            epoch: label,
-            completion,
-            evaluated: dominators.len(),
-            dominators,
-        }
+        let rows = snap.rows().map(|(cid, p)| (cid, p.to_vec())).collect();
+        (label, rows)
     }
 }
 
 /// The shard role behind the NDJSON front door. Shard verbs
-/// (`stage`/`flip`/`local_probe`) hit the two-phase state; direct
+/// (`stage`/`flip`/`local_skyline`) hit the two-phase state; direct
 /// mutations are rejected (they must route through the coordinator, the
 /// sole owner of the global id and epoch sequences); queries and the
 /// observability verbs serve shard-locally off the underlying engine.
@@ -331,7 +321,10 @@ impl Dispatch for ShardDispatch {
                 Ok(ack) => render_flip_ack(&ack),
                 Err(err) => render_skyup_error(&err),
             },
-            Request::LocalProbe(probe) => render_probe_response(&state.probe(&probe)),
+            Request::LocalSkyline => {
+                let (label, rows) = state.local_skyline();
+                render_local_skyline(label, &rows)
+            }
             Request::Add(_) | Request::Remove(_) => render_error(&format!(
                 "shard {} does not accept direct mutations; route them through the coordinator",
                 state.shard_id
@@ -347,7 +340,7 @@ impl Dispatch for ShardDispatch {
             }
             // Queries answer shard-locally (this shard's slice only,
             // under its *engine* epoch) — a debugging view, not the
-            // merged answer. Stats/metrics/traces read the engine's
+            // global answer. Stats/metrics/traces read the engine's
             // telemetry exactly like a single server.
             other => state.handle.dispatch(other),
         }

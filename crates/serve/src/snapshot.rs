@@ -42,6 +42,30 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// A snapshot of the skyline `rows` — `(cid, coordinates)` in
+    /// ascending cid order, the writer's row order — at `epoch`.
+    pub(crate) fn from_rows<'a>(
+        epoch: u64,
+        dims: usize,
+        rows: impl ExactSizeIterator<Item = (CompetitorId, &'a [f64])>,
+        live_count: usize,
+    ) -> Snapshot {
+        let mut store = PointStore::with_capacity(dims, rows.len());
+        let mut cid_of = Vec::with_capacity(rows.len());
+        for (cid, coords) in rows {
+            store.push(coords);
+            cid_of.push(cid);
+        }
+        debug_assert!(cid_of.windows(2).all(|w| w[0] < w[1]), "rows in cid order");
+        Snapshot {
+            epoch,
+            skyline: store.ids().collect(),
+            store,
+            cid_of,
+            live_count,
+        }
+    }
+
     /// The epoch this snapshot was published at.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -74,6 +98,14 @@ impl Snapshot {
     /// The stable competitor id of a store row.
     pub fn cid(&self, pid: PointId) -> CompetitorId {
         self.cid_of[pid.index()]
+    }
+
+    /// The skyline rows as `(cid, coordinates)`, ascending by cid.
+    pub fn rows(&self) -> impl Iterator<Item = (CompetitorId, &[f64])> {
+        self.cid_of
+            .iter()
+            .copied()
+            .zip(self.store.iter().map(|(_, coords)| coords))
     }
 
     /// Computes product `t`'s answer against this snapshot: filter the

@@ -132,9 +132,10 @@ step "kill-crash durability harness (dedicated hard cap)" \
     timeout "${SKYUP_CI_CRASH_TIMEOUT:-120}" cargo test --offline -q --test crash_recovery
 
 # Spawns two real shard server processes and a real coordinator, drives
-# mixed mutations/queries over TCP, and asserts every gathered answer
-# byte-identical to a single-engine oracle plus the scatter/gather
-# counter invariants. Like the crash harness, its failure mode is a
+# mixed mutations/queries over TCP, and asserts every answer
+# byte-identical to a single-engine oracle plus the replica's counter
+# invariants, then kills a shard and checks reads stay exact while
+# writes fail cleanly. Like the crash harness, its failure mode is a
 # wedged child process (a shard that never flips, a coordinator blocked
 # on a dead socket), so it gets its own tight wall-clock cap.
 step "multi-shard smoke (2 shards + coordinator, dedicated hard cap)" \

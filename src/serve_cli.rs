@@ -16,9 +16,10 @@
 //! `skyup serve --shard-id I --shards N` starts the same server in the
 //! shard role (slab `I` of the partition, globally assigned competitor
 //! ids, mutations only via the coordinator's two-phase publish), and
-//! `skyup coordinate --shard HOST:PORT ...` starts the scatter/gather
-//! coordinator in front of those shards — clients speak to it with the
-//! unchanged `query` verbs.
+//! `skyup coordinate --shard HOST:PORT ...` starts the coordinator in
+//! front of those shards — clients speak to it with the unchanged
+//! `query` verbs, and it answers them from its replicated global
+//! skyline.
 
 use skyup_data::read_delimited;
 use skyup_obs::json::{parse, Json};
@@ -71,12 +72,14 @@ serve subcommands:
                            shard-id order
     --competitors <file>   the FULL competitor file every shard was
                            seeded from (assigns ids and ownership)
-    --threads <n>          merge kernel threads (default 1)
     --port <n>             TCP port on 127.0.0.1 (default 0 = ephemeral)
     --delimiter <c>, --header   as for serve
-    scatter/gather front-end: clients send the same query/add/remove/
-    stats/health/metrics verbs; answers are bit-identical to a single
-    server holding the full set at the same epoch
+    front-end: clients send the same query/add/remove/stats/health/
+    metrics verbs. It fetches each shard's local skyline on the first
+    request, keeps the global skyline up to date from the shards' flip
+    acks, and answers queries from it without a shard round trip;
+    answers are bit-identical to a single server holding the full set
+    at the same epoch. A mutation fails while any shard is unreachable
 
   skyup query --connect HOST:PORT [op]
     -t <x,y,...>           product to evaluate (repeatable; default op)
@@ -355,7 +358,7 @@ pub fn run_serve(args: &[String]) -> Result<(), String> {
 
 /// Binds, prints the `listening on` line, and runs the accept loop —
 /// as a plain single server, or in the shard role when `--shard-id`
-/// was given (direct mutations rejected; `stage`/`flip`/`local_probe`
+/// was given (direct mutations rejected; `stage`/`flip`/`local_skyline`
 /// served).
 fn serve_on(
     engine: Engine,
@@ -377,13 +380,12 @@ fn serve_on(
     .map_err(|e| format!("serve: {e}"))
 }
 
-/// Runs `skyup coordinate`: the scatter/gather front-end over shard
-/// servers. Blocks until a client requests shutdown.
+/// Runs `skyup coordinate`: the front-end over shard servers. Blocks
+/// until a client requests shutdown.
 pub fn run_coordinate(args: &[String]) -> Result<(), String> {
     let mut shard_addrs: Vec<String> = Vec::new();
     let mut competitors: Option<PathBuf> = None;
     let mut port = 0u16;
-    let mut threads = 1usize;
     let mut delimiter = ',';
     let mut header = false;
 
@@ -402,12 +404,6 @@ pub fn run_coordinate(args: &[String]) -> Result<(), String> {
                 port = value(args, i, "--port")?
                     .parse()
                     .map_err(|e| format!("--port: {e}"))?;
-                i += 2;
-            }
-            "--threads" => {
-                threads = value(args, i, "--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
                 i += 2;
             }
             "--delimiter" => {
@@ -437,9 +433,7 @@ pub fn run_coordinate(args: &[String]) -> Result<(), String> {
     let seed = load_points(&seed_path, delimiter, header)?;
     let partition = Partition::new(shard_addrs.len() as u32).map_err(|e| e.to_string())?;
     let links: Vec<TcpLink> = shard_addrs.iter().map(|a| TcpLink::new(a)).collect();
-    let coordinator = Coordinator::new(links, partition, &seed)
-        .map_err(|e| e.to_string())?
-        .with_threads(threads);
+    let coordinator = Coordinator::new(links, partition, &seed).map_err(|e| e.to_string())?;
 
     let (listener, addr) = bind_local(port).map_err(|e| format!("bind: {e}"))?;
     println!("listening on {addr}");

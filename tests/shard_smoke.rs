@@ -1,10 +1,12 @@
 //! Multi-shard smoke: two real `skyup serve --shard-id` processes and a
 //! real `skyup coordinate` process in front of them, driven over TCP
-//! with mixed mutations and queries. Every gathered answer must be
-//! byte-for-byte what a cold in-process oracle holding the full
-//! competitor set produces at the same epoch, the topology must
-//! describe itself over `health`, shards must refuse direct mutations,
-//! and the scatter/gather counter invariants must hold on `stats`.
+//! with mixed mutations and queries. Every answer must be byte-for-byte
+//! what a cold in-process oracle holding the full competitor set
+//! produces at the same epoch, the topology must describe itself over
+//! `health`, shards must refuse direct mutations, and the replica's
+//! counter invariants must hold on `stats`. A second topology loses a
+//! shard process while idle: reads stay exact, writes fail cleanly, and
+//! nothing wedges.
 
 use skyup_serve::proto::render_query_response;
 use skyup_serve::{execute_query, CostSpec, Engine, EngineConfig, Mutation, QueryRequest};
@@ -24,8 +26,8 @@ fn base_rows() -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn fixture() -> PathBuf {
-    let dir = std::env::temp_dir().join("skyup-shard-smoke");
+fn fixture(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("skyup-shard-smoke-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let mut csv = String::new();
@@ -104,24 +106,63 @@ fn get_u64(doc: &skyup::obs::json::Json, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("response lacks {key}"))
 }
 
-#[test]
-fn two_shards_and_a_coordinator_match_the_single_engine_oracle() {
-    let comp = fixture();
-    let (mut shard0, addr0) = spawn_shard(&comp, 0, 2);
-    let (mut shard1, addr1) = spawn_shard(&comp, 1, 2);
-    let (mut coord, coord_addr) = spawn_coordinator(&comp, &[addr0.clone(), addr1.clone()]);
-
-    // The oracle: a single cold engine over the same seed rows.
+/// The oracle: a single cold engine over the same seed rows.
+fn oracle() -> Engine {
     let mut store = skyup::geom::PointStore::new(2);
     for row in base_rows() {
         store.push(&row);
     }
-    let oracle = Engine::with_competitors(store, EngineConfig::default());
+    Engine::with_competitors(store, EngineConfig::default())
+}
+
+fn random_products(rng: &mut skyup::data::Rng) -> Vec<Vec<f64>> {
+    let n = 1 + rng.range_usize(2);
+    (0..n)
+        .map(|_| vec![rng.range_f64(0.2, 1.1), rng.range_f64(0.2, 1.1)])
+        .collect()
+}
+
+/// Sends one query and asserts it renders exactly as the oracle's.
+fn assert_query_matches(conn: &mut TcpStream, oracle: &Engine, products: Vec<Vec<f64>>, k: usize) {
+    let got = round_trip(conn, &query_line(&products, k));
+    let req = QueryRequest {
+        products,
+        k,
+        cost: CostSpec::Reciprocal(1e-3),
+        max_products: None,
+        deadline: None,
+    };
+    let want = execute_query(oracle, &req).unwrap();
+    assert_eq!(got, render_query_response(&want), "coordinator response");
+}
+
+/// The per-shard entries of a two-shard coordinator's health line.
+fn shard_status(health: &str) -> Vec<skyup::obs::json::Json> {
+    let doc = skyup::obs::json::parse(health).expect("health is JSON");
+    assert_eq!(
+        doc.get("role").and_then(|v| v.as_str()),
+        Some("coordinator"),
+        "{health}"
+    );
+    assert_eq!(get_u64(&doc, "shards"), 2, "{health}");
+    match doc.get("shard_status") {
+        Some(skyup::obs::json::Json::Arr(items)) => items.clone(),
+        other => panic!("shard_status missing: {other:?}"),
+    }
+}
+
+#[test]
+fn two_shards_and_a_coordinator_match_the_single_engine_oracle() {
+    let comp = fixture("oracle");
+    let (mut shard0, addr0) = spawn_shard(&comp, 0, 2);
+    let (mut shard1, addr1) = spawn_shard(&comp, 1, 2);
+    let (mut coord, coord_addr) = spawn_coordinator(&comp, &[addr0.clone(), addr1.clone()]);
+    let oracle = oracle();
 
     let mut conn = TcpStream::connect(&coord_addr).expect("connect to coordinator");
     let mut rng = skyup::data::Rng::seed_from_u64(0x0b5e55);
     let mut live: Vec<u64> = (0..24).collect();
-    let mut queries = 0u64;
+    let mut products_asked = 0u64;
     for _ in 0..60 {
         match rng.range_usize(4) {
             0 => {
@@ -149,39 +190,17 @@ fn two_shards_and_a_coordinator_match_the_single_engine_oracle() {
                 );
             }
             _ => {
-                let n = 1 + rng.range_usize(2);
-                let products: Vec<Vec<f64>> = (0..n)
-                    .map(|_| vec![rng.range_f64(0.2, 1.1), rng.range_f64(0.2, 1.1)])
-                    .collect();
+                let products = random_products(&mut rng);
+                products_asked += products.len() as u64;
                 let k = 1 + rng.range_usize(3);
-                let got = round_trip(&mut conn, &query_line(&products, k));
-                let req = QueryRequest {
-                    products,
-                    k,
-                    cost: CostSpec::Reciprocal(1e-3),
-                    max_products: None,
-                    deadline: None,
-                };
-                let want = execute_query(&oracle, &req).unwrap();
-                assert_eq!(got, render_query_response(&want), "gathered response");
-                queries += 1;
+                assert_query_matches(&mut conn, &oracle, products, k);
             }
         }
     }
 
     // Topology self-description.
     let health = round_trip(&mut conn, "{\"op\":\"health\"}");
-    let doc = skyup::obs::json::parse(&health).expect("health is JSON");
-    assert_eq!(
-        doc.get("role").and_then(|v| v.as_str()),
-        Some("coordinator"),
-        "{health}"
-    );
-    assert_eq!(get_u64(&doc, "shards"), 2, "{health}");
-    let status = match doc.get("shard_status") {
-        Some(skyup::obs::json::Json::Arr(items)) => items.clone(),
-        other => panic!("shard_status missing: {other:?}"),
-    };
+    let status = shard_status(&health);
     assert_eq!(status.len(), 2);
     for entry in &status {
         assert_eq!(
@@ -218,16 +237,31 @@ fn two_shards_and_a_coordinator_match_the_single_engine_oracle() {
         flips * 2,
         "two stage acks per publish: {stats}"
     );
+    assert_eq!(get_u64(&doc, "epoch"), flips, "every publish flipped once");
     assert_eq!(
-        get_u64(&counters, "scatter_probes"),
-        queries * 2,
-        "two probes per gathered query: {stats}"
+        get_u64(&counters, "epoch_swaps"),
+        flips + 1,
+        "the bootstrap plus one publish per mutation: {stats}"
+    );
+    assert_eq!(
+        get_u64(&counters, "shard_resyncs"),
+        2,
+        "one bootstrap resync per shard and no repair: {stats}"
+    );
+    assert_eq!(
+        get_u64(&counters, "cache_hit") + get_u64(&counters, "cache_miss"),
+        products_asked,
+        "every product answered at the coordinator: {stats}"
     );
     assert!(
-        get_u64(&counters, "gather_points") >= get_u64(&counters, "merge_dropped"),
+        get_u64(&doc, "union") >= get_u64(&doc, "skyline") && get_u64(&doc, "skyline") >= 1,
+        "|U| >= |global skyline| >= 1: {stats}"
+    );
+    assert_eq!(
+        get_u64(&doc, "skyline") as usize,
+        oracle.stats().skyline_len,
         "{stats}"
     );
-    assert_eq!(get_u64(&doc, "epoch"), flips, "every publish flipped once");
 
     // Clean shutdown: coordinator first, then the shards.
     let bye = round_trip(&mut conn, "{\"op\":\"shutdown\"}");
@@ -238,4 +272,67 @@ fn two_shards_and_a_coordinator_match_the_single_engine_oracle() {
         round_trip(&mut c, "{\"op\":\"shutdown\"}");
         assert!(child.wait().expect("shard exit").success());
     }
+}
+
+#[test]
+fn a_dead_shard_keeps_reads_exact_and_fails_writes_cleanly() {
+    let comp = fixture("dead-shard");
+    let (mut shard0, addr0) = spawn_shard(&comp, 0, 2);
+    let (mut shard1, addr1) = spawn_shard(&comp, 1, 2);
+    let (mut coord, coord_addr) = spawn_coordinator(&comp, &[addr0.clone(), addr1]);
+    let oracle = oracle();
+    let mut conn = TcpStream::connect(&coord_addr).expect("connect to coordinator");
+    let mut rng = skyup::data::Rng::seed_from_u64(0xdead5);
+    for p in [[0.3, 0.35], [0.7, 0.2]] {
+        let line = round_trip(
+            &mut conn,
+            &format!("{{\"op\":\"add\",\"point\":[{},{}]}}", p[0], p[1]),
+        );
+        assert!(line.contains("\"ok\":true"), "{line}");
+        oracle.apply(Mutation::AddCompetitor(p.to_vec())).unwrap();
+    }
+
+    // Shard 1 dies while the topology is idle.
+    shard1.kill().expect("kill shard 1");
+    shard1.wait().expect("reap shard 1");
+
+    for _ in 0..8 {
+        let products = random_products(&mut rng);
+        assert_query_matches(&mut conn, &oracle, products, 2);
+    }
+    for add in ["[0.2,0.2]", "[0.8,0.8]"] {
+        let line = round_trip(&mut conn, &format!("{{\"op\":\"add\",\"point\":{add}}}"));
+        let doc = skyup::obs::json::parse(&line).expect("add reply is JSON");
+        assert_eq!(doc.get("ok"), Some(&skyup::obs::json::Json::Bool(false)));
+        let error = doc.get("error").and_then(|v| v.as_str()).unwrap_or("");
+        assert!(
+            error.contains("stage") && error.contains("shard 1"),
+            "{line}"
+        );
+    }
+    let stats = round_trip(&mut conn, "{\"op\":\"stats\"}");
+    let doc = skyup::obs::json::parse(&stats).expect("stats is JSON");
+    assert_eq!(
+        get_u64(&doc, "epoch"),
+        2,
+        "failed adds leave the epoch: {stats}"
+    );
+    let status = shard_status(&round_trip(&mut conn, "{\"op\":\"health\"}"));
+    let reachable: Vec<_> = status.iter().map(|s| s.get("reachable").cloned()).collect();
+    assert_eq!(
+        reachable,
+        vec![
+            Some(skyup::obs::json::Json::Bool(true)),
+            Some(skyup::obs::json::Json::Bool(false))
+        ]
+    );
+    let products = random_products(&mut rng);
+    assert_query_matches(&mut conn, &oracle, products, 1);
+
+    let bye = round_trip(&mut conn, "{\"op\":\"shutdown\"}");
+    assert!(bye.contains("ok"), "{bye}");
+    assert!(coord.wait().expect("coordinator exit").success());
+    let mut c = TcpStream::connect(&addr0).expect("connect for shutdown");
+    round_trip(&mut c, "{\"op\":\"shutdown\"}");
+    assert!(shard0.wait().expect("shard exit").success());
 }
