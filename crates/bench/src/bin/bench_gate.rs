@@ -27,7 +27,9 @@
 //! per-class histogram bucket counts conserve, per-class trace counts
 //! match the baseline exactly, and the slow log stays empty on the
 //! all-exact workload. Bucket *placement* — the latencies themselves —
-//! is never compared.
+//! is never compared. Likewise the mutation storm ([`gate_serve_storm`])
+//! is gated on bit-identity and its exact counts, never on its latency
+//! tails.
 
 use skyup_obs::json::{parse, Json};
 use std::process::ExitCode;
@@ -415,6 +417,55 @@ fn gate_serve(gate: &mut Gate, fresh: &Json, baseline: &Json) {
     gate_serve_latency(gate, fresh, baseline);
     gate_serve_durability(gate, fresh, baseline);
     gate_serve_scatter(gate, fresh, baseline);
+    gate_serve_storm(gate, fresh, baseline);
+}
+
+/// Mutation-storm rows (`mutation_storm`, keyed by competitor count):
+/// the storm engine must match a cold engine over its final live set
+/// bit for bit, and the op counts, compactions, checkpoints and final
+/// live/skyline sizes are exact functions of the committed workload.
+/// The latency summaries are reported, never gated: on shared hardware
+/// their tails measure the host as much as the code.
+fn gate_serve_storm(gate: &mut Gate, fresh: &Json, baseline: &Json) {
+    gate.check(is_true(fresh, "mutation_storm_bit_identical"), || {
+        "mutation_storm_bit_identical is not true: the storm engine diverged from a \
+         cold engine over its final live set"
+            .into()
+    });
+    let (Some(frows), Some(brows)) = (
+        rows(fresh, "mutation_storm"),
+        rows(baseline, "mutation_storm"),
+    ) else {
+        gate.fail("mutation_storm array missing".into());
+        return;
+    };
+    for brow in brows {
+        let n = num(brow, "competitors").unwrap_or(-1.0);
+        let what = format!("mutation_storm {n}");
+        let Some(frow) = frows.iter().find(|r| num(r, "competitors") == Some(n)) else {
+            gate.fail(format!("{what}: missing from fresh report"));
+            continue;
+        };
+        for field in [
+            "adds",
+            "removes",
+            "skyline_removes",
+            "rebuilds",
+            "checkpoints_written",
+            "final_live",
+            "final_skyline",
+            "identity_checks",
+        ] {
+            gate.exact(&what, field, frow, brow);
+        }
+    }
+    gate.check(frows.len() == brows.len(), || {
+        format!(
+            "mutation_storm row count changed: fresh {} vs baseline {}",
+            frows.len(),
+            brows.len()
+        )
+    });
 }
 
 /// Sharded-topology rows (`scatter_gather`, keyed by shard count): the

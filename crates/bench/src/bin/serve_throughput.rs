@@ -44,6 +44,14 @@
 //! with the machine-independent invariants (appends == acked
 //! mutations, recovered-state checksum equality, zero torn tail after
 //! a clean shutdown) emitted for the gate to pin.
+//!
+//! A `mutation_storm` section times every single mutation of a
+//! delete-heavy stream against a durable engine at |P| = 20,000 and
+//! 200,000 (scaled by `SKYUP_SCALE`) and reports p50/p99/p99.9/max for
+//! adds, removes and skyline-member removes. Its compaction and
+//! checkpoint counts and final live/skyline sizes are exact and pinned;
+//! its pool answers must match a cold engine over the final live set
+//! bit for bit.
 
 use skyup_bench::parse_args;
 use skyup_data::synthetic::{generate, Distribution, SyntheticConfig};
@@ -54,10 +62,11 @@ use skyup_obs::{Completion, Counter};
 use skyup_rtree::persist::fnv1a;
 use skyup_serve::proto::render_query_response;
 use skyup_serve::{
-    execute_query, Coordinator, CostSpec, Engine, EngineConfig, FlipAck, FsyncPolicy, LocalLink,
-    Mutation, Partition, QueryRequest, ServeConfig, ServeHandle, ShardLink, ShardState,
-    SkylineRows, StagedOp, WalConfig,
+    execute_query, CompetitorId, Coordinator, CostSpec, Engine, EngineConfig, FlipAck, FsyncPolicy,
+    LocalLink, Mutation, Partition, QueryRequest, QueryResponse, ServeConfig, ServeHandle,
+    ShardLink, ShardState, SkylineRows, StagedOp, WalConfig,
 };
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,6 +88,9 @@ const WARM_PASSES: usize = 4;
 const PIPELINE: usize = 64;
 /// Admission window for the batched mode, in microseconds.
 const BATCH_WINDOW_US: u64 = 100;
+
+/// Uniform adds in the mutation storm's interleaved phase (scaled).
+const STORM_ADDS: usize = 2000;
 
 /// Root for the run's throwaway WAL directories (one per engine).
 fn wal_root() -> PathBuf {
@@ -202,6 +214,200 @@ fn timed_pass(handle: &ServeHandle, pool: &Arc<Vec<Vec<f64>>>, threads: usize) -
         }
     }
     (start.elapsed().as_secs_f64(), costs)
+}
+
+/// Per-class latency summary in microseconds: sample count, p50, p99,
+/// p99.9 and max.
+fn tail_us(mut ns: Vec<u64>) -> Json {
+    ns.sort_unstable();
+    let at = |per_mille: usize| {
+        let i = (ns.len() * per_mille / 1000).min(ns.len().saturating_sub(1));
+        Json::Num(ns.get(i).copied().unwrap_or(0) as f64 / 1e3)
+    };
+    Json::obj(vec![
+        ("count", Json::Uint(ns.len() as u64)),
+        ("p50", at(500)),
+        ("p99", at(990)),
+        ("p999", at(999)),
+        ("max", at(1000)),
+    ])
+}
+
+/// A durable engine under a mutation storm, with a shadow of its live
+/// set (cid -> coordinates) and every mutation's own latency.
+struct Storm {
+    engine: Engine,
+    live: BTreeMap<CompetitorId, Vec<f64>>,
+    add_ns: Vec<u64>,
+    remove_ns: Vec<u64>,
+    skyline_remove_ns: Vec<u64>,
+    /// Mutations that also ran a WAL fsync or wrote a checkpoint (each
+    /// is in its add or remove class too), so a tail can be told apart
+    /// from the device's.
+    io_ns: Vec<u64>,
+}
+
+impl Storm {
+    fn apply(&mut self, m: Mutation) -> (skyup_serve::MutationOutcome, u64) {
+        let io = |e: &Engine| {
+            let m = e.metrics();
+            m.get(Counter::WalFsyncs) + m.get(Counter::CheckpointsWritten)
+        };
+        let before = io(&self.engine);
+        let t0 = Instant::now();
+        let out = self.engine.apply(m).expect("acked mutation");
+        let ns = t0.elapsed().as_nanos() as u64;
+        if io(&self.engine) != before {
+            self.io_ns.push(ns);
+        }
+        (out, ns)
+    }
+
+    fn add(&mut self, coords: Vec<f64>) -> CompetitorId {
+        let (out, ns) = self.apply(Mutation::AddCompetitor(coords.clone()));
+        let cid = out.cid.expect("an add assigns an id");
+        self.live.insert(cid, coords);
+        self.add_ns.push(ns);
+        cid
+    }
+
+    fn remove(&mut self, cid: CompetitorId) {
+        let on_skyline = {
+            let snap = self.engine.snapshot();
+            snap.skyline()
+                .binary_search_by_key(&cid, |&p| snap.cid(p))
+                .is_ok()
+        };
+        let (out, ns) = self.apply(Mutation::RemoveCompetitor(cid));
+        assert!(out.removed, "cid {cid} was live");
+        self.live.remove(&cid);
+        self.remove_ns.push(ns);
+        if on_skyline {
+            self.skyline_remove_ns.push(ns);
+        }
+    }
+}
+
+/// The bit pattern of a response's answers (its epoch left out).
+fn answer_bits(resp: &QueryResponse) -> Vec<(usize, u64, Vec<u64>)> {
+    resp.results
+        .iter()
+        .map(|a| {
+            let upgraded = a.upgraded.iter().map(|v| v.to_bits()).collect();
+            (a.index, a.cost.to_bits(), upgraded)
+        })
+        .collect()
+}
+
+/// One mutation storm over `n` anti-correlated competitors with the WAL
+/// attached (`interval:64` fsync, a checkpoint every 1,024 appends):
+/// `adds` uniform adds interleaved with removes of the oldest add still
+/// live — strictly alternating, so each add is removed right after it
+/// lands (a uniform point often joins the skyline, so that remove is
+/// often a skyline-member remove) — then random removes of 75% of the
+/// seeded set, which crosses the compaction threshold several times.
+/// Every apply is timed alone, so WAL appends, fsyncs, compactions and
+/// checkpoints land in the tail of the mutation that paid for them; the
+/// ones that paid for an fsync or a checkpoint are also reported as a
+/// class of their own. Returns the report row and whether the storm
+/// engine's skyline and pool answers match a cold engine over the final
+/// live set bit for bit.
+fn mutation_storm(n: usize, adds: usize, seed: u64, pool: &[Vec<f64>]) -> (Json, bool) {
+    let seeded = generate(
+        n,
+        &SyntheticConfig::unit(DIMS, Distribution::AntiCorrelated, seed),
+    );
+    let dir = wal_root().join(format!("storm-{n}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal_cfg = WalConfig {
+        fsync: FsyncPolicy::Interval(64),
+        checkpoint_every: 1024,
+        ..WalConfig::new(dir)
+    };
+    let mut storm = Storm {
+        engine: Engine::with_durability(seeded.clone(), EngineConfig::default(), wal_cfg)
+            .expect("fresh bench wal directory"),
+        live: seeded
+            .iter()
+            .map(|(pid, coords)| (pid.0 as CompetitorId, coords.to_vec()))
+            .collect(),
+        add_ns: Vec::with_capacity(adds),
+        remove_ns: Vec::with_capacity(adds + n),
+        skyline_remove_ns: Vec::new(),
+        io_ns: Vec::new(),
+    };
+
+    let start = Instant::now();
+    let mut rng = Rng::seed_from_u64(seed ^ 0x5702);
+    for _ in 0..adds {
+        let cid = storm.add((0..DIMS).map(|_| rng.next_f64()).collect());
+        storm.remove(cid);
+    }
+    let mut victims: Vec<CompetitorId> = (0..n as CompetitorId).collect();
+    rng.shuffle(&mut victims);
+    for &cid in &victims[..n * 3 / 4] {
+        storm.remove(cid);
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+
+    let Storm {
+        engine,
+        live,
+        add_ns,
+        remove_ns,
+        skyline_remove_ns,
+        io_ns,
+    } = storm;
+    let stats = engine.stats();
+    let cold = Engine::with_identified_competitors(
+        PointStore::from_rows(DIMS, live.values()),
+        live.keys().copied().collect(),
+        (n + adds) as CompetitorId,
+        EngineConfig::default(),
+    )
+    .expect("live ids ascend");
+    let rows = |e: &Engine| -> Vec<(CompetitorId, Vec<u64>)> {
+        e.snapshot()
+            .rows()
+            .map(|(cid, p)| (cid, p.iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    };
+    let mut identical = stats.live == live.len() && rows(&engine) == rows(&cold);
+    for t in pool {
+        let req = QueryRequest {
+            products: vec![t.clone()],
+            k: 1,
+            cost: CostSpec::Reciprocal(1e-3),
+            max_products: None,
+            deadline: None,
+        };
+        let got = execute_query(&engine, &req).expect("storm engine answers");
+        let want = execute_query(&cold, &req).expect("cold engine answers");
+        identical &= answer_bits(&got) == answer_bits(&want);
+    }
+    let row = Json::obj(vec![
+        ("competitors", Json::Uint(n as u64)),
+        ("adds", Json::Uint(add_ns.len() as u64)),
+        ("removes", Json::Uint(remove_ns.len() as u64)),
+        (
+            "skyline_removes",
+            Json::Uint(skyline_remove_ns.len() as u64),
+        ),
+        ("rebuilds", Json::Uint(stats.rebuilds)),
+        (
+            "checkpoints_written",
+            Json::Uint(engine.metrics().get(Counter::CheckpointsWritten)),
+        ),
+        ("final_live", Json::Uint(stats.live as u64)),
+        ("final_skyline", Json::Uint(stats.skyline_len as u64)),
+        ("identity_checks", Json::Uint(pool.len() as u64)),
+        ("elapsed_ms", Json::Num(elapsed * 1e3)),
+        ("add_us", tail_us(add_ns)),
+        ("remove_us", tail_us(remove_ns)),
+        ("skyline_remove_us", tail_us(skyline_remove_ns)),
+        ("io_us", tail_us(io_ns)),
+    ]);
+    (row, identical)
 }
 
 fn main() {
@@ -442,6 +648,18 @@ fn main() {
         }
     }
 
+    // Mutation storm: per-mutation latency tails under a delete-heavy
+    // stream at two sizes, with exact compaction/checkpoint pins.
+    let storm_adds = ((STORM_ADDS as f64 * args.scale) as usize).max(16);
+    let mut mutation_storm_rows = Vec::new();
+    let mut storm_identical = true;
+    for base in [20_000usize, 200_000] {
+        let n = ((base as f64 * args.scale) as usize).max(256);
+        let (row, identical) = mutation_storm(n, storm_adds, args.seed ^ 0x570a, &pool);
+        mutation_storm_rows.push(row);
+        storm_identical &= identical;
+    }
+
     // Sharded topology: the coordinator over in-process shard links at
     // 1, 2 and 4 shards, answering from its replicated global skyline.
     // The machine-dependent half is query qps/p99 and two-phase publish
@@ -600,6 +818,7 @@ fn main() {
                 ("batch_window_us", Json::Num(BATCH_WINDOW_US as f64)),
                 ("sg_mutations", Json::Num(sg_mutations as f64)),
                 ("sg_identity_checks", Json::Num(sg_checks as f64)),
+                ("storm_adds", Json::Num(storm_adds as f64)),
                 ("scale", Json::Num(args.scale)),
                 ("seed", Json::Num(args.seed as f64)),
             ]),
@@ -608,6 +827,8 @@ fn main() {
         ("scatter_gather", Json::Arr(scatter_gather)),
         ("scatter_gather_bit_identical", Json::Bool(sg_identical)),
         ("latency", Json::Arr(latency)),
+        ("mutation_storm", Json::Arr(mutation_storm_rows)),
+        ("mutation_storm_bit_identical", Json::Bool(storm_identical)),
         ("durability", Json::Arr(durability)),
         (
             "recovery_replay",
@@ -628,6 +849,7 @@ fn main() {
     std::fs::write(&path, format!("{}\n", doc.render_pretty()))
         .unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {path}");
+    let _ = std::fs::remove_dir_all(wal_root());
 
     assert!(
         all_identical,
@@ -636,5 +858,9 @@ fn main() {
     assert!(
         sg_identical,
         "a coordinator answer diverged from the single-engine oracle"
+    );
+    assert!(
+        storm_identical,
+        "the mutation storm's engine diverged from a cold engine over its final live set"
     );
 }

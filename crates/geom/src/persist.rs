@@ -13,6 +13,8 @@ use std::fmt;
 
 const MAGIC: &[u8; 8] = b"SKUPPSTO";
 const VERSION: u32 = 1;
+/// Bytes before the coordinates: magic, version, dims, len.
+pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
 /// Errors from [`PointStore::from_bytes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,6 +77,14 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
+    /// Bytes not yet consumed. Decoders bound every count they read by
+    /// this before sizing an allocation from it, so a corrupt length
+    /// field fails as [`DecodeError::Truncated`] instead of aborting on
+    /// a giant allocation.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     pub fn finish(&self) -> Result<(), DecodeError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -87,14 +97,8 @@ impl<'a> Reader<'a> {
 impl PointStore {
     /// Serializes the store to a byte vector.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 4 + 16 + self.raw().len() * 8);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.dims() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self.raw() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        let mut out = Vec::with_capacity(HEADER_LEN + self.raw().len() * 8);
+        encode_rows(&mut out, self.dims(), self.iter().map(|(_, row)| row));
         out
     }
 
@@ -108,20 +112,30 @@ impl PointStore {
         if version != VERSION {
             return Err(DecodeError::BadVersion(version));
         }
-        let dims = r.u64()? as usize;
+        let dims = r.u64()?;
         if dims == 0 {
             return Err(DecodeError::Corrupt("zero dimensions"));
         }
-        let len = r.u64()? as usize;
+        let len = r.u64()?;
+        // The coordinates must fit in the bytes left before `len` and
+        // `dims` size anything.
+        let body = dims.checked_mul(8).and_then(|row| row.checked_mul(len));
+        if body.is_none_or(|b| b > r.remaining() as u64) {
+            return Err(DecodeError::Truncated);
+        }
+        let (Ok(dims), Ok(len)) = (usize::try_from(dims), usize::try_from(len)) else {
+            return Err(DecodeError::Truncated);
+        };
         let mut store = PointStore::with_capacity(dims, len);
-        let mut row = vec![0.0; dims];
+        let mut row = Vec::new();
         for _ in 0..len {
-            for slot in row.iter_mut() {
+            row.clear();
+            for _ in 0..dims {
                 let v = r.f64()?;
                 if !v.is_finite() {
                     return Err(DecodeError::Corrupt("non-finite coordinate"));
                 }
-                *slot = v;
+                row.push(v);
             }
             store.push(&row);
         }
@@ -130,9 +144,32 @@ impl PointStore {
     }
 }
 
+/// Appends `rows` to `out` in the [`PointStore::to_bytes`] layout,
+/// without building a store first: a caller holding rows scattered
+/// among dead ones (a tombstoned working set) encodes just the live
+/// ones, and [`PointStore::from_bytes`] decodes the result. The row
+/// count is patched in once the rows are written.
+pub fn encode_rows<'a>(out: &mut Vec<u8>, dims: usize, rows: impl IntoIterator<Item = &'a [f64]>) {
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(dims as u64).to_le_bytes());
+    let len_at = out.len();
+    out.extend_from_slice(&0u64.to_le_bytes());
+    let mut len = 0u64;
+    for row in rows {
+        debug_assert_eq!(row.len(), dims);
+        for v in row {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        len += 1;
+    }
+    out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PointId;
 
     fn sample() -> PointStore {
         PointStore::from_rows(
@@ -196,6 +233,37 @@ mod tests {
             PointStore::from_bytes(&bytes),
             Err(DecodeError::Corrupt("non-finite coordinate"))
         );
+    }
+
+    #[test]
+    fn encode_rows_matches_to_bytes_for_a_subset() {
+        let s = sample();
+        let mut out = Vec::new();
+        encode_rows(&mut out, 3, [s.point(PointId(0)), s.point(PointId(2))]);
+        let want = PointStore::from_rows(3, [s.point(PointId(0)), s.point(PointId(2))]);
+        assert_eq!(out, want.to_bytes());
+        assert_eq!(PointStore::from_bytes(&out).unwrap(), want);
+    }
+
+    #[test]
+    fn length_fields_are_bounded_by_the_bytes_left() {
+        // A row count or dimensionality far past the buffer is an error
+        // before anything is allocated from it, not an abort.
+        for (dims, len) in [
+            (3u64, u64::MAX / 24),
+            (3, 1 << 40),
+            (u64::MAX, 1),
+            (1 << 61, 0),
+        ] {
+            let mut bytes = sample().to_bytes();
+            bytes[12..20].copy_from_slice(&dims.to_le_bytes());
+            bytes[20..28].copy_from_slice(&len.to_le_bytes());
+            assert_eq!(
+                PointStore::from_bytes(&bytes),
+                Err(DecodeError::Truncated),
+                "dims {dims} len {len}"
+            );
+        }
     }
 
     #[test]

@@ -181,6 +181,32 @@ impl PointStore {
     pub fn raw(&self) -> &[f64] {
         &self.coords
     }
+
+    /// Keeps only the points `keep` accepts, in place and in their
+    /// relative order; `keep` sees every id once, ascending. Survivors
+    /// are renumbered densely from 0, so a caller holding ids remaps
+    /// them by rank among the kept points. The allocation is kept.
+    ///
+    /// ```
+    /// use skyup_geom::{PointId, PointStore};
+    /// let mut store = PointStore::from_rows(1, [[1.0], [2.0], [3.0]]);
+    /// store.retain(|id| id != PointId(1));
+    /// assert_eq!(store.raw(), &[1.0, 3.0]);
+    /// ```
+    pub fn retain(&mut self, mut keep: impl FnMut(PointId) -> bool) {
+        let dims = self.dims;
+        let mut kept = 0;
+        for i in 0..self.len() {
+            if keep(PointId(i as u32)) {
+                if kept != i {
+                    self.coords
+                        .copy_within(i * dims..(i + 1) * dims, kept * dims);
+                }
+                kept += 1;
+            }
+        }
+        self.coords.truncate(kept * dims);
+    }
 }
 
 /// A dims-major (columnar) mirror of a small, mutable point set — the

@@ -145,7 +145,7 @@ impl ResultCache {
         (before - self.entries.len()) as u64
     }
 
-    /// Drops everything (index rebuilds don't need this — answers hold
+    /// Drops everything (rebuilds don't need this — answers hold
     /// no point ids — but warm-start replacement does).
     pub fn clear(&mut self) {
         self.entries.clear();

@@ -4,9 +4,12 @@
 //! (`writer` before `shared`, never the reverse):
 //!
 //! * `writer` — the working copy of the competitor set: the append-only
-//!   point store (tombstoned rows included), the R-tree and id-sorted
-//!   skyline over the live rows, and the stable competitor-id maps.
-//!   Mutations are applied here one at a time.
+//!   point store (tombstoned rows included), the id-sorted skyline of
+//!   the live rows, and each row's stable competitor id. There is no
+//!   index: readers see only the skyline, and the one writer step that
+//!   needs more — finding what a removed skyline member exposes — is a
+//!   linear scan of the live rows. Mutations are applied here one at a
+//!   time.
 //! * [`Published`] — what queries see: the current [`Snapshot`] (an
 //!   `Arc` cloned per request; only the skyline rows and their ids,
 //!   copied in O(|skyline|)) plus the [`ResultCache`]. The writer
@@ -17,11 +20,14 @@
 //!   publishes its replicated global skyline into the same type, so
 //!   both topologies answer through one reader path.
 //!
-//! Competitor ids are stable `u64`s decoupled from [`PointId`]s: an
-//! index rebuild compacts the store and renumbers points, but client
-//! handles speak cids and cached answers hold no ids at all, so nothing
-//! they hold goes stale — which is why a rebuild publishes a new epoch
-//! without flushing the cache.
+//! Competitor ids are stable `u64`s decoupled from [`PointId`]s: a
+//! rebuild compacts tombstones out of the store and renumbers rows, but
+//! client handles speak cids and cached answers hold no ids at all, so
+//! nothing they hold goes stale — which is why a rebuild publishes a
+//! new epoch without flushing the cache. Ids are strictly increasing
+//! in row order (seeding enforces it, assigned ids may not fall behind
+//! `next_cid`, and compaction keeps row order), so a binary search over
+//! the row ids finds a competitor's row.
 
 use crate::cache::{CacheKey, CostTag, ResultCache};
 use crate::snapshot::{Answer, Snapshot};
@@ -30,12 +36,11 @@ use crate::CompetitorId;
 use skyup_core::cost::CostFunction;
 use skyup_core::{SkyupError, UpgradeConfig};
 use skyup_geom::dominance::dominates;
-use skyup_geom::{ColumnarPoints, PointId, PointStore, Rect};
+use skyup_geom::{ColumnarPoints, PointId, PointStore};
 use skyup_obs::{Counter, QueryMetrics, Recorder};
 use skyup_rtree::persist::{snapshot_from_bytes, snapshot_to_bytes};
 use skyup_rtree::{RTree, RTreeParams};
 use skyup_skyline::skyline_sfs;
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
@@ -65,7 +70,8 @@ pub struct MutationOutcome {
     pub cid: Option<CompetitorId>,
     /// Whether a removal actually removed a live competitor.
     pub removed: bool,
-    /// Whether the degradation heuristic triggered an STR rebuild.
+    /// Whether the mutation left enough tombstones to compact the
+    /// writer's store.
     pub rebuilt: bool,
     /// Cache entries evicted by selective invalidation.
     pub evicted: u64,
@@ -74,44 +80,55 @@ pub struct MutationOutcome {
 /// Tuning knobs for the engine.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Rebuild when at least this many tombstones have accumulated and
-    /// they outnumber half the live set.
+    /// Rebuild (compact the tombstones out of the store) when at least
+    /// this many have accumulated and they outnumber half the live set.
     pub rebuild_min_dead: usize,
-    /// Rebuild when the tree's average leaf fill drops below this
-    /// fraction (insertion splits degrade the STR packing over time).
-    pub min_leaf_fill: f64,
     /// Maximum cached answers.
     pub cache_capacity: usize,
-    /// R-tree fanout used for builds and rebuilds.
-    pub tree_params: RTreeParams,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             rebuild_min_dead: 32,
-            min_leaf_fill: 0.35,
             cache_capacity: 1 << 16,
-            tree_params: RTreeParams::default(),
         }
     }
 }
 
 struct Writer {
     store: PointStore,
-    tree: RTree,
     skyline: Vec<PointId>,
     /// Scratch columnar copy of `skyline`, gathered once per mutation
     /// for the dominance filters (the allocation is reused).
     cols: ColumnarPoints,
     live: Vec<bool>,
+    /// Row `i`'s competitor id, strictly increasing in row order.
     cid_of: Vec<CompetitorId>,
-    pid_of: HashMap<CompetitorId, PointId>,
     next_cid: CompetitorId,
     epoch: u64,
     live_count: usize,
     dead: usize,
     rebuilds: u64,
+}
+
+impl Writer {
+    /// The live row holding `cid`, if any: ids ascend with rows, so a
+    /// binary search finds it (a removed id may still sit on a
+    /// tombstoned row until the next compaction).
+    fn live_row(&self, cid: CompetitorId) -> Option<PointId> {
+        let row = self.cid_of.binary_search(&cid).ok()?;
+        self.live[row].then_some(PointId(row as u32))
+    }
+
+    /// The live rows as `(cid, coordinates)`, ascending by cid.
+    fn live_rows(&self) -> impl Iterator<Item = (CompetitorId, &[f64])> + Clone {
+        self.live
+            .iter()
+            .enumerate()
+            .filter(|&(_, &live)| live)
+            .map(|(row, _)| (self.cid_of[row], self.store.point(PointId(row as u32))))
+    }
 }
 
 struct Shared {
@@ -281,7 +298,7 @@ pub struct EngineStats {
     pub skyline_len: usize,
     /// Tombstoned store rows awaiting compaction.
     pub dead: usize,
-    /// STR rebuilds performed so far.
+    /// Compactions (rebuilds) performed so far.
     pub rebuilds: u64,
     /// Answers currently cached.
     pub cached: usize,
@@ -325,13 +342,13 @@ impl Deref for Engine {
 impl Engine {
     /// An engine over an empty `dims`-dimensional competitor set.
     pub fn new(dims: usize, cfg: EngineConfig) -> Engine {
-        Self::from_parts(PointStore::new(dims), None, cfg)
+        Self::from_parts(PointStore::new(dims), cfg)
     }
 
     /// An engine seeded with an initial competitor set. Competitor ids
     /// `0..n` are assigned in store order.
     pub fn with_competitors(store: PointStore, cfg: EngineConfig) -> Engine {
-        Self::from_parts(store, None, cfg)
+        Self::from_parts(store, cfg)
     }
 
     /// An engine seeded with competitors that already carry ids —
@@ -364,30 +381,32 @@ impl Engine {
                 )));
             }
         }
-        Ok(Self::from_id_parts(store, None, cid_of, next_cid, 0, cfg))
+        Ok(Self::from_id_parts(store, cid_of, next_cid, 0, cfg))
     }
 
     /// Warm start: restores the competitor set from a combined snapshot
-    /// file written by [`Engine::save_snapshot_bytes`]. Corruption is
-    /// reported as [`SkyupError::InvalidInput`], never a panic.
+    /// file written by [`Engine::save_snapshot_bytes`]. The file's
+    /// R-tree is validated against its rows, then dropped: the writer
+    /// keeps no index. Corruption is reported as
+    /// [`SkyupError::InvalidInput`], never a panic.
     pub fn from_snapshot_bytes(buf: &[u8], cfg: EngineConfig) -> Result<Engine, SkyupError> {
-        let (store, tree) = snapshot_from_bytes(buf)
+        let (store, _tree) = snapshot_from_bytes(buf)
             .map_err(|e| SkyupError::InvalidInput(format!("snapshot file rejected: {e}")))?;
-        Ok(Self::from_parts(store, Some(tree), cfg))
+        Ok(Self::from_parts(store, cfg))
     }
 
-    fn from_parts(store: PointStore, tree: Option<RTree>, cfg: EngineConfig) -> Engine {
+    fn from_parts(store: PointStore, cfg: EngineConfig) -> Engine {
         let n = store.len();
         let cid_of: Vec<CompetitorId> = (0..n as u64).collect();
-        Self::from_id_parts(store, tree, cid_of, n as u64, 0, cfg)
+        Self::from_id_parts(store, cid_of, n as u64, 0, cfg)
     }
 
     /// The general constructor: explicit competitor-id state and epoch,
     /// as needed when rebuilding a writer from a durable checkpoint.
-    /// `cid_of[i]` is the id of store row `i`; all rows are live.
+    /// `cid_of[i]` is the id of store row `i` (strictly increasing, all
+    /// below `next_cid`); all rows are live.
     fn from_id_parts(
         store: PointStore,
-        tree: Option<RTree>,
         cid_of: Vec<CompetitorId>,
         next_cid: CompetitorId,
         epoch: u64,
@@ -395,21 +414,15 @@ impl Engine {
     ) -> Engine {
         let n = store.len();
         debug_assert_eq!(cid_of.len(), n);
-        let tree = tree.unwrap_or_else(|| RTree::bulk_load(&store, cfg.tree_params));
+        debug_assert!(cid_of.windows(2).all(|w| w[0] < w[1]));
         let all: Vec<PointId> = store.ids().collect();
         let mut skyline = skyline_sfs(&store, &all);
         skyline.sort_unstable();
-        let pid_of = store
-            .ids()
-            .map(|pid| (cid_of[pid.index()], pid))
-            .collect::<HashMap<_, _>>();
         let writer = Writer {
-            tree,
             skyline,
             cols: ColumnarPoints::new(store.dims()),
             live: vec![true; n],
             cid_of,
-            pid_of,
             next_cid,
             epoch,
             live_count: n,
@@ -456,10 +469,7 @@ impl Engine {
         }
         let mut engine = self;
         let mut w = Wal::open(wal_cfg, 1, 0, 0).map_err(|e| e.into_skyup("wal open failed"))?;
-        let bytes = {
-            let writer = engine.writer.lock().unwrap();
-            Self::checkpoint_bytes(&writer, 0, engine.cfg.tree_params)
-        };
+        let bytes = Self::checkpoint_bytes(&engine.writer.lock().unwrap(), 0);
         w.write_checkpoint(&bytes)
             .map_err(|reason| SkyupError::ReadOnly { reason })?;
         engine.bump(Counter::CheckpointsWritten);
@@ -496,14 +506,8 @@ impl Engine {
             wal::decode_log(&log_bytes).map_err(|e| e.into_skyup("wal rejected"))?;
         let torn = u64::from(valid_len < log_bytes.len());
 
-        let mut engine = Self::from_id_parts(
-            ckpt.store,
-            Some(ckpt.tree),
-            ckpt.cid_of,
-            ckpt.next_cid,
-            ckpt.epoch,
-            cfg,
-        );
+        let mut engine =
+            Self::from_id_parts(ckpt.store, ckpt.cid_of, ckpt.next_cid, ckpt.epoch, cfg);
         let mut last_seq = ckpt.seq;
         let mut replayed = 0u64;
         let mut all_covered = true;
@@ -553,13 +557,11 @@ impl Engine {
         Ok(engine)
     }
 
-    /// Builds the checkpoint image for the writer's current state: the
-    /// compacted live set plus the id state a plain snapshot cannot
-    /// carry, stamped with the WAL sequence number it covers.
-    fn checkpoint_bytes(w: &Writer, seq: u64, params: RTreeParams) -> Vec<u8> {
-        let (store, cid_of, _) = Self::compact(w);
-        let tree = RTree::bulk_load(&store, params);
-        wal::encode_checkpoint(seq, w.epoch, w.next_cid, &cid_of, &store, &tree)
+    /// Builds the checkpoint image for the writer's current state — the
+    /// live rows and the id state, stamped with the WAL sequence number
+    /// it covers — encoded straight from the working set.
+    fn checkpoint_bytes(w: &Writer, seq: u64) -> Vec<u8> {
+        wal::encode_checkpoint(seq, w.epoch, w.next_cid, w.store.dims(), w.live_rows())
     }
 
     /// Durability state for the `health` verb; `None` without `--wal`.
@@ -594,12 +596,14 @@ impl Engine {
         Ok(())
     }
 
-    /// Serializes the *live* competitor set (compacted: tombstones
-    /// dropped, tree rebuilt) into the combined snapshot format.
+    /// Serializes the *live* competitor set (tombstones dropped) into
+    /// the combined snapshot format, with the STR tree over it that the
+    /// CLI's offline paths read.
     pub fn save_snapshot_bytes(&self) -> Vec<u8> {
         let w = self.writer.lock().unwrap();
-        let (store, _, _) = Self::compact(&w);
-        let tree = RTree::bulk_load(&store, self.cfg.tree_params);
+        let store = PointStore::from_rows(w.store.dims(), w.live_rows().map(|(_, row)| row));
+        drop(w);
+        let tree = RTree::bulk_load(&store, RTreeParams::default());
         snapshot_to_bytes(&store, &tree)
     }
 
@@ -646,7 +650,7 @@ impl Engine {
                 }
             }
             Mutation::RemoveCompetitor(cid) => {
-                if !w.pid_of.contains_key(cid) {
+                if w.live_row(*cid).is_none() {
                     return Ok(MutationOutcome {
                         epoch: w.epoch,
                         cid: None,
@@ -669,8 +673,7 @@ impl Engine {
                 (evict, Some(cid), false)
             }
             Mutation::RemoveCompetitor(cid) => {
-                let pid = w.pid_of.remove(&cid).expect("validated live cid");
-                w.tree.remove(&w.store, pid);
+                let pid = w.live_row(cid).expect("validated live cid");
                 w.live[pid.index()] = false;
                 w.live_count -= 1;
                 w.dead += 1;
@@ -711,10 +714,8 @@ impl Engine {
     fn insert_competitor(w: &mut Writer, cid: CompetitorId, coords: Vec<f64>) -> Evict {
         w.next_cid = cid + 1;
         let pid = w.store.push(&coords);
-        w.tree.insert(&w.store, pid);
         w.live.push(true);
         w.cid_of.push(cid);
-        w.pid_of.insert(cid, pid);
         w.live_count += 1;
         Self::skyline_insert(w, pid, &coords);
         Evict::Inserted(coords)
@@ -758,7 +759,7 @@ impl Engine {
         if wal.read_only.is_some() || !wal.checkpoint_due() {
             return;
         }
-        let bytes = Self::checkpoint_bytes(w, wal.last_seq(), self.cfg.tree_params);
+        let bytes = Self::checkpoint_bytes(w, wal.last_seq());
         match wal.write_checkpoint(&bytes) {
             Ok(()) => self.bump(Counter::CheckpointsWritten),
             Err(reason) => wal.read_only = Some(reason),
@@ -793,21 +794,20 @@ impl Engine {
         };
         w.skyline.remove(pos);
         let lo = w.store.point(pid).to_vec();
-        let hi = vec![f64::MAX; w.store.dims()];
-        let region = Rect::new(&lo, &hi);
-        // `pid` is already out of the tree, so the query returns only
-        // other live points.
-        let candidates = w.tree.range_query(&w.store, &region);
         w.cols.gather(&w.store, &w.skyline);
-        let (store, skyline, cols) = (&w.store, &w.skyline, &w.cols);
-        // The boundary-inclusive range query can return surviving
-        // skyline members (e.g. a duplicate-coordinate twin of `pid`,
-        // which nothing strictly dominates); they are already present,
-        // so only points off the skyline are candidates for exposure.
-        let exposed: Vec<PointId> = candidates
-            .into_iter()
-            .filter(|&q| skyline.binary_search(&q).is_err())
-            .filter(|&q| !cols.dominated_by_any(store.point(q)).dominated)
+        let (store, live, skyline, cols) = (&w.store, &w.live, &w.skyline, &w.cols);
+        // The candidates are the live rows in the boundary-inclusive
+        // region `[lo, +inf)`; `pid` is already tombstoned, so it is not
+        // among them. That region can hold surviving skyline members
+        // (e.g. a duplicate-coordinate twin of `pid`, which nothing
+        // strictly dominates); they are already present, so only points
+        // off the skyline are candidates for exposure.
+        let exposed: Vec<PointId> = store
+            .iter()
+            .filter(|&(q, coords)| live[q.index()] && coords.iter().zip(&lo).all(|(c, l)| c >= l))
+            .filter(|&(q, _)| skyline.binary_search(&q).is_err())
+            .filter(|&(_, coords)| !cols.dominated_by_any(coords).dominated)
+            .map(|(q, _)| q)
             .collect();
         let mut sub = skyline_sfs(store, &exposed);
         w.skyline.append(&mut sub);
@@ -819,53 +819,47 @@ impl Engine {
         Some(lo)
     }
 
-    /// The degradation heuristic: compact when tombstones pile up or
-    /// the tree's leaf packing has decayed well below STR quality.
+    /// Compacts the store once tombstones pile up: the dead rows go, the
+    /// live ones keep their relative order (and so their ascending ids),
+    /// and the maintained skyline is renumbered to the new rows — it is
+    /// the same set of points, so nothing is recomputed.
     fn maybe_rebuild(&self, w: &mut Writer) -> bool {
-        let tombstones_heavy = w.dead >= self.cfg.rebuild_min_dead && w.dead * 2 > w.live_count;
-        let packing_decayed =
-            w.live_count > 256 && w.tree.stats().avg_leaf_fill < self.cfg.min_leaf_fill;
-        if !(tombstones_heavy || packing_decayed) {
+        if !(w.dead >= self.cfg.rebuild_min_dead && w.dead * 2 > w.live_count) {
             return false;
         }
-        let (store, cid_of, pid_of) = Self::compact(w);
-        let all: Vec<PointId> = store.ids().collect();
-        let mut skyline = skyline_sfs(&store, &all);
-        skyline.sort_unstable();
-        w.tree = RTree::bulk_load(&store, self.cfg.tree_params);
-        w.live = vec![true; store.len()];
+        let Writer {
+            store,
+            skyline,
+            live,
+            cid_of,
+            ..
+        } = w;
+        // Skyline members are live and id-sorted, so one walk in row
+        // order gives each its rank among the live rows.
+        let (mut kept, mut next) = (0u32, 0);
+        store.retain(|pid| {
+            if !live[pid.index()] {
+                return false;
+            }
+            if skyline.get(next) == Some(&pid) {
+                skyline[next] = PointId(kept);
+                next += 1;
+            }
+            kept += 1;
+            true
+        });
+        debug_assert_eq!(next, skyline.len(), "every skyline member is live");
+        let mut row = 0;
+        cid_of.retain(|_| {
+            row += 1;
+            live[row - 1]
+        });
+        live.clear();
+        live.resize(store.len(), true);
         w.live_count = store.len();
         w.dead = 0;
         w.rebuilds += 1;
-        w.skyline = skyline;
-        w.cid_of = cid_of;
-        w.pid_of = pid_of;
-        w.store = store;
         true
-    }
-
-    /// Copies the live rows into a fresh store, preserving relative
-    /// order; competitor ids follow their rows, so nothing a client
-    /// holds is invalidated.
-    fn compact(
-        w: &Writer,
-    ) -> (
-        PointStore,
-        Vec<CompetitorId>,
-        HashMap<CompetitorId, PointId>,
-    ) {
-        let mut store = PointStore::with_capacity(w.store.dims(), w.live_count);
-        let mut cid_of = Vec::with_capacity(w.live_count);
-        let mut pid_of = HashMap::with_capacity(w.live_count);
-        for (pid, coords) in w.store.iter() {
-            if w.live[pid.index()] {
-                let cid = w.cid_of[pid.index()];
-                let new_pid = store.push(coords);
-                cid_of.push(cid);
-                pid_of.insert(cid, new_pid);
-            }
-        }
-        (store, cid_of, pid_of)
     }
 
     /// Copies what readers use — the skyline rows, in `PointId` (and so
@@ -877,5 +871,80 @@ impl Engine {
             .iter()
             .map(|&pid| (w.cid_of[pid.index()], w.store.point(pid)));
         Snapshot::from_rows(w.epoch, w.store.dims(), rows, w.live_count)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Row `i`: even rows lie on the anti-diagonal (all skyline), odd
+    /// rows sit just behind their even neighbour (all dominated), so
+    /// the skyline and the rows interleave.
+    fn row(i: usize) -> [f64; 2] {
+        let x = i as f64 / 40.0;
+        if i % 2 == 0 {
+            [x, 1.0 - x]
+        } else {
+            [x + 0.01, 1.0 - x + 0.05]
+        }
+    }
+
+    fn remove(engine: &Engine, cid: CompetitorId) -> MutationOutcome {
+        engine.apply(Mutation::RemoveCompetitor(cid)).unwrap()
+    }
+
+    /// `(cid, coordinate bits)` of the published skyline.
+    fn skyline(engine: &Engine) -> Vec<(CompetitorId, Vec<u64>)> {
+        let snap = engine.snapshot();
+        snap.rows()
+            .map(|(cid, p)| (cid, p.iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn ids_resolve_across_tombstones_and_compaction() {
+        let engine = Engine::with_competitors(
+            PointStore::from_rows(2, (0..40).map(row)),
+            EngineConfig::default(),
+        );
+        assert!(remove(&engine, 6).removed);
+        // Tombstoned but not compacted: the id still sits on its row.
+        let epoch = engine.stats().epoch;
+        for cid in [6, 40, u64::MAX] {
+            let out = remove(&engine, cid);
+            assert!(!out.removed && out.epoch == epoch, "cid {cid}: {out:?}");
+        }
+        // Cids 9..=39 bring the tombstones to 32 against 8 live rows; the
+        // last of them compacts. Cid 8 then leaves a tombstone behind the
+        // compaction.
+        let rebuilt: Vec<CompetitorId> = (9..40)
+            .filter(|&cid| remove(&engine, cid).rebuilt)
+            .collect();
+        assert_eq!(rebuilt, vec![39]);
+        assert!(remove(&engine, 8).removed);
+        assert_eq!((engine.stats().live, engine.stats().dead), (7, 1));
+        for cid in [6, 8, 38, 39] {
+            assert!(!remove(&engine, cid).removed, "cid {cid} is gone");
+        }
+        // The renumbered skyline is the one a cold engine computes over
+        // the surviving rows.
+        let survivors: Vec<CompetitorId> = vec![0, 1, 2, 3, 4, 5, 7];
+        let cold = Engine::with_identified_competitors(
+            PointStore::from_rows(2, survivors.iter().map(|&cid| row(cid as usize))),
+            survivors.clone(),
+            40,
+            EngineConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(skyline(&engine), skyline(&cold));
+        for cid in survivors {
+            assert!(
+                remove(&engine, cid).removed,
+                "cid {cid} resolves to its row"
+            );
+        }
+        assert_eq!(engine.stats().live, 0);
+        assert!(skyline(&engine).is_empty());
     }
 }

@@ -9,9 +9,9 @@
 //!   competitor mutations ([`Mutation`]) to a working copy and
 //!   atomically publishes immutable [`Snapshot`]s (the precomputed
 //!   live-set skyline rows and their competitor ids) that query workers
-//!   read lock-free after one `Arc` clone. A degradation heuristic triggers periodic
-//!   STR rebuilds with store compaction; stable competitor ids survive
-//!   the renumbering.
+//!   read lock-free after one `Arc` clone. The writer keeps no index;
+//!   once tombstones pile up it compacts its store, and stable
+//!   competitor ids survive the renumbering.
 //! * [`cache`] — the dominance-aware result cache: completed
 //!   per-product answers invalidated *selectively* on mutation (ADR
 //!   test for inserts, strict dominance by a removed skyline member for
@@ -56,7 +56,7 @@ pub mod telemetry;
 pub mod wal;
 
 /// Stable identity of a competitor across its lifetime: assigned at
-/// insertion, never reused, and unaffected by index rebuilds (unlike
+/// insertion, never reused, and unaffected by rebuilds (unlike
 /// [`skyup_geom::PointId`], which is a store row index and shifts when
 /// compaction drops tombstones).
 pub type CompetitorId = u64;

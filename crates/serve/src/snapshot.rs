@@ -9,8 +9,9 @@
 //! Nothing more is needed because per-product answering is tree-free:
 //! the skyline of a product's dominators is a linear filter of the
 //! live-set skyline ([`skyup_core::dominators_from_skyline`]). The
-//! writer's full store, R-tree and tombstones never leave it, so a
-//! publish costs O(|skyline|), not O(|P|).
+//! writer's full store and tombstones never leave it, so a publish
+//! costs O(|skyline|), not O(|P|) — and since nothing downstream needs
+//! more than the skyline, the writer keeps no index either.
 
 use crate::CompetitorId;
 use skyup_core::cost::CostFunction;

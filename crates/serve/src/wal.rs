@@ -17,16 +17,24 @@
 //!   ```
 //!
 //! * `checkpoint.snap` — an atomic (temp + fsync + rename + dir-fsync)
-//!   snapshot of the live competitor set plus the id state the plain
-//!   store snapshot cannot carry, written every `--checkpoint-every N`
-//!   appends so replay time stays bounded:
+//!   image of the live competitor rows and their ids, written every
+//!   `--checkpoint-every N` appends so replay time stays bounded. The
+//!   engine encodes version 2 straight from its working set into one
+//!   buffer; the rows section is laid out exactly as
+//!   [`PointStore::to_bytes`] writes a store, so decoding reuses
+//!   [`PointStore::from_bytes`]:
 //!
 //!   ```text
-//!   magic "SKUPCKPT" | version u32 | seq u64 | epoch u64
+//!   magic "SKUPCKPT" | version u32 (2) | seq u64 | epoch u64
 //!   | next_cid u64 | ncids u64 | cid u64 * ncids
-//!   | snap_len u64 | snapshot bytes (SKUPSNAP container)
+//!   | rows ("SKUPPSTO" | version u32 | dims u64 | len u64 | coord f64 *)
 //!   | fnv1a u64 (over everything before it)
 //!   ```
+//!
+//!   Version 1, written while the writer kept an R-tree, carried
+//!   `snap_len u64 | SKUPSNAP container (store + tree)` in place of the
+//!   rows section. It still recovers: the decoder validates the tree
+//!   against the rows, then drops it.
 //!
 //! Recovery loads the checkpoint and replays every record with a newer
 //! sequence number. A *torn tail* — an incomplete or checksum-failed
@@ -34,16 +42,17 @@
 //! leaves — is truncated away, never an error; a checksum failure with
 //! valid data after it is mid-log corruption and aborts recovery with a
 //! structured error, because silently dropping acknowledged history is
-//! worse than refusing to start.
+//! worse than refusing to start. Every count a decoder reads is bounded
+//! by the bytes left before anything is allocated from it, so a corrupt
+//! length field under a valid checksum is an error, not an abort.
 
 use crate::engine::Mutation;
 use crate::CompetitorId;
 use skyup_core::SkyupError;
-use skyup_geom::persist::Reader;
+use skyup_geom::persist::{self, Reader};
 use skyup_geom::PointStore;
 use skyup_obs::IoFaultPlan;
-use skyup_rtree::persist::{fnv1a, snapshot_from_bytes, snapshot_to_bytes, write_atomic};
-use skyup_rtree::RTree;
+use skyup_rtree::persist::{fnv1a, snapshot_from_bytes, write_atomic};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -58,7 +67,14 @@ const MIN_PAYLOAD: u32 = 8 + 8 + 1;
 const HEADER: usize = 8;
 
 const CKPT_MAGIC: &[u8; 8] = b"SKUPCKPT";
-const CKPT_VERSION: u32 = 1;
+/// The checkpoint version the engine writes: ids and rows, no index.
+const CKPT_VERSION: u32 = 2;
+/// The previous version: ids plus a SKUPSNAP store-and-tree container.
+/// Still decoded, so durable state written before version 2 recovers.
+const CKPT_V1: u32 = 1;
+/// Checkpoint bytes before the cid table: magic, version, seq, epoch,
+/// next_cid, ncids.
+const CKPT_HEADER: usize = 8 + 4 + 8 * 4;
 
 /// When the engine forces the WAL file to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -223,6 +239,20 @@ pub(crate) fn encode_record(seq: u64, epoch: u64, m: &Mutation) -> Vec<u8> {
     out
 }
 
+/// Reads an add record's `count u32 | coord f64 * count`, bounding the
+/// count by the payload bytes left before it sizes anything.
+fn decode_coords(r: &mut Reader, offset: usize) -> Result<Vec<f64>, WalError> {
+    let short = || WalError::Corrupt {
+        offset,
+        why: "add record too short",
+    };
+    let count = r.u32().map_err(|_| short())? as usize;
+    if count > r.remaining() / 8 {
+        return Err(short());
+    }
+    (0..count).map(|_| r.f64().map_err(|_| short())).collect()
+}
+
 fn decode_payload(offset: usize, payload: &[u8]) -> Result<WalRecord, WalError> {
     let corrupt = |why| WalError::Corrupt { offset, why };
     let mut r = Reader::new(payload);
@@ -230,26 +260,14 @@ fn decode_payload(offset: usize, payload: &[u8]) -> Result<WalRecord, WalError> 
     let epoch = r.u64().map_err(|_| corrupt("payload too short"))?;
     let kind = r.bytes(1).map_err(|_| corrupt("payload too short"))?[0];
     let mutation = match kind {
-        0 => {
-            let count = r.u32().map_err(|_| corrupt("add record too short"))? as usize;
-            let mut coords = Vec::with_capacity(count);
-            for _ in 0..count {
-                coords.push(r.f64().map_err(|_| corrupt("add record too short"))?);
-            }
-            Mutation::AddCompetitor(coords)
-        }
+        0 => Mutation::AddCompetitor(decode_coords(&mut r, offset)?),
         1 => {
             let cid = r.u64().map_err(|_| corrupt("remove record too short"))?;
             Mutation::RemoveCompetitor(cid)
         }
         2 => {
             let cid = r.u64().map_err(|_| corrupt("add record too short"))?;
-            let count = r.u32().map_err(|_| corrupt("add record too short"))? as usize;
-            let mut coords = Vec::with_capacity(count);
-            for _ in 0..count {
-                coords.push(r.f64().map_err(|_| corrupt("add record too short"))?);
-            }
-            Mutation::AddCompetitorWithCid(cid, coords)
+            Mutation::AddCompetitorWithCid(cid, decode_coords(&mut r, offset)?)
         }
         _ => return Err(corrupt("unknown record kind")),
     };
@@ -324,40 +342,46 @@ pub(crate) struct Checkpoint {
     pub seq: u64,
     pub epoch: u64,
     pub next_cid: CompetitorId,
+    /// Row `i`'s competitor id, strictly increasing and below
+    /// `next_cid` (the decoder checks both).
     pub cid_of: Vec<CompetitorId>,
     pub store: PointStore,
-    pub tree: RTree,
 }
 
-/// Encodes the checkpoint container around an existing snapshot image.
-pub(crate) fn encode_checkpoint(
+/// Encodes a version-2 checkpoint of `rows` — the live `(cid, coords)`
+/// pairs, ascending by cid — straight into one exactly sized buffer:
+/// no compacted copy of the store, no index.
+pub(crate) fn encode_checkpoint<'a, I>(
     seq: u64,
     epoch: u64,
     next_cid: CompetitorId,
-    cid_of: &[CompetitorId],
-    store: &PointStore,
-    tree: &RTree,
-) -> Vec<u8> {
-    let snap = snapshot_to_bytes(store, tree);
-    let mut out = Vec::with_capacity(8 + 4 + 8 * 4 + 8 * cid_of.len() + snap.len() + 8);
+    dims: usize,
+    rows: I,
+) -> Vec<u8>
+where
+    I: Iterator<Item = (CompetitorId, &'a [f64])> + Clone,
+{
+    let n = rows.clone().count();
+    let mut out = Vec::with_capacity(CKPT_HEADER + 8 * n + persist::HEADER_LEN + 8 * dims * n + 8);
     out.extend_from_slice(CKPT_MAGIC);
     out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(&next_cid.to_le_bytes());
-    out.extend_from_slice(&(cid_of.len() as u64).to_le_bytes());
-    for cid in cid_of {
+    out.extend_from_slice(&(n as u64).to_le_bytes());
+    for (cid, _) in rows.clone() {
         out.extend_from_slice(&cid.to_le_bytes());
     }
-    out.extend_from_slice(&(snap.len() as u64).to_le_bytes());
-    out.extend_from_slice(&snap);
+    persist::encode_rows(&mut out, dims, rows.map(|(_, row)| row));
     let sum = fnv1a(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
+/// Decodes a version-2 or version-1 checkpoint image.
 pub(crate) fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint, WalError> {
     let corrupt = |why| WalError::Corrupt { offset: 0, why };
+    let truncated = |_| corrupt("checkpoint truncated");
     if buf.len() < 8 + 4 + 8 {
         return Err(corrupt("checkpoint truncated"));
     }
@@ -370,29 +394,44 @@ pub(crate) fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint, WalError> {
         return Err(corrupt("checkpoint checksum mismatch"));
     }
     let mut r = Reader::new(body);
-    r.bytes(8).map_err(|_| corrupt("checkpoint truncated"))?;
-    let version = r.u32().map_err(|_| corrupt("checkpoint truncated"))?;
-    if version != CKPT_VERSION {
+    r.bytes(8).map_err(truncated)?;
+    let version = r.u32().map_err(truncated)?;
+    if version != CKPT_VERSION && version != CKPT_V1 {
         return Err(corrupt("unsupported checkpoint version"));
     }
-    let seq = r.u64().map_err(|_| corrupt("checkpoint truncated"))?;
-    let epoch = r.u64().map_err(|_| corrupt("checkpoint truncated"))?;
-    let next_cid = r.u64().map_err(|_| corrupt("checkpoint truncated"))?;
-    let ncids = r.u64().map_err(|_| corrupt("checkpoint truncated"))? as usize;
-    let mut cid_of = Vec::with_capacity(ncids.min(1 << 20));
-    for _ in 0..ncids {
-        cid_of.push(r.u64().map_err(|_| corrupt("checkpoint truncated"))?);
+    let seq = r.u64().map_err(truncated)?;
+    let epoch = r.u64().map_err(truncated)?;
+    let next_cid = r.u64().map_err(truncated)?;
+    let ncids = r.u64().map_err(truncated)?;
+    if ncids > (r.remaining() / 8) as u64 {
+        return Err(corrupt("checkpoint truncated"));
     }
-    let snap_len = r.u64().map_err(|_| corrupt("checkpoint truncated"))? as usize;
-    let snap = r
-        .bytes(snap_len)
-        .map_err(|_| corrupt("checkpoint truncated"))?;
-    r.finish()
-        .map_err(|_| corrupt("trailing checkpoint bytes"))?;
-    let (store, tree) =
-        snapshot_from_bytes(snap).map_err(|_| corrupt("checkpoint snapshot rejected"))?;
+    let cid_of = (0..ncids)
+        .map(|_| r.u64().map_err(truncated))
+        .collect::<Result<Vec<CompetitorId>, WalError>>()?;
+    let store = if version == CKPT_V1 {
+        let snap_len = r.u64().map_err(truncated)?;
+        let snap_len = usize::try_from(snap_len).map_err(|_| corrupt("checkpoint truncated"))?;
+        let snap = r.bytes(snap_len).map_err(truncated)?;
+        r.finish()
+            .map_err(|_| corrupt("trailing checkpoint bytes"))?;
+        // The tree is validated against the rows, then dropped: the
+        // writer keeps no index.
+        let (store, _tree) =
+            snapshot_from_bytes(snap).map_err(|_| corrupt("checkpoint snapshot rejected"))?;
+        store
+    } else {
+        let rows = r.bytes(r.remaining()).map_err(truncated)?;
+        PointStore::from_bytes(rows).map_err(|_| corrupt("checkpoint rows rejected"))?
+    };
     if cid_of.len() != store.len() {
         return Err(corrupt("checkpoint cid table does not match store"));
+    }
+    // Row lookup binary-searches the ids, so their order is load-bearing.
+    if cid_of.windows(2).any(|w| w[0] >= w[1]) || cid_of.last().is_some_and(|&c| c >= next_cid) {
+        return Err(corrupt(
+            "checkpoint ids not strictly increasing below next_cid",
+        ));
     }
     Ok(Checkpoint {
         seq,
@@ -400,7 +439,6 @@ pub(crate) fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint, WalError> {
         next_cid,
         cid_of,
         store,
-        tree,
     })
 }
 
@@ -635,22 +673,187 @@ mod tests {
         assert_eq!(FsyncPolicy::Interval(8).to_string(), "interval:8");
     }
 
-    #[test]
-    fn checkpoint_roundtrip_preserves_id_state() {
-        let store = PointStore::from_rows(2, vec![[0.1, 0.9], [0.9, 0.1]]);
-        let tree = RTree::bulk_load(&store, skyup_rtree::RTreeParams::default());
-        let bytes = encode_checkpoint(42, 40, 17, &[3, 11], &store, &tree);
-        let ck = decode_checkpoint(&bytes).unwrap();
-        assert_eq!(ck.seq, 42);
-        assert_eq!(ck.epoch, 40);
-        assert_eq!(ck.next_cid, 17);
-        assert_eq!(ck.cid_of, vec![3, 11]);
-        assert_eq!(ck.store.len(), 2);
+    /// The version-1 encoder as it shipped before the writer dropped its
+    /// R-tree: ids, then a SKUPSNAP container holding the store and an
+    /// STR tree over it.
+    fn encode_checkpoint_v1(
+        seq: u64,
+        epoch: u64,
+        next_cid: CompetitorId,
+        cid_of: &[CompetitorId],
+        store: &PointStore,
+    ) -> Vec<u8> {
+        let tree = skyup_rtree::RTree::bulk_load(store, skyup_rtree::RTreeParams::default());
+        let snap = skyup_rtree::persist::snapshot_to_bytes(store, &tree);
+        let mut out = Vec::new();
+        out.extend_from_slice(CKPT_MAGIC);
+        out.extend_from_slice(&CKPT_V1.to_le_bytes());
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(&epoch.to_le_bytes());
+        out.extend_from_slice(&next_cid.to_le_bytes());
+        out.extend_from_slice(&(cid_of.len() as u64).to_le_bytes());
+        for cid in cid_of {
+            out.extend_from_slice(&cid.to_le_bytes());
+        }
+        out.extend_from_slice(&(snap.len() as u64).to_le_bytes());
+        out.extend_from_slice(&snap);
+        let sum = fnv1a(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
 
-        let mut bad = bytes.clone();
-        bad[20] ^= 0xFF;
-        assert!(decode_checkpoint(&bad).is_err());
-        assert!(decode_checkpoint(&bytes[..bytes.len() - 3]).is_err());
+    /// Rows with dead ones interleaved, as the writer holds them.
+    fn sample_rows() -> (PointStore, Vec<CompetitorId>, Vec<bool>) {
+        let store = PointStore::from_rows(
+            2,
+            vec![[0.1, 0.9], [0.4, 0.4], [0.9, 0.1], [0.5, 0.6], [0.2, 0.3]],
+        );
+        (
+            store,
+            vec![3, 5, 11, 12, 16],
+            vec![true, false, true, true, false],
+        )
+    }
+
+    fn encode_live(seq: u64, epoch: u64, next_cid: CompetitorId) -> Vec<u8> {
+        let (store, cid_of, live) = sample_rows();
+        let rows = (0..store.len())
+            .filter(|&row| live[row])
+            .map(|row| (cid_of[row], &store.raw()[2 * row..2 * row + 2]));
+        encode_checkpoint(seq, epoch, next_cid, 2, rows)
+    }
+
+    #[test]
+    fn checkpoint_v2_roundtrip_keeps_only_live_rows_and_ids() {
+        let bytes = encode_live(42, 40, 17);
+        let ck = decode_checkpoint(&bytes).unwrap();
+        assert_eq!((ck.seq, ck.epoch, ck.next_cid), (42, 40, 17));
+        assert_eq!(ck.cid_of, vec![3, 11, 12]);
+        assert_eq!(
+            ck.store,
+            PointStore::from_rows(2, vec![[0.1, 0.9], [0.9, 0.1], [0.5, 0.6]])
+        );
+        // The rows section is a plain point-store image.
+        let rows_at = CKPT_HEADER + 8 * 3;
+        assert_eq!(&bytes[rows_at..bytes.len() - 8], ck.store.to_bytes());
+    }
+
+    #[test]
+    fn checkpoint_v1_still_decodes_to_the_same_rows_and_ids() {
+        let ck2 = decode_checkpoint(&encode_live(42, 40, 17)).unwrap();
+        let v1 = encode_checkpoint_v1(42, 40, 17, &ck2.cid_of, &ck2.store);
+        let ck1 = decode_checkpoint(&v1).unwrap();
+        assert_eq!((ck1.seq, ck1.epoch, ck1.next_cid), (42, 40, 17));
+        assert_eq!(ck1.cid_of, ck2.cid_of);
+        assert_eq!(ck1.store, ck2.store);
+        // An empty competitor set round-trips in both versions.
+        let empty = PointStore::new(2);
+        let ck = decode_checkpoint(&encode_checkpoint_v1(0, 0, 0, &[], &empty)).unwrap();
+        assert_eq!((ck.store.len(), ck.store.dims()), (0, 2));
+        let ck = decode_checkpoint(&encode_checkpoint(0, 0, 0, 2, std::iter::empty())).unwrap();
+        assert_eq!((ck.store.len(), ck.store.dims()), (0, 2));
+    }
+
+    #[test]
+    fn every_truncation_and_a_flipped_byte_are_rejected() {
+        for bytes in [
+            encode_live(42, 40, 17),
+            encode_checkpoint_v1(
+                1,
+                2,
+                17,
+                &[3, 11],
+                &PointStore::from_rows(2, [[0.1, 0.9], [0.9, 0.1]]),
+            ),
+        ] {
+            for cut in 0..bytes.len() {
+                assert!(decode_checkpoint(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+            for at in 0..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[at] ^= 0x10;
+                assert!(decode_checkpoint(&bad).is_err(), "flip at {at}");
+            }
+        }
+    }
+
+    /// Re-seals a checkpoint image after `edit`, so the checksum passes
+    /// and only the decoder's own checks stand between a corrupt field
+    /// and recovery.
+    fn resealed(mut bytes: Vec<u8>, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let n = bytes.len() - 8;
+        edit(&mut bytes[..n]);
+        let sum = fnv1a(&bytes[..n]);
+        bytes[n..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn checksummed_but_inconsistent_checkpoints_are_errors() {
+        let bytes = encode_live(42, 40, 17);
+        let ncids_at = CKPT_HEADER - 8;
+        let cases: [(&str, Vec<u8>); 4] = [
+            (
+                "ncids past the buffer",
+                resealed(bytes.clone(), |b| {
+                    b[ncids_at..ncids_at + 8].copy_from_slice(&u64::MAX.to_le_bytes())
+                }),
+            ),
+            (
+                "row count past the buffer",
+                resealed(bytes.clone(), |b| {
+                    let len_at = CKPT_HEADER + 8 * 3 + 20;
+                    b[len_at..len_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes())
+                }),
+            ),
+            (
+                "ids out of order",
+                resealed(bytes.clone(), |b| {
+                    b[CKPT_HEADER..CKPT_HEADER + 8].copy_from_slice(&99u64.to_le_bytes())
+                }),
+            ),
+            (
+                "next_cid not past the ids",
+                resealed(bytes.clone(), |b| {
+                    b[28..36].copy_from_slice(&12u64.to_le_bytes())
+                }),
+            ),
+        ];
+        for (what, bad) in cases {
+            assert!(
+                matches!(decode_checkpoint(&bad), Err(WalError::Corrupt { .. })),
+                "{what}"
+            );
+        }
+    }
+
+    /// A record with a valid CRC whose coordinate count claims far more
+    /// than the payload holds.
+    fn oversized_add(kind: u8) -> Vec<u8> {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.push(kind);
+        if kind == 2 {
+            payload.extend_from_slice(&9u64.to_le_bytes());
+        }
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut rec = Vec::new();
+        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        rec.extend_from_slice(&crc32(&payload).to_le_bytes());
+        rec.extend_from_slice(&payload);
+        rec
+    }
+
+    #[test]
+    fn a_coordinate_count_past_the_payload_is_corrupt_not_an_abort() {
+        assert_eq!(oversized_add(0).len(), 29);
+        for kind in [0, 2] {
+            match decode_log(&oversized_add(kind)) {
+                Err(WalError::Corrupt { offset: 0, why }) => assert!(why.contains("too short")),
+                other => panic!("kind {kind}: expected a corrupt record, got {other:?}"),
+            }
+        }
     }
 
     #[test]

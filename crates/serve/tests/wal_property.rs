@@ -8,6 +8,8 @@
 
 use skyup_data::Rng;
 use skyup_geom::PointStore;
+use skyup_rtree::persist::{fnv1a, snapshot_to_bytes};
+use skyup_rtree::{RTree, RTreeParams};
 use skyup_serve::{Engine, EngineConfig, FsyncPolicy, Mutation, WalConfig};
 use std::path::{Path, PathBuf};
 
@@ -161,4 +163,95 @@ fn mid_log_corruption_aborts_recovery_with_an_error() {
     std::fs::write(dir.join("checkpoint.snap"), &bad_ckpt).unwrap();
     std::fs::write(dir.join("wal.log"), b"").unwrap();
     assert!(Engine::recover(EngineConfig::default(), wal_cfg(&dir)).is_err());
+}
+
+/// Rewrites a version-2 checkpoint image as the version-1 image engines
+/// wrote while the writer kept an R-tree: the same header and ids, then
+/// a SKUPSNAP container holding the rows and an STR tree over them.
+fn as_v1(v2: &[u8]) -> Vec<u8> {
+    assert_eq!(v2[8..12], 2u32.to_le_bytes(), "engines write version 2");
+    let ncids = u64::from_le_bytes(v2[36..44].try_into().unwrap()) as usize;
+    let rows_at = 44 + 8 * ncids;
+    let store = PointStore::from_bytes(&v2[rows_at..v2.len() - 8]).unwrap();
+    let snap = snapshot_to_bytes(&store, &RTree::bulk_load(&store, RTreeParams::default()));
+    let mut v1 = v2[..rows_at].to_vec();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&(snap.len() as u64).to_le_bytes());
+    v1.extend_from_slice(&snap);
+    let sum = fnv1a(&v1);
+    v1.extend_from_slice(&sum.to_le_bytes());
+    v1
+}
+
+/// The fingerprint plus what it leaves out: the skyline's competitor
+/// ids and the id the next add is assigned.
+fn fingerprint_with_ids(engine: &Engine) -> ((u64, Vec<u8>), Vec<u64>) {
+    let snap = engine.snapshot();
+    let cids = snap.rows().map(|(cid, _)| cid).collect();
+    (fingerprint(engine), cids)
+}
+
+#[test]
+fn a_v1_checkpoint_plus_a_log_tail_recovers_and_the_next_checkpoint_is_v2() {
+    // Checkpoints at seq 16 and 32 leave an 8-record tail after the
+    // second one.
+    let every = 16;
+    let cfg = |dir: &Path| WalConfig {
+        checkpoint_every: every,
+        ..wal_cfg(dir)
+    };
+    let grow = temp_dir("v1-grow");
+    let engine = Engine::with_durability(base_store(), EngineConfig::default(), cfg(&grow))
+        .expect("fresh durable engine");
+    let muts = workload();
+    for m in &muts {
+        engine.apply(m.clone()).expect("acked mutation");
+    }
+    engine.flush_wal().unwrap();
+    let v2 = std::fs::read(grow.join("checkpoint.snap")).unwrap();
+    let tail = std::fs::read(grow.join("wal.log")).unwrap();
+    assert!(!tail.is_empty(), "the checkpoint must leave a log tail");
+    drop(engine);
+
+    // The engine that never restarted.
+    let oracle = Engine::with_competitors(base_store(), EngineConfig::default());
+    for m in &muts {
+        oracle.apply(m.clone()).expect("oracle mutation");
+    }
+
+    let dir = temp_dir("v1");
+    std::fs::write(dir.join("checkpoint.snap"), as_v1(&v2)).unwrap();
+    std::fs::write(dir.join("wal.log"), &tail).unwrap();
+    let recovered = Engine::recover(EngineConfig::default(), cfg(&dir)).expect("v1 recovers");
+    let status = recovered.durability().expect("durable engine");
+    assert_eq!(status.recovery.checkpoint_seq, 32);
+    assert_eq!(status.recovery.replayed, muts.len() as u64 - 32);
+    assert_eq!(
+        fingerprint_with_ids(&recovered),
+        fingerprint_with_ids(&oracle)
+    );
+
+    // Exactly enough further mutations for the next periodic
+    // checkpoint, every one logged (removes take a live skyline
+    // member); outcomes and ids keep matching the oracle's.
+    let mut rng = Rng::seed_from_u64(0x1CEB00DA);
+    let more = every as usize - (muts.len() - 32);
+    for i in 0..more {
+        let m = if i % 3 == 2 {
+            Mutation::RemoveCompetitor(oracle.snapshot().rows().next().unwrap().0)
+        } else {
+            Mutation::AddCompetitor(vec![rng.range_f64(0.05, 0.95), rng.range_f64(0.05, 0.95)])
+        };
+        assert_eq!(
+            recovered.apply(m.clone()).expect("post-recovery mutation"),
+            oracle.apply(m).expect("oracle mutation"),
+        );
+    }
+    assert!(std::fs::read(dir.join("wal.log")).unwrap().is_empty());
+    let next = std::fs::read(dir.join("checkpoint.snap")).unwrap();
+    assert_eq!(next[8..12], 2u32.to_le_bytes(), "the next checkpoint is v2");
+    drop(recovered);
+    let again = Engine::recover(EngineConfig::default(), cfg(&dir)).expect("v2 recovers");
+    assert_eq!(again.durability().unwrap().recovery.replayed, 0);
+    assert_eq!(fingerprint_with_ids(&again), fingerprint_with_ids(&oracle));
 }

@@ -66,7 +66,8 @@ pub struct Op {
     /// What to mutate.
     pub kind: OpKind,
     /// When set, whether applying this op must (or must not) have
-    /// triggered an STR rebuild. For `remove_range`, "any removal in
+    /// triggered a rebuild (a compaction of the engine's tombstoned
+    /// rows). For `remove_range`, "any removal in
     /// the range rebuilt".
     pub expect_rebuilt: Option<bool>,
 }

@@ -30,7 +30,8 @@ use skyup_serve::{
     FsyncPolicy, Partition, ServeConfig, ServeHandle, ShardDispatch, ShardState, TcpLink,
     WalConfig,
 };
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -117,23 +118,27 @@ fn parse_point(spec: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-/// Loads every column of a delimited file (all columns of line 1).
+/// Loads every column of a delimited file (all columns of its first
+/// data line). Only that line is read to count the columns, so the rows
+/// are parsed in a single streaming pass.
 fn load_points(
     path: &Path,
     delimiter: char,
     header: bool,
 ) -> Result<skyup_geom::PointStore, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut lines = text.lines();
-    if header {
-        lines.next();
+    let fail = |e: std::io::Error| format!("{}: {e}", path.display());
+    let mut reader = BufReader::new(File::open(path).map_err(fail)?);
+    let mut line = String::new();
+    for _ in 0..=usize::from(header) {
+        line.clear();
+        if reader.read_line(&mut line).map_err(fail)? == 0 {
+            return Err(format!("{}: empty file", path.display()));
+        }
     }
-    let first = lines
-        .next()
-        .ok_or_else(|| format!("{}: empty file", path.display()))?;
+    let first = line.strip_suffix('\n').unwrap_or(&line);
+    let first = first.strip_suffix('\r').unwrap_or(first);
     let columns: Vec<usize> = (0..first.split(delimiter).count()).collect();
-    read_delimited(path, delimiter, header, &columns)
-        .map_err(|e| format!("{}: {e}", path.display()))
+    read_delimited(path, delimiter, header, &columns).map_err(fail)
 }
 
 /// Runs `skyup serve`. Blocks until a client requests shutdown.
@@ -608,5 +613,41 @@ pub fn run_query(args: &[String]) -> Result<i32, String> {
     match doc.get("completion").and_then(|v| v.as_str()) {
         Some("partial") => Ok(2),
         _ => Ok(0),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn load_points_counts_columns_from_the_first_data_line() {
+        let dir = std::env::temp_dir().join(format!("skyup-serve-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = |name: &str, text: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            path
+        };
+
+        let plain = load_points(&file("plain.csv", "0.1,0.9\n0.5,0.5\n"), ',', false).unwrap();
+        assert_eq!((plain.dims(), plain.len()), (2, 2));
+        // The header's column count does not matter; CRLF endings do
+        // not add a column.
+        let crlf = file("crlf.csv", "name;a;b;c\r\n0.1;0.2;0.3\r\n0.4;0.5;0.6\r\n");
+        let crlf = load_points(&crlf, ';', true).unwrap();
+        assert_eq!((crlf.dims(), crlf.len()), (3, 2));
+        assert_eq!(crlf.point(skyup_geom::PointId(1)), &[0.4, 0.5, 0.6]);
+        // No final newline.
+        let open = load_points(&file("open.csv", "1,2,3,4"), ',', false).unwrap();
+        assert_eq!((open.dims(), open.len()), (4, 1));
+
+        for (name, text, header) in [("empty.csv", "", false), ("only_header.csv", "a,b\n", true)] {
+            let err = load_points(&file(name, text), ',', header).unwrap_err();
+            assert!(err.ends_with("empty file"), "{name}: {err}");
+        }
+        let missing = load_points(&dir.join("missing.csv"), ',', false).unwrap_err();
+        assert!(missing.contains("missing.csv"), "{missing}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
