@@ -15,8 +15,9 @@
 //!   the vectorization win.
 //!
 //! Timing covers the *collect* scan (enumerate every dominator — the
-//! screening shape `run_probe_batch` issues, no early exit, so the
-//! conservation law `blocks + skipped == total blocks` is exact) and
+//! scan a serving snapshot's `SkylineView` runs on a memo miss, no
+//! early exit, so the conservation law `blocks + skipped == total
+//! blocks` is exact) and
 //! the *membership* scan (first-dominator early exit). The counts —
 //! dominated targets, dominator totals, blocks scanned and skipped —
 //! are single-threaded and deterministic, so the gate pins them

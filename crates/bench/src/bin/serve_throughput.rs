@@ -1,29 +1,29 @@
 //! Serving throughput: queries per second through `skyup-serve` at 1
-//! and 4 client threads, cold cache vs warm, per-request execution vs
-//! the batch dispatcher, as JSON.
+//! and 4 worker threads, cold cache vs warm, as JSON.
 //!
 //! The workload is a fig8-style synthetic: anti-correlated competitors
 //! on the unit cube — the paper's hardest setting, with a large skyline
 //! that makes each answer genuinely expensive — and a fixed pool of
-//! uncompetitive products shifted to `[0.3, 1.3]`. A cold pass queries every pool product exactly
-//! once (all misses, each answer computed from the epoch snapshot); a
-//! warm pass re-queries the same pool (all hits). Both modes run the
-//! same pipelined client loop — each client keeps a window of requests
-//! in flight — so the only variable is how the server schedules them:
-//! `per_request` is the classic worker pool, `batched` is the admission
-//! window + shard-parallel batch executor. Each phase is measured
-//! min-of-N ([`COLD_REPS`] / [`WARM_PASSES`]) to reject scheduler noise
-//! on shared hardware.
+//! uncompetitive products shifted to `[0.3, 1.3]`. A cold pass queries
+//! every pool product exactly once (all misses, each answer computed
+//! through the epoch snapshot's skyline view); a warm pass re-queries
+//! the same pool (all hits). Each client keeps a window of requests in
+//! flight, and as many clients run as the pool has workers. Each phase
+//! is measured min-of-N ([`COLD_REPS`] / [`WARM_PASSES`]) to reject
+//! scheduler noise on shared hardware.
 //!
 //! Correctness is part of the bench contract: every warm answer and
-//! every batched answer is checked bit-for-bit against the per-request
+//! every 4-thread answer is checked bit-for-bit against the 1-thread
 //! cold computation before any timing is trusted — a scheduler that
 //! changes a single bit fails the bench, it does not get a throughput
 //! number.
 //!
 //! Wall-clock qps is the machine-dependent half of the output; the
-//! cache and batch counters are the machine-independent half. Set
-//! `SKYUP_BENCH_OUT` to redirect the report (CI smoke runs do).
+//! cache and kernel counters are the machine-independent half. With
+//! one worker the queue is FIFO, so the 1-thread cold pass answers the
+//! pool in order and its memo hits, dominance tests and kernel block
+//! counts are exact functions of the workload. Set `SKYUP_BENCH_OUT` to
+//! redirect the report (CI smoke runs do).
 //!
 //! Request tracing is **enabled** throughout: every qps figure already
 //! includes the telemetry layer's per-request overhead (one histogram
@@ -82,12 +82,9 @@ const COLD_REPS: usize = 3;
 /// Warm passes over the product pool per configuration; the reported
 /// warm figure is the fastest pass, for the same reason.
 const WARM_PASSES: usize = 4;
-/// Requests each client keeps in flight. This is what gives the batch
-/// dispatcher's admission window something to coalesce; the per-request
-/// pool sees the identical feed.
+/// Requests each client keeps in flight, so a worker never waits on a
+/// client's round trip.
 const PIPELINE: usize = 64;
-/// Admission window for the batched mode, in microseconds.
-const BATCH_WINDOW_US: u64 = 100;
 
 /// Uniform adds in the mutation storm's interleaved phase (scaled).
 const STORM_ADDS: usize = 2000;
@@ -99,8 +96,7 @@ fn wal_root() -> PathBuf {
 
 /// A query-workload engine with the WAL attached at `--fsync
 /// interval:64` — the recommended serving configuration — so every qps
-/// figure (and the gate's 1.5x batched/cold floor) is measured with
-/// durability on, not in a stripped build. Each engine gets a fresh
+/// figure is measured with durability on, not in a stripped build. Each engine gets a fresh
 /// subdirectory; the workload is query-only, so the log stays empty,
 /// but the durable checkpoint write and the WAL lock are in place.
 fn durable_engine(competitors: &PointStore, tag: String) -> Engine {
@@ -423,147 +419,121 @@ fn main() {
     let mut runs = Vec::new();
     let mut latency = Vec::new();
     let mut all_identical = true;
-    // Per-request cold bits at any thread count are the reference every
-    // other configuration must reproduce exactly.
+    // The 1-thread cold bits are the reference every other
+    // configuration must reproduce exactly.
     let mut reference_bits: Option<Vec<u64>> = None;
-    // qps by (mode, threads, phase) for the speedup summary.
-    let mut qps = std::collections::HashMap::new();
-    for mode in ["per_request", "batched"] {
-        for threads in [1usize, 4] {
-            let serve_cfg = ServeConfig {
-                threads,
-                // Room for every client's full pipeline: shedding
-                // would fail the Exact assertion, not skew timing.
-                queue_cap: threads * PIPELINE + 8,
-                batch_window_us: if mode == "batched" {
-                    BATCH_WINDOW_US
-                } else {
-                    0
-                },
-                max_batch: 4 * PIPELINE,
-                // No latency threshold: the slow log would otherwise
-                // depend on machine speed, and nothing here sheds or
-                // runs partial, so it stays deterministically empty.
-                slow_ms: 0,
-                trace_buffer: 256,
-            };
+    for threads in [1usize, 4] {
+        let serve_cfg = ServeConfig {
+            threads,
+            // Room for every client's full pipeline: shedding would
+            // fail the Exact assertion, not skew timing.
+            queue_cap: threads * PIPELINE + 8,
+            // No latency threshold: the slow log would otherwise depend
+            // on machine speed, and nothing here sheds or runs partial,
+            // so it stays deterministically empty.
+            slow_ms: 0,
+            trace_buffer: 256,
+        };
 
-            // `passes` divides the counter deltas when the window spans
-            // several identical passes, so every row's counters describe
-            // one pass over the pool.
-            let phase_row = |phase: &str,
-                             elapsed: f64,
-                             requests: usize,
-                             passes: u64,
-                             before: &skyup_obs::QueryMetrics,
-                             after: &skyup_obs::QueryMetrics| {
-                let delta = |c: Counter| (after.get(c) - before.get(c)) / passes;
-                let hit = delta(Counter::CacheHit);
-                let miss = delta(Counter::CacheMiss);
-                let total = (hit + miss).max(1);
-                Json::obj(vec![
-                    ("mode", Json::Str(mode.into())),
-                    ("threads", Json::Num(threads as f64)),
-                    ("phase", Json::Str(phase.into())),
-                    ("requests", Json::Num(requests as f64)),
-                    ("elapsed_ms", Json::Num(elapsed * 1e3)),
-                    ("qps", Json::Num(requests as f64 / elapsed.max(1e-9))),
-                    ("cache_hit", Json::Num(hit as f64)),
-                    ("cache_miss", Json::Num(miss as f64)),
-                    ("hit_rate", Json::Num(hit as f64 / total as f64)),
-                    (
-                        "batches_executed",
-                        Json::Num(delta(Counter::BatchesExecuted) as f64),
-                    ),
-                    (
-                        "batched_requests",
-                        Json::Num(delta(Counter::BatchedRequests) as f64),
-                    ),
-                    (
-                        "dominator_memo_hits",
-                        Json::Num(delta(Counter::DominatorMemoHits) as f64),
-                    ),
-                ])
-            };
-
-            // Cold: [`COLD_REPS`] repetitions, each against a fresh
-            // engine so every pass really is cold; keep the fastest.
-            // The last repetition's engine stays up for the warm phase.
-            let mut cold_best = f64::INFINITY;
-            let mut cold_costs: Vec<u64> = Vec::new();
-            let mut cold_metrics = None;
-            let mut warm_setup = None;
-            for rep in 0..COLD_REPS {
-                let engine = Arc::new(durable_engine(
-                    &competitors,
-                    format!("{mode}-{threads}t-rep{rep}"),
-                ));
-                let handle = ServeHandle::start(Arc::clone(&engine), serve_cfg);
-                let before = engine.metrics();
-                let (s, costs) = timed_pass(&handle, &pool, threads);
-                let after = engine.metrics();
-                cold_best = cold_best.min(s);
-                match &reference_bits {
-                    None => reference_bits = Some(costs.clone()),
-                    Some(reference) => all_identical &= &costs == reference,
-                }
-                if rep + 1 == COLD_REPS {
-                    cold_costs = costs;
-                    cold_metrics = Some((before, after));
-                    warm_setup = Some((engine, handle));
-                } else {
-                    handle.shutdown();
-                }
-            }
-            let (before, after) = cold_metrics.expect("at least one cold repetition");
-            runs.push(phase_row("cold", cold_best, pool.len(), 1, &before, &after));
-            qps.insert(
-                (mode, threads, "cold"),
-                pool.len() as f64 / cold_best.max(1e-9),
-            );
-
-            // Warm: every pass re-queries the now-cached pool; keep the
-            // fastest pass.
-            let (engine, handle) = warm_setup.expect("warm engine");
-            let before = engine.metrics();
-            let mut warm_best = f64::INFINITY;
-            for _ in 0..WARM_PASSES {
-                let (s, warm_costs) = timed_pass(&handle, &pool, threads);
-                warm_best = warm_best.min(s);
-                all_identical &= warm_costs == cold_costs;
-            }
-            let after = engine.metrics();
-            runs.push(phase_row(
-                "warm",
-                warm_best,
-                pool.len(),
-                WARM_PASSES as u64,
-                &before,
-                &after,
-            ));
-            qps.insert(
-                (mode, threads, "warm"),
-                pool.len() as f64 / warm_best.max(1e-9),
-            );
-            handle.shutdown();
-
-            // Telemetry snapshot of the surviving engine's handle: it
-            // served exactly one cold pass plus the warm passes, so the
-            // per-class trace counts are pure functions of the workload
-            // and the gate can check them exactly.
-            latency.push(Json::obj(vec![
-                ("mode", Json::Str(mode.into())),
+        // `passes` divides the counter deltas when the window spans
+        // several identical passes, so every row's counters describe
+        // one pass over the pool.
+        let phase_row = |phase: &str,
+                         elapsed: f64,
+                         requests: usize,
+                         passes: u64,
+                         before: &skyup_obs::QueryMetrics,
+                         after: &skyup_obs::QueryMetrics| {
+            let delta = |c: Counter| (after.get(c) - before.get(c)) / passes;
+            let hit = delta(Counter::CacheHit);
+            let miss = delta(Counter::CacheMiss);
+            let total = (hit + miss).max(1);
+            let mut fields = vec![
                 ("threads", Json::Num(threads as f64)),
-                (
-                    "requests_served",
-                    Json::Uint(((1 + WARM_PASSES) * pool.len()) as u64),
-                ),
-                (
-                    "metrics",
-                    handle.telemetry().metrics_json(handle.queue_depth()),
-                ),
-            ]));
+                ("phase", Json::Str(phase.into())),
+                ("requests", Json::Num(requests as f64)),
+                ("elapsed_ms", Json::Num(elapsed * 1e3)),
+                ("qps", Json::Num(requests as f64 / elapsed.max(1e-9))),
+                ("cache_hit", Json::Num(hit as f64)),
+                ("cache_miss", Json::Num(miss as f64)),
+                ("hit_rate", Json::Num(hit as f64 / total as f64)),
+            ];
+            for c in [
+                Counter::DominatorMemoHits,
+                Counter::DominanceTests,
+                Counter::KernelBlockScans,
+                Counter::KernelBlocksSkipped,
+            ] {
+                fields.push((c.name(), Json::Uint(delta(c))));
+            }
+            Json::obj(fields)
+        };
+
+        // Cold: [`COLD_REPS`] repetitions, each against a fresh engine
+        // so every pass really is cold; keep the fastest. The last
+        // repetition's engine stays up for the warm phase.
+        let mut cold_best = f64::INFINITY;
+        let mut cold_costs: Vec<u64> = Vec::new();
+        let mut cold_metrics = None;
+        let mut warm_setup = None;
+        for rep in 0..COLD_REPS {
+            let engine = Arc::new(durable_engine(&competitors, format!("{threads}t-rep{rep}")));
+            let handle = ServeHandle::start(Arc::clone(&engine), serve_cfg);
+            let before = engine.metrics();
+            let (s, costs) = timed_pass(&handle, &pool, threads);
+            let after = engine.metrics();
+            cold_best = cold_best.min(s);
+            match &reference_bits {
+                None => reference_bits = Some(costs.clone()),
+                Some(reference) => all_identical &= &costs == reference,
+            }
+            if rep + 1 == COLD_REPS {
+                cold_costs = costs;
+                cold_metrics = Some((before, after));
+                warm_setup = Some((engine, handle));
+            } else {
+                handle.shutdown();
+            }
         }
+        let (before, after) = cold_metrics.expect("at least one cold repetition");
+        runs.push(phase_row("cold", cold_best, pool.len(), 1, &before, &after));
+
+        // Warm: every pass re-queries the now-cached pool; keep the
+        // fastest pass.
+        let (engine, handle) = warm_setup.expect("warm engine");
+        let before = engine.metrics();
+        let mut warm_best = f64::INFINITY;
+        for _ in 0..WARM_PASSES {
+            let (s, warm_costs) = timed_pass(&handle, &pool, threads);
+            warm_best = warm_best.min(s);
+            all_identical &= warm_costs == cold_costs;
+        }
+        let after = engine.metrics();
+        runs.push(phase_row(
+            "warm",
+            warm_best,
+            pool.len(),
+            WARM_PASSES as u64,
+            &before,
+            &after,
+        ));
+        handle.shutdown();
+
+        // Telemetry snapshot of the surviving engine's handle: it
+        // served exactly one cold pass plus the warm passes, so the
+        // per-class trace counts are pure functions of the workload and
+        // the gate can check them exactly.
+        latency.push(Json::obj(vec![
+            ("threads", Json::Num(threads as f64)),
+            (
+                "requests_served",
+                Json::Uint(((1 + WARM_PASSES) * pool.len()) as u64),
+            ),
+            (
+                "metrics",
+                handle.telemetry().metrics_json(handle.queue_depth()),
+            ),
+        ]));
     }
 
     // Durability: acked-mutation throughput under each fsync policy,
@@ -802,9 +772,6 @@ fn main() {
         }
     }
 
-    let speedup = |phase: &str| {
-        qps[&("batched", 4usize, phase)] / qps[&("per_request", 4usize, phase)].max(1e-9)
-    };
     let doc = Json::obj(vec![
         (
             "workload",
@@ -815,7 +782,6 @@ fn main() {
                 ("cold_reps", Json::Num(COLD_REPS as f64)),
                 ("warm_passes", Json::Num(WARM_PASSES as f64)),
                 ("pipeline", Json::Num(PIPELINE as f64)),
-                ("batch_window_us", Json::Num(BATCH_WINDOW_US as f64)),
                 ("sg_mutations", Json::Num(sg_mutations as f64)),
                 ("sg_identity_checks", Json::Num(sg_checks as f64)),
                 ("storm_adds", Json::Num(storm_adds as f64)),
@@ -834,8 +800,6 @@ fn main() {
             "recovery_replay",
             recovery_replay.expect("the interval policy ran"),
         ),
-        ("batched_speedup_cold_at_4", Json::Num(speedup("cold"))),
-        ("batched_speedup_warm_at_4", Json::Num(speedup("warm"))),
         ("all_modes_bit_identical", Json::Bool(all_identical)),
     ]);
 
@@ -853,7 +817,7 @@ fn main() {
 
     assert!(
         all_identical,
-        "batched or warm answers diverged from the per-request cold computation"
+        "warm or 4-thread answers diverged from the 1-thread cold computation"
     );
     assert!(
         sg_identical,

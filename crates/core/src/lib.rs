@@ -14,8 +14,8 @@
 //! * [`probing`] — Algorithm 2 (basic probing) and its improved variant
 //!   built on `getDominatingSky` (Algorithm 3), each with one probe loop
 //!   behind its plain / `_rec` / `try_` entry points; the multi-threaded
-//!   probe scheduler (`WorkStealing` or `BoundSorted`); and the batch
-//!   executor that `skyup-serve` runs.
+//!   probe scheduler (`WorkStealing` or `BoundSorted`); and the
+//!   per-skyline view every `skyup-serve` query is answered through.
 //! * [`join`] — Algorithm 4: the progressive R-tree × R-tree join with
 //!   the NLB / CLB / ALB lower-bound strategies (Section III-B).
 //! * [`single_set`] — the future-work variant where uncompetitive
@@ -77,9 +77,8 @@ pub use join::{try_join_topk, BoundMode, JoinStats, JoinUpgrader, LowerBound};
 pub use optimal::optimal_upgrade;
 pub use probing::{
     basic_probing_topk, basic_probing_topk_rec, improved_probing_topk, improved_probing_topk_rec,
-    improved_probing_topk_scheduled_rec, run_probe_batch, try_basic_probing_topk,
-    try_improved_probing_topk, try_improved_probing_topk_scheduled, BatchItem, BatchOutput,
-    ItemAnswer, ProbeStrategy, PruningStats,
+    improved_probing_topk_scheduled_rec, try_basic_probing_topk, try_improved_probing_topk,
+    try_improved_probing_topk_scheduled, ProbeStrategy, PruningStats, SkylineView,
 };
 pub use result::{AnytimeTopK, UpgradeResult};
 pub use single_set::single_set_topk;

@@ -32,23 +32,23 @@
 //!   products in id order, `BoundSorted` claims them in ascending order
 //!   of an admissible lower bound and prunes against a shared top-k
 //!   threshold. Results are bit-identical to [`improved_probing_topk`].
-//! * [`run_probe_batch`] evaluates the flattened product union of many
-//!   *requests* against one shared skyline with work stealing, a
-//!   cross-request dominator memo, and per-request execution limits
-//!   (the `skyup-serve` batch pipeline's engine).
+//! * [`SkylineView`] prepares one skyline once — a columnar copy with
+//!   zone maps, Algorithm 1's hoisted sorts, and a dominator memo — and
+//!   answers any number of products against it from any thread (the
+//!   engine every `skyup-serve` query runs on).
 
 mod basic;
-mod batch;
 mod improved;
 mod scheduler;
+mod view;
 
 pub use basic::{basic_probing_topk, basic_probing_topk_rec, try_basic_probing_topk};
-pub use batch::{run_probe_batch, BatchItem, BatchOutput, ItemAnswer};
 pub use improved::{improved_probing_topk, improved_probing_topk_rec, try_improved_probing_topk};
 pub use scheduler::{
     improved_probing_topk_scheduled_rec, try_improved_probing_topk_scheduled, ProbeStrategy,
     PruningStats,
 };
+pub use view::{SkylineView, MEMO_MIN_SKYLINE};
 
 use skyup_obs::{Completion, Counter, Recorder};
 

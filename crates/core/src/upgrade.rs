@@ -170,7 +170,7 @@ pub fn upgrade_single_into<C: CostFunction + ?Sized>(
 /// One dimension's candidate sweep (Algorithm 1 lines 4-16 plus the
 /// extended-candidate family) over `order`, the dominators sorted
 /// ascending by dimension `k`. Factored out so the per-product path
-/// ([`upgrade_single_into`]) and the batch path
+/// ([`upgrade_single_into`]) and the presorted path
 /// ([`upgrade_single_presorted_into`]) run the exact same float
 /// operations in the exact same sequence — this shared body is what
 /// makes the two entry points bit-identical.
@@ -237,12 +237,12 @@ fn sweep_dimension<C: CostFunction + ?Sized>(
     }
 }
 
-/// A skyline pre-sorted by every dimension, shared across a batch of
+/// A skyline pre-sorted by every dimension, shared across many
 /// [`upgrade_single_presorted_into`] calls.
 ///
 /// Algorithm 1 spends a large share of its time re-sorting each
-/// product's dominator list once per dimension. Within a batch every
-/// dominator list is a subset of one shared skyline, so the sorts can
+/// product's dominator list once per dimension. Against one skyline
+/// every dominator list is a subset of it, so the sorts can
 /// be hoisted: sort the skyline by each dimension once, then recover
 /// any subset's per-dimension order as a subsequence filter.
 pub struct DimOrders {
@@ -611,7 +611,7 @@ mod tests {
                     let t: Vec<f64> = (0..dims)
                         .map(|_| 0.5 + 0.001 * (next() % 500) as f64)
                         .collect();
-                    // Id-sorted dominator subset, as the batch path sees it.
+                    // Id-sorted dominator subset, as a skyline view sees it.
                     let dominators: Vec<PointId> = all
                         .iter()
                         .copied()

@@ -85,15 +85,9 @@ pub enum Counter {
     /// Requests shed by the serve front-end instead of queued (bounded
     /// queue full, or the request deadline had already passed).
     RequestsShed,
-    /// Request batches executed by the serve batch pipeline (each batch
-    /// shares one snapshot, one skyline view, and one columnar kernel).
-    BatchesExecuted,
-    /// Requests answered through the batch pipeline (summed over
-    /// batches; `BatchedRequests / BatchesExecuted` is the mean batch
-    /// width).
-    BatchedRequests,
-    /// Batch items whose dominator set was derived from a memoized
-    /// ADR-containing superset instead of a full skyline scan.
+    /// Products whose dominator list came from a skyline view's memo
+    /// (an exact repeat, or a filter of a memoized ADR-containing
+    /// superset) instead of a full skyline scan.
     DominatorMemoHits,
     /// Completed request traces recorded into the serve flight recorder
     /// (one per request that reached the telemetry layer, shed or not).
@@ -149,7 +143,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration (= array) order.
-    pub const ALL: [Counter; 45] = [
+    pub const ALL: [Counter; 43] = [
         Counter::DominanceTests,
         Counter::RtreeNodeAccesses,
         Counter::RtreeEntryAccesses,
@@ -177,8 +171,6 @@ impl Counter {
         Counter::CacheEvictions,
         Counter::EpochSwaps,
         Counter::RequestsShed,
-        Counter::BatchesExecuted,
-        Counter::BatchedRequests,
         Counter::DominatorMemoHits,
         Counter::TracesRecorded,
         Counter::SlowQueries,
@@ -230,8 +222,6 @@ impl Counter {
             Counter::CacheEvictions => "cache_evictions",
             Counter::EpochSwaps => "epoch_swaps",
             Counter::RequestsShed => "requests_shed",
-            Counter::BatchesExecuted => "batches_executed",
-            Counter::BatchedRequests => "batched_requests",
             Counter::DominatorMemoHits => "dominator_memo_hits",
             Counter::TracesRecorded => "traces_recorded",
             Counter::SlowQueries => "slow_queries",
@@ -278,22 +268,17 @@ pub enum Phase {
     /// Probe-order preparation for the bound-sorted scheduler: screen
     /// lower-bound evaluation over `T` plus the ascending sort.
     BoundSort,
-    /// Batch assembly in `skyup-serve`: draining the admission window,
-    /// grouping same-epoch requests, and flattening products into the
-    /// shared work list.
-    BatchAssemble,
 }
 
 impl Phase {
     /// Every phase, in declaration (= array) order.
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 6] = [
         Phase::IndexBuild,
         Phase::ProbeLoop,
         Phase::DominatingSky,
         Phase::JoinExpansion,
         Phase::Upgrade,
         Phase::BoundSort,
-        Phase::BatchAssemble,
     ];
 
     /// Number of phases (the metrics array length).
@@ -308,7 +293,6 @@ impl Phase {
             Phase::JoinExpansion => "join_expansion",
             Phase::Upgrade => "upgrade",
             Phase::BoundSort => "bound_sort",
-            Phase::BatchAssemble => "batch_assemble",
         }
     }
 

@@ -1,13 +1,12 @@
 //! Per-request trace records and the fixed-size flight recorder.
 //!
 //! A [`Trace`] is the completed-request record the serve layer fills
-//! in: where the request's wall-clock went (queue wait, batch
-//! assembly, kernel execution), what it cost (evaluated products,
-//! cache hits/misses, dominator memo hits, dominance tests), and how
-//! it ended ([`Completion`], shed flag, epoch). Traces are built *off*
-//! the result path — the serving code measures with plain [`Instant`]s
-//! it already takes, assembles the `Trace` after the reply is
-//! determined, and hands it to the recorder.
+//! in: where the request's wall-clock went (queue wait, execution),
+//! what it cost (evaluated products, cache hits/misses, dominator memo
+//! hits, dominance tests), and how it ended ([`Completion`], shed flag,
+//! epoch). Traces are built *off* the result path — the serving code
+//! measures with plain [`Instant`]s it already takes, assembles the
+//! `Trace` after the reply is determined, and hands it to the recorder.
 //!
 //! The [`FlightRecorder`] keeps the last N completed traces in a
 //! fixed-size ring. Writers claim a slot with one `fetch_add` on the
@@ -41,11 +40,8 @@ pub enum TraceClass {
     /// A query answered entirely from the dominance-aware result cache
     /// (zero misses).
     QueryCached,
-    /// A query with at least one cache miss, computed per-request.
+    /// A query with at least one cache miss.
     QueryCold,
-    /// A query with at least one cache miss, computed through the
-    /// shared batch pipeline.
-    QueryBatched,
     /// A query shed at admission (queue full, zero deadline, or
     /// shutdown) — never executed.
     QueryShed,
@@ -57,10 +53,9 @@ pub enum TraceClass {
 
 impl TraceClass {
     /// Every class, in declaration order.
-    pub const ALL: [TraceClass; 6] = [
+    pub const ALL: [TraceClass; 5] = [
         TraceClass::QueryCached,
         TraceClass::QueryCold,
-        TraceClass::QueryBatched,
         TraceClass::QueryShed,
         TraceClass::Mutation,
         TraceClass::Stats,
@@ -74,7 +69,6 @@ impl TraceClass {
         match self {
             TraceClass::QueryCached => "query_cached",
             TraceClass::QueryCold => "query_cold",
-            TraceClass::QueryBatched => "query_batched",
             TraceClass::QueryShed => "query_shed",
             TraceClass::Mutation => "mutation",
             TraceClass::Stats => "stats",
@@ -110,14 +104,13 @@ pub struct Trace {
     pub cache_hits: u64,
     /// Per-product answers that missed the cache.
     pub cache_misses: u64,
-    /// Batch items answered via the cross-request dominator memo.
+    /// This request's products whose dominator list came from the
+    /// snapshot view's memo.
     pub memo_hits: u64,
     /// Point-vs-point dominance tests charged to this request.
     pub dominance_tests: u64,
     /// Time from ingress to worker pickup (or to the shed decision).
     pub queue_nanos: u64,
-    /// Batch-assembly share (batched requests; 0 on per-request path).
-    pub assemble_nanos: u64,
     /// Kernel execution time (cache lookup + probing/upgrade work).
     pub exec_nanos: u64,
     /// Ingress-to-reply wall clock.
@@ -146,7 +139,6 @@ impl Trace {
             ("memo_hits", Json::Uint(self.memo_hits)),
             ("dominance_tests", Json::Uint(self.dominance_tests)),
             ("queue_ns", Json::Uint(self.queue_nanos)),
-            ("assemble_ns", Json::Uint(self.assemble_nanos)),
             ("exec_ns", Json::Uint(self.exec_nanos)),
             ("total_ns", Json::Uint(self.total_nanos)),
         ])
@@ -247,7 +239,6 @@ mod tests {
             memo_hits: 0,
             dominance_tests: 10,
             queue_nanos: 100,
-            assemble_nanos: 0,
             exec_nanos: 1000,
             total_nanos: 1100,
         }

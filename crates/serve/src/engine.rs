@@ -232,32 +232,6 @@ impl Published {
         answer
     }
 
-    /// Runs `f` with the result cache and the currently published epoch
-    /// under one shared-lock acquisition. The batch pipeline assembles a
-    /// whole admission window's cache lookups in a single critical
-    /// section, so every lookup sees the same epoch.
-    pub(crate) fn with_cache<T>(&self, f: impl FnOnce(&ResultCache, u64) -> T) -> T {
-        let sh = self.shared.lock().unwrap();
-        let epoch = sh.snapshot.epoch;
-        f(&sh.cache, epoch)
-    }
-
-    /// Inserts a batch of computed answers under one shared-lock
-    /// acquisition. Each entry is epoch-gated exactly like
-    /// [`Published::answer_product`]'s fill: it only lands while
-    /// `computed_at` is still the published epoch.
-    pub(crate) fn fill_cache<I>(&self, entries: I, computed_at: u64)
-    where
-        I: IntoIterator<Item = (CacheKey, Answer)>,
-    {
-        let mut sh = self.shared.lock().unwrap();
-        let current = sh.snapshot.epoch;
-        for (key, answer) in entries {
-            sh.cache
-                .insert_if_current(key, answer, computed_at, current);
-        }
-    }
-
     /// Publishes `snapshot` as the new epoch: runs each mutation's
     /// selective invalidation and swaps the snapshot in one indivisible
     /// step. Returns the entries evicted.

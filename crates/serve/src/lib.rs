@@ -22,8 +22,8 @@
 //!   `Completion::Partial(Interrupt::Overloaded)`, exposed in-process
 //!   ([`ServeHandle`]) and as newline-delimited JSON over TCP.
 //! * [`telemetry`] — request observability, off the result path:
-//!   per-request traces ([`skyup_obs::Trace`]) with queue/assembly/
-//!   execution phase breakdowns, per-class log-scale latency
+//!   per-request traces ([`skyup_obs::Trace`]) with queue/execution
+//!   phase breakdowns, per-class log-scale latency
 //!   histograms, a fixed-size flight recorder of the last N traces,
 //!   and an always-kept slow-query log — served by the `metrics` and
 //!   `trace` protocol verbs.
@@ -43,7 +43,6 @@
 //!
 //! Everything is std-only, like the rest of the workspace.
 
-pub mod batch;
 pub mod cache;
 pub mod coordinator;
 pub mod engine;
@@ -61,7 +60,6 @@ pub mod wal;
 /// compaction drops tombstones).
 pub type CompetitorId = u64;
 
-pub use batch::{execute_batch, execute_batch_stats, BatchRequestStats, BatchStats};
 pub use cache::{CacheKey, CostTag, ResultCache};
 pub use coordinator::{Coordinator, CoordinatorDispatch, LocalLink, ShardLink, TcpLink};
 pub use engine::{

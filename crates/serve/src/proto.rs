@@ -286,8 +286,6 @@ pub fn render_stats(stats: &EngineStats, metrics: &QueryMetrics, queue_depth: us
             Counter::CacheEvictions,
             Counter::EpochSwaps,
             Counter::RequestsShed,
-            Counter::BatchesExecuted,
-            Counter::BatchedRequests,
             Counter::DominatorMemoHits,
             Counter::TracesRecorded,
             Counter::SlowQueries,

@@ -115,21 +115,10 @@ pub struct QueryResponse {
 /// Front-end sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Worker threads executing queries. With batching on, this is the
-    /// shard-execution width inside each batch instead of the number of
-    /// independent pool workers.
+    /// Worker threads executing queries.
     pub threads: usize,
     /// Bounded queue capacity; a full queue sheds.
     pub queue_cap: usize,
-    /// Admission window for the batch dispatcher, in microseconds.
-    /// `0` (the default) disables batching entirely: requests run on
-    /// the classic per-request worker pool. Non-zero, a single
-    /// dispatcher thread waits up to this long after the first queued
-    /// request for companions, then executes the window as one batch
-    /// ([`crate::execute_batch`]).
-    pub batch_window_us: u64,
-    /// Most requests admitted into one batch (batching mode only).
-    pub max_batch: usize,
     /// Slow-query threshold in milliseconds: completed traces at or
     /// over it enter the slow-query log. `0` disables the latency
     /// threshold (shed and partial traces are always kept).
@@ -144,8 +133,6 @@ impl Default for ServeConfig {
         ServeConfig {
             threads: 2,
             queue_cap: 64,
-            batch_window_us: 0,
-            max_batch: 32,
             slow_ms: 100,
             trace_buffer: 256,
         }
@@ -190,20 +177,8 @@ fn admin_trace(id: TraceId, class: TraceClass, epoch: u64, nanos: u64) -> Trace 
         memo_hits: 0,
         dominance_tests: 0,
         queue_nanos: 0,
-        assemble_nanos: 0,
         exec_nanos: nanos,
         total_nanos: nanos,
-    }
-}
-
-/// Request class of an executed (non-shed) query: everything answered
-/// from the cache is `QueryCached`; anything that computed at least one
-/// product is `QueryCold` or `QueryBatched` by scheduling path.
-fn classify(cache_misses: u64, batched: bool) -> TraceClass {
-    match (cache_misses, batched) {
-        (0, _) => TraceClass::QueryCached,
-        (_, true) => TraceClass::QueryBatched,
-        (_, false) => TraceClass::QueryCold,
     }
 }
 
@@ -256,8 +231,7 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Starts the worker pool (or, with `batch_window_us > 0`, the
-    /// batch dispatcher) over `engine`.
+    /// Starts the worker pool over `engine`.
     pub fn start(engine: Arc<Engine>, cfg: ServeConfig) -> ServeHandle {
         let threads = cfg.threads.max(1);
         let queue = Arc::new(Queue {
@@ -266,112 +240,12 @@ impl ServeHandle {
             cap: cfg.queue_cap.max(1),
         });
         let telemetry = Arc::new(Telemetry::new(cfg.slow_ms, cfg.trace_buffer));
-        let mut workers = Vec::new();
-        if cfg.batch_window_us > 0 {
-            // One dispatcher drains admission windows and executes each
-            // as a batch with `threads` shard workers.
-            let queue = Arc::clone(&queue);
-            let engine = Arc::clone(&engine);
-            let tel = Arc::clone(&telemetry);
-            let window = Duration::from_micros(cfg.batch_window_us);
-            let max_batch = cfg.max_batch.max(1);
-            workers.push(std::thread::spawn(move || loop {
-                let mut batch: Vec<Job> = Vec::new();
-                {
-                    let mut guard = queue.jobs.lock().unwrap();
-                    // Wait for the window's first request (drain-then-exit
-                    // on shutdown, like the classic pool).
-                    loop {
-                        if let Some(job) = guard.0.pop_front() {
-                            batch.push(job);
-                            break;
-                        }
-                        if guard.1 {
-                            return;
-                        }
-                        guard = queue.ready.wait(guard).unwrap();
-                    }
-                    // Greedily drain whatever queued while the previous
-                    // batch executed — under load, that backlog IS the
-                    // batch, with no added latency. The admission window
-                    // only delays a *lone* request, giving companions
-                    // one chance to arrive before it executes solo.
-                    let deadline = std::time::Instant::now() + window;
-                    while batch.len() < max_batch {
-                        if let Some(job) = guard.0.pop_front() {
-                            batch.push(job);
-                            continue;
-                        }
-                        if batch.len() > 1 || guard.1 {
-                            break;
-                        }
-                        let now = std::time::Instant::now();
-                        let Some(left) = deadline.checked_duration_since(now) else {
-                            break;
-                        };
-                        if left.is_zero() {
-                            break;
-                        }
-                        let (g, timeout) = queue.ready.wait_timeout(guard, left).unwrap();
-                        guard = g;
-                        if timeout.timed_out() && guard.0.is_empty() {
-                            break;
-                        }
-                    }
-                }
-                // Queue wait ends for every member when the dispatcher
-                // picks the window up.
-                let queue_nanos: Vec<u64> = batch
-                    .iter()
-                    .map(|j| j.ingress.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-                    .collect();
-                let (reqs, rest): (Vec<QueryRequest>, Vec<_>) = batch
-                    .into_iter()
-                    .map(|j| (j.req, (j.reply, j.id, j.ingress)))
-                    .unzip();
-                let (results, stats) = crate::batch::execute_batch_stats(&engine, &reqs, threads);
-                for (i, ((reply, id, ingress), res)) in rest.into_iter().zip(results).enumerate() {
-                    if let Ok(resp) = &res {
-                        let per = &stats.per_request[i];
-                        // Assembly and kernel time are batch-level and
-                        // therefore shared across the window's traces;
-                        // queue wait and total latency are per-request.
-                        finish_trace(
-                            &tel,
-                            &engine,
-                            Trace {
-                                id,
-                                class: classify(per.cache_misses, true),
-                                epoch: resp.epoch,
-                                completion: resp.completion,
-                                shed: false,
-                                products: reqs[i].products.len() as u64,
-                                evaluated: resp.evaluated as u64,
-                                cache_hits: per.cache_hits,
-                                cache_misses: per.cache_misses,
-                                memo_hits: per.memo_hits,
-                                // The shared columnar kernel does not
-                                // attribute dominance tests per request.
-                                dominance_tests: 0,
-                                queue_nanos: queue_nanos[i],
-                                assemble_nanos: stats.assemble_nanos,
-                                exec_nanos: stats.exec_nanos,
-                                total_nanos: ingress.elapsed().as_nanos().min(u64::MAX as u128)
-                                    as u64,
-                            },
-                        );
-                    }
-                    // A dropped receiver (client gave up) is not an error.
-                    let _ = reply.send(res);
-                }
-            }));
-        } else {
-            workers.reserve(threads);
-            for _ in 0..threads {
+        let workers = (0..threads)
+            .map(|_| {
                 let queue = Arc::clone(&queue);
                 let engine = Arc::clone(&engine);
                 let tel = Arc::clone(&telemetry);
-                workers.push(std::thread::spawn(move || loop {
+                std::thread::spawn(move || loop {
                     let job = {
                         let mut guard = queue.jobs.lock().unwrap();
                         loop {
@@ -389,23 +263,28 @@ impl ServeHandle {
                     let (exec_nanos, res) =
                         clocked(|| execute_query_with(&engine, &job.req, &mut rec));
                     if let Ok(resp) = &res {
+                        let cache_misses = rec.get(Counter::CacheMiss);
                         finish_trace(
                             &tel,
                             &engine,
                             Trace {
                                 id: job.id,
-                                class: classify(rec.get(Counter::CacheMiss), false),
+                                // Anything that computed a product is cold.
+                                class: if cache_misses == 0 {
+                                    TraceClass::QueryCached
+                                } else {
+                                    TraceClass::QueryCold
+                                },
                                 epoch: resp.epoch,
                                 completion: resp.completion,
                                 shed: false,
                                 products: job.req.products.len() as u64,
                                 evaluated: resp.evaluated as u64,
                                 cache_hits: rec.get(Counter::CacheHit),
-                                cache_misses: rec.get(Counter::CacheMiss),
+                                cache_misses,
                                 memo_hits: rec.get(Counter::DominatorMemoHits),
                                 dominance_tests: rec.get(Counter::DominanceTests),
                                 queue_nanos,
-                                assemble_nanos: 0,
                                 exec_nanos,
                                 total_nanos: job.ingress.elapsed().as_nanos().min(u64::MAX as u128)
                                     as u64,
@@ -414,9 +293,9 @@ impl ServeHandle {
                     }
                     // A dropped receiver (client gave up) is not an error.
                     let _ = job.reply.send(res);
-                }));
-            }
-        }
+                })
+            })
+            .collect();
         ServeHandle {
             engine,
             queue,
@@ -438,11 +317,9 @@ impl ServeHandle {
     }
 
     /// Submits a query without waiting: the returned [`QueryTicket`]
-    /// resolves to the answer later. This is what lets a client keep
-    /// many requests in flight — the feed pattern the batch dispatcher's
-    /// admission window exists to coalesce. Shed decisions (zero
-    /// deadline, full queue, shutdown) are still taken synchronously at
-    /// submission.
+    /// resolves to the answer later, so one client can keep many
+    /// requests in flight. Shed decisions (zero deadline, full queue,
+    /// shutdown) are still taken synchronously at submission.
     pub fn query_async(&self, req: QueryRequest) -> Result<QueryTicket, SkyupError> {
         validate_request(&req, self.engine.dims())?;
         let id = self.telemetry.mint();
@@ -493,7 +370,6 @@ impl ServeHandle {
                 memo_hits: 0,
                 dominance_tests: 0,
                 queue_nanos: waited,
-                assemble_nanos: 0,
                 exec_nanos: 0,
                 total_nanos: waited,
             },

@@ -12,12 +12,19 @@
 //! writer's full store and tombstones never leave it, so a publish
 //! costs O(|skyline|), not O(|P|) — and since nothing downstream needs
 //! more than the skyline, the writer keeps no index either.
+//!
+//! Every answer goes through the snapshot's [`SkylineView`]: the
+//! skyline's columnar copy, Algorithm 1's hoisted sorts and the
+//! dominator memo, shared by every query of the epoch. The first query
+//! that needs it builds it, so a publish stays a row copy and an epoch
+//! no query reads never pays for one.
 
 use crate::CompetitorId;
 use skyup_core::cost::CostFunction;
-use skyup_core::{dominators_from_skyline, upgrade_single, UpgradeConfig};
+use skyup_core::{SkylineView, UpgradeConfig};
 use skyup_geom::{PointId, PointStore};
 use skyup_obs::Recorder;
+use std::sync::OnceLock;
 
 /// One fully evaluated per-product answer. It depends only on the
 /// product's dominator skyline, so it stays valid across epochs until a
@@ -31,7 +38,7 @@ pub struct Answer {
 }
 
 /// An immutable view of the competitor set at one epoch.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Snapshot {
     pub(crate) epoch: u64,
     /// The live-set skyline rows, in the writer's `PointId` order.
@@ -40,6 +47,8 @@ pub struct Snapshot {
     pub(crate) skyline: Vec<PointId>,
     pub(crate) cid_of: Vec<CompetitorId>,
     pub(crate) live_count: usize,
+    /// Built by the first answer of the epoch.
+    view: OnceLock<SkylineView>,
 }
 
 impl Snapshot {
@@ -64,6 +73,7 @@ impl Snapshot {
             store,
             cid_of,
             live_count,
+            view: OnceLock::new(),
         }
     }
 
@@ -109,8 +119,9 @@ impl Snapshot {
             .zip(self.store.iter().map(|(_, coords)| coords))
     }
 
-    /// Computes product `t`'s answer against this snapshot: filter the
-    /// live-set skyline down to `t`'s dominators and run Algorithm 1.
+    /// Computes product `t`'s answer against this snapshot: the skyline
+    /// members that dominate `t`, then Algorithm 1 over them, both
+    /// through the epoch's [`SkylineView`] (built here on first use).
     pub fn answer<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
         &self,
         t: &[f64],
@@ -118,8 +129,10 @@ impl Snapshot {
         cfg: &UpgradeConfig,
         rec: &mut R,
     ) -> Answer {
-        let dominators = dominators_from_skyline(&self.store, &self.skyline, t, rec);
-        let (cost, upgraded) = upgrade_single(&self.store, &dominators, t, cost_fn, cfg);
+        let view = self
+            .view
+            .get_or_init(|| SkylineView::new(&self.store, &self.skyline));
+        let (cost, upgraded) = view.answer(&self.store, &self.skyline, t, cost_fn, cfg, rec);
         Answer { cost, upgraded }
     }
 }

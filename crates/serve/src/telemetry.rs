@@ -11,7 +11,7 @@
 //! of those bounded critical sections.
 //!
 //! Latencies land in one [`WindowedHistogram`] per [`TraceClass`]
-//! (cached / cold / batched / shed queries, mutations, stats reads).
+//! (cached / cold / shed queries, mutations, stats reads).
 //! The rolling window rotates on a fixed wall-clock cadence
 //! ([`WINDOW`]), checked under the histogram lock each record — no
 //! timer thread.
@@ -163,7 +163,6 @@ mod tests {
             memo_hits: 0,
             dominance_tests: 0,
             queue_nanos: 0,
-            assemble_nanos: 0,
             exec_nanos: total_nanos,
             total_nanos,
         }
@@ -196,13 +195,13 @@ mod tests {
             tel.record(trace(&tel, TraceClass::QueryCached, 100 + i, false));
         }
         for i in 0..7 {
-            tel.record(trace(&tel, TraceClass::QueryBatched, 10_000 + i, false));
+            tel.record(trace(&tel, TraceClass::QueryCold, 10_000 + i, false));
         }
         let j = tel.metrics_json(3);
         assert_eq!(j.get("queue_depth").and_then(Json::as_u64), Some(3));
         assert_eq!(j.get("traces_recorded").and_then(Json::as_u64), Some(17));
         let classes = j.get("classes").unwrap();
-        for (name, want) in [("query_cached", 10u64), ("query_batched", 7)] {
+        for (name, want) in [("query_cached", 10u64), ("query_cold", 7)] {
             let cum = classes.get(name).unwrap().get("cumulative").unwrap();
             assert_eq!(cum.get("count").and_then(Json::as_u64), Some(want));
             let total: u64 = match cum.get("buckets").unwrap() {

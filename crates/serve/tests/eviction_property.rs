@@ -17,10 +17,11 @@ use skyup_data::rng::Rng;
 use skyup_geom::dominance::dominates;
 use skyup_geom::point_in_adr;
 use skyup_serve::{
-    execute_batch, execute_query, CompetitorId, CostSpec, Engine, EngineConfig, Mutation,
-    QueryRequest,
+    execute_query, CompetitorId, CostSpec, Engine, EngineConfig, Mutation, QueryRequest,
+    ServeConfig, ServeHandle,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const DIMS: usize = 3;
 const COSTS: [CostSpec; 2] = [CostSpec::Reciprocal(1e-3), CostSpec::Linear(2.0)];
@@ -80,7 +81,15 @@ fn run_seed(seed: u64, ops: usize) -> Exercised {
         rebuild_min_dead: 4,
         ..EngineConfig::default()
     };
-    let engine = Engine::new(DIMS, cfg);
+    let engine = Arc::new(Engine::new(DIMS, cfg));
+    // Two pool workers answer some query rounds concurrently.
+    let handle = ServeHandle::start(
+        Arc::clone(&engine),
+        ServeConfig {
+            threads: 2,
+            ..ServeConfig::default()
+        },
+    );
     let mut live: Vec<(CompetitorId, Vec<f64>)> = Vec::new();
     let mut shadow = Shadow::default();
     let mut seen = Exercised::default();
@@ -114,8 +123,12 @@ fn run_seed(seed: u64, ops: usize) -> Exercised {
                     execute_query(&engine, req).expect("valid query");
                 }
             } else {
-                for resp in execute_batch(&engine, &requests, 2) {
-                    resp.expect("valid query");
+                let tickets: Vec<_> = requests
+                    .iter()
+                    .map(|req| handle.query_async(req.clone()).expect("valid query"))
+                    .collect();
+                for ticket in tickets {
+                    ticket.wait().expect("valid query");
                 }
             }
             for (req, &cost) in requests.iter().zip(&costs) {
@@ -170,6 +183,7 @@ fn run_seed(seed: u64, ops: usize) -> Exercised {
         );
     }
     assert_eq!(engine.stats().live, live.len());
+    handle.shutdown();
     seen
 }
 

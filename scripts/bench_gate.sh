@@ -8,7 +8,8 @@
 #   1  a check still failed after $SKYUP_GATE_ATTEMPTS attempts
 #   other  build failure or unexpected error (set -e)
 #
-# Invariant failures (bit-identity, cache counts, speedup floor, the
+# Invariant failures (bit-identity, cache counts, the 1-worker serve
+# pass's memo and kernel counts, the
 # telemetry accounting on the serve report's latency rows: trace count
 # == requests served, per-class histogram bucket conservation, exact
 # per-class trace counts) are deterministic and will fail every

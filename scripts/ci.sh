@@ -167,8 +167,8 @@ step "kernel bench smoke (tiny scale, self-asserting)" \
     cargo run --offline --release -q -p skyup-bench --bin kernel_bench
 
 # The serving bench at a tiny scale, under a hard cap, likewise without
-# a baseline comparison. Its self-asserts: batched and warm answers
-# bit-identical to the per-request cold computation, coordinator
+# a baseline comparison. Its self-asserts: warm and 4-worker answers
+# bit-identical to the 1-worker cold computation, coordinator
 # answers to a single-engine oracle, and the mutation storm's engine
 # (adds, removes and compactions against a durable WAL) to a cold
 # engine over its final live set. The report lands in a mktemp file
@@ -181,8 +181,10 @@ step "serve bench smoke (tiny scale, self-asserting)" \
 # Regenerates the serving, probe-scheduler, and dominance-kernel
 # reports at the committed scale and gates wall-clock (one-sided, 25%
 # tolerance) plus the exact
-# machine-independent invariants: bit-identity, cache/batch counters,
-# the 1.5x batched-speedup floor, and the telemetry accounting on the
+# machine-independent invariants: bit-identity, cache counters, the
+# 1-worker cold pass's memo hits, dominance tests and kernel block
+# counts (a FIFO pool answers it in a fixed order; 4 workers must still
+# hit the memo), and the telemetry accounting on the
 # serve report (trace count == requests served, histogram bucket
 # conservation, exact per-class trace counts). Set
 # SKYUP_CI_SKIP_BENCH_GATE=1 to skip on hardware too noisy for timing

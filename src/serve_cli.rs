@@ -40,12 +40,8 @@ pub const SERVE_USAGE: &str = "\
 serve subcommands:
   skyup serve (--competitors <file> | --warm-start <snap>) [options]
     --port <n>             TCP port on 127.0.0.1 (default 0 = ephemeral)
-    --threads <n>          query worker threads (default 2); with
-                           batching on, shard workers per batch
+    --threads <n>          query worker threads (default 2)
     --queue-cap <n>        bounded request queue capacity (default 64)
-    --batch-window-us <n>  batch admission window in microseconds
-                           (default 0 = per-request execution)
-    --max-batch <n>        most requests coalesced per batch (default 32)
     --slow-ms <n>          slow-query log threshold in milliseconds
                            (default 100; 0 keeps only shed/partial)
     --trace-buffer <n>     flight-recorder depth in traces (default 256)
@@ -217,18 +213,6 @@ pub fn run_serve(args: &[String]) -> Result<(), String> {
                 cfg.queue_cap = value(args, i, "--queue-cap")?
                     .parse()
                     .map_err(|e| format!("--queue-cap: {e}"))?;
-                i += 2;
-            }
-            "--batch-window-us" => {
-                cfg.batch_window_us = value(args, i, "--batch-window-us")?
-                    .parse()
-                    .map_err(|e| format!("--batch-window-us: {e}"))?;
-                i += 2;
-            }
-            "--max-batch" => {
-                cfg.max_batch = value(args, i, "--max-batch")?
-                    .parse()
-                    .map_err(|e| format!("--max-batch: {e}"))?;
                 i += 2;
             }
             "--slow-ms" => {

@@ -11,7 +11,7 @@ use skyup::core::{
 };
 use skyup::data::synthetic::{generate, Distribution, SyntheticConfig};
 use skyup::geom::PointStore;
-use skyup::obs::{Counter, QueryMetrics};
+use skyup::obs::{Counter, QueryMetrics, Recorder};
 use skyup::rtree::{RTree, RTreeParams};
 
 fn costs(rs: &[skyup::core::UpgradeResult]) -> Vec<f64> {
@@ -312,19 +312,20 @@ fn scheduled_probing_counter_contract() {
     }
 }
 
-/// Zone-map accounting composes with batching and work stealing: every
-/// item answered by a full skyline scan covers the shared skyline's
-/// block count exactly once — as scanned plus skipped, never lost or
-/// double-counted — at every thread count. Memo-hit items run no kernel
-/// scan, so `KernelBlockScans + KernelBlocksSkipped` is an exact
-/// function of the full-scan count even though *which* items the memo
-/// answers is timing-dependent above one thread.
+/// Zone-map accounting composes with a shared skyline view: every
+/// product answered by a full skyline scan covers the skyline's block
+/// count exactly once — as scanned plus skipped, never lost or
+/// double-counted — whether 1, 2 or 4 threads answer through one view.
+/// Memo hits run no kernel scan, so `KernelBlockScans +
+/// KernelBlocksSkipped` is an exact function of the full-scan count even
+/// though *which* products the memo answers is timing-dependent above
+/// one thread.
 #[test]
-fn batch_kernel_block_conservation() {
-    use skyup::core::{run_probe_batch, BatchItem};
+fn view_kernel_block_conservation() {
+    use skyup::core::SkylineView;
     use skyup::geom::DOM_BLOCK;
-    use skyup::obs::ExecutionLimits;
     use skyup::skyline::skyline_bnl;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     let p = generate(
         900,
@@ -342,44 +343,45 @@ fn batch_kernel_block_conservation() {
     );
     let ids: Vec<_> = p.ids().collect();
     let mut sky = skyline_bnl(&p, &ids);
-    sky.sort(); // run_probe_batch requires an id-sorted skyline
+    sky.sort(); // a view requires an id-sorted skyline
     let sky_blocks = sky.len().div_ceil(DOM_BLOCK) as u64;
     let cost_fn = SumCost::reciprocal(3, 1e-2);
     let cfg = UpgradeConfig::default();
-    let items: Vec<BatchItem> = t
-        .iter()
-        .map(|(id, c)| BatchItem {
-            request: 0,
-            index: id.0,
-            coords: c,
-        })
-        .collect();
 
     for threads in [1, 2, 4] {
-        let guards = vec![ExecutionLimits::default().start()];
+        let view = SkylineView::new(&p, &sky);
+        let next = AtomicUsize::new(0);
         let mut m = QueryMetrics::new();
-        let out = run_probe_batch(
-            &p,
-            &sky,
-            &items,
-            std::slice::from_ref(&cost_fn),
-            &guards,
-            &cfg,
-            threads,
-            &mut m,
-        )
-        .expect("batch executes");
-        assert!(out.outcomes.iter().all(|o| o.is_some()), "no cuts expected");
-        let full_scans = items.len() as u64 - out.memo_hits;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local = QueryMetrics::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= t.len() {
+                                break local;
+                            }
+                            let tp = t.point(skyup::geom::PointId(i as u32));
+                            view.answer(&p, &sky, tp, &cost_fn, &cfg, &mut local);
+                        }
+                    })
+                })
+                .collect();
+            for w in workers {
+                m.absorb(&w.join().expect("view worker"));
+            }
+        });
+        let full_scans = t.len() as u64 - m.get(Counter::DominatorMemoHits);
         assert_eq!(
             m.get(Counter::KernelBlockScans) + m.get(Counter::KernelBlocksSkipped),
             full_scans * sky_blocks,
             "threads={threads}: kernel blocks lost or double-counted"
         );
         // Every full scan is a collect pass over the gathered skyline,
-        // so the points the kernel compared can never exceed one
-        // skyline sweep per scan.
-        assert!(m.get(Counter::DominanceTests) <= items.len() as u64 * sky.len() as u64);
+        // and a memo hit filters a list no longer than the skyline, so
+        // the points compared never exceed one skyline sweep per product.
+        assert!(m.get(Counter::DominanceTests) <= t.len() as u64 * sky.len() as u64);
     }
 }
 

@@ -145,70 +145,83 @@ fn serve_answers_concurrent_clients_with_cache_hits() {
     assert_eq!(status.code(), Some(0), "clean shutdown must exit 0");
 }
 
-/// Batching is a scheduler choice, not a protocol change: the same
-/// client workload against a per-request server and a batched server
-/// must produce byte-identical response lines — while the batched
-/// server also survives hostile input (an oversized line, a client that
-/// vanishes mid-request) and reports batch counters in its stats.
-#[test]
-fn batched_server_matches_per_request_and_survives_hostile_lines() {
-    let comp = fixture("batched");
-    let (mut plain, plain_addr) = spawn_server(&comp, &["--threads", "2", "--queue-cap", "32"]);
-    let (mut batched, batched_addr) = spawn_server(
-        &comp,
-        &[
-            "--threads",
-            "2",
-            "--queue-cap",
-            "32",
-            "--batch-window-us",
-            "200",
-            "--max-batch",
-            "16",
-        ],
-    );
+/// Points on the anti-diagonal `x + y = 1`: mutually incomparable, so
+/// the whole set is the skyline, large enough (200 >= the view's
+/// `MEMO_MIN_SKYLINE`) that the dominator memo engages.
+fn anti_diagonal_fixture(tag: &str) -> (PathBuf, Vec<Vec<f64>>) {
+    let dir = std::env::temp_dir().join(format!("skyup-serve-smoke-{tag}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let rows: Vec<Vec<f64>> = (0..200)
+        .map(|i| {
+            let x = (i as f64 + 0.5) / 200.0;
+            vec![x, 1.0 - x]
+        })
+        .collect();
+    let text: String = rows
+        .iter()
+        .map(|r| format!("{},{}\n", r[0], r[1]))
+        .collect();
+    let comp = dir.join("competitors.csv");
+    std::fs::write(&comp, text).unwrap();
+    (comp, rows)
+}
 
-    // The same deterministic workload against both servers: four
-    // concurrent connections (the batched dispatcher needs concurrent
-    // arrivals to coalesce), each a fixed per-client query sequence.
-    // Every response is a pure function of the static snapshot, so the
-    // per-client response streams must match byte for byte.
-    let run_clients = |addr: &str| -> Vec<Vec<String>> {
-        let joins: Vec<_> = (0..4)
-            .map(|c: usize| {
-                let addr = addr.to_string();
-                std::thread::spawn(move || {
-                    let mut stream = TcpStream::connect(&addr).expect("connect");
-                    (0..30)
-                        .map(|round| {
-                            let t = 0.7 + 0.01 * ((c * 31 + round) % 40) as f64;
-                            let k = 1 + (c + round) % 3;
-                            round_trip(
-                                &mut stream,
-                                &format!(
-                                    "{{\"op\":\"query\",\"products\":[[{t},{t}],[{t},0.95]],\"k\":{k}}}"
-                                ),
-                            )
-                        })
-                        .collect::<Vec<String>>()
-                })
+/// Concurrent clients against a 2-worker server get, line for line, the
+/// bytes an in-process engine over the same competitors renders — and
+/// the server survives hostile input (an oversized line, a client that
+/// vanishes mid-request) with its workers filling one snapshot's memo.
+#[test]
+fn server_matches_in_process_engine_and_survives_hostile_lines() {
+    use skyup_serve::proto::{parse_request, render_query_response, Request};
+    use skyup_serve::{execute_query, Engine, EngineConfig};
+
+    let (comp, rows) = anti_diagonal_fixture("one-path");
+    let (mut child, addr) = spawn_server(&comp, &["--threads", "2", "--queue-cap", "32"]);
+    let mut store = skyup::geom::PointStore::new(2);
+    for row in &rows {
+        store.push(row);
+    }
+    let engine = Engine::with_competitors(store, EngineConfig::default());
+
+    // Four concurrent connections, each a fixed per-client query
+    // sequence. Every response is a pure function of the static
+    // snapshot, so each line must equal the in-process rendering.
+    let requests = |c: usize| -> Vec<String> {
+        (0..30)
+            .map(|round| {
+                let t = 0.7 + 0.01 * ((c * 31 + round) % 40) as f64;
+                let k = 1 + (c + round) % 3;
+                format!("{{\"op\":\"query\",\"products\":[[{t},{t}],[{t},0.95]],\"k\":{k}}}")
             })
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("client thread"))
             .collect()
     };
-    let plain_lines = run_clients(&plain_addr);
-    let batched_lines = run_clients(&batched_addr);
-    assert_eq!(
-        plain_lines, batched_lines,
-        "batched responses must be byte-identical to per-request responses"
-    );
+    let joins: Vec<_> = (0..4)
+        .map(|c: usize| {
+            let addr = addr.clone();
+            let lines = requests(c);
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(&addr).expect("connect");
+                lines
+                    .iter()
+                    .map(|line| round_trip(&mut stream, line))
+                    .collect::<Vec<String>>()
+            })
+        })
+        .collect();
+    for (c, join) in joins.into_iter().enumerate() {
+        let got = join.join().expect("client thread");
+        for (line, resp) in requests(c).iter().zip(&got) {
+            let Ok(Request::Query(req)) = parse_request(line) else {
+                panic!("not a query line: {line}");
+            };
+            let want = execute_query(&engine, &req).expect("valid query");
+            assert_eq!(resp, &render_query_response(&want), "client {c}: {line}");
+        }
+    }
 
-    // Hostile input against the live batched server. An oversized line
-    // (past the 1 MiB cap) is rejected without killing the connection.
-    let mut hostile = TcpStream::connect(&batched_addr).expect("connect hostile");
+    // Hostile input against the live server. An oversized line (past
+    // the 1 MiB cap) is rejected without killing the connection.
+    let mut hostile = TcpStream::connect(&addr).expect("connect hostile");
     let mut big = vec![b'x'; 3 << 19]; // 1.5x the cap
     big.push(b'\n');
     hostile.write_all(&big).expect("send oversized line");
@@ -232,7 +245,7 @@ fn batched_server_matches_per_request_and_survives_hostile_lines() {
     // A ghost client: one full request, then half a request and a
     // vanishing act. The full request is answered; the server stays up.
     {
-        let mut ghost = TcpStream::connect(&batched_addr).expect("connect ghost");
+        let mut ghost = TcpStream::connect(&addr).expect("connect ghost");
         let resp = round_trip(
             &mut ghost,
             "{\"op\":\"query\",\"products\":[[0.8,0.8]],\"k\":1}",
@@ -249,17 +262,13 @@ fn batched_server_matches_per_request_and_survives_hostile_lines() {
     let counters = doc.get("counters").expect("counters object");
     let counter = |key: &str| counters.get(key).and_then(|v| v.as_u64()).unwrap();
     assert!(
-        counter("batched_requests") > 0,
-        "concurrent clients never rode a batch: {stats}"
+        counter("dominator_memo_hits") > 0,
+        "the workers never shared a memoized dominator list: {stats}"
     );
-    assert!(counter("batches_executed") > 0, "{stats}");
 
-    for (child, addr) in [(&mut plain, &plain_addr), (&mut batched, &batched_addr)] {
-        let mut admin = TcpStream::connect(addr).expect("connect admin");
-        let ack = round_trip(&mut admin, "{\"op\":\"shutdown\"}");
-        assert!(ack.contains("\"ok\":true"), "{ack}");
-        assert_eq!(child.wait().expect("server exit").code(), Some(0));
-    }
+    let ack = round_trip(&mut hostile, "{\"op\":\"shutdown\"}");
+    assert!(ack.contains("\"ok\":true"), "{ack}");
+    assert_eq!(child.wait().expect("server exit").code(), Some(0));
 }
 
 /// The observability verbs: every queued request produces exactly one
@@ -350,7 +359,6 @@ fn metrics_and_trace_verbs_account_for_every_request() {
     for class in [
         "query_cached",
         "query_cold",
-        "query_batched",
         "query_shed",
         "mutation",
         "stats",
@@ -399,6 +407,23 @@ fn metrics_and_trace_verbs_account_for_every_request() {
         Some("partial"),
         "{dump}"
     );
+
+    // Each computed query's trace carries its own work: every cold
+    // trace ran at least one dominance test.
+    let dump = round_trip(&mut admin, "{\"op\":\"trace\",\"n\":64}");
+    let doc = skyup::obs::json::parse(&dump).expect("trace dump is JSON");
+    let skyup::obs::json::Json::Arr(traces) = doc.get("traces").expect("traces array") else {
+        panic!("traces must be an array: {dump}");
+    };
+    let cold: Vec<_> = traces
+        .iter()
+        .filter(|t| t.get("class").and_then(|v| v.as_str()) == Some("query_cold"))
+        .collect();
+    assert!(!cold.is_empty(), "no cold query traced: {dump}");
+    for t in cold {
+        let tests = t.get("dominance_tests").and_then(|v| v.as_u64()).unwrap();
+        assert!(tests > 0, "a cold trace reports no dominance tests: {dump}");
+    }
 
     // n = 0 is a client error, not a server fault.
     let resp = round_trip(&mut admin, "{\"op\":\"trace\",\"n\":0}");
@@ -641,6 +666,23 @@ fn bad_arguments_exit_one() {
     // query without --connect.
     let out = bin().args(["query", "-t", "0.9,0.9"]).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
+    // the batch dispatcher's flags are gone: unknown arguments.
+    let comp = fixture("retired-flags");
+    for flag in ["--batch-window-us", "--max-batch"] {
+        let out = bin()
+            .arg("serve")
+            .arg("--competitors")
+            .arg(&comp)
+            .args([flag, "16"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument {flag}")),
+            "{stderr}"
+        );
+    }
     // a corrupt warm-start snapshot is rejected, not a panic.
     let dir = std::env::temp_dir().join("skyup-serve-smoke-corrupt");
     std::fs::create_dir_all(&dir).unwrap();
