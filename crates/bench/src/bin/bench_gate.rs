@@ -23,6 +23,10 @@
 //!   fails; the driver script retries the whole run to ride out
 //!   scheduler noise on shared hardware.
 //!
+//! When the two reports timed different copies of the dominance kernel
+//! (`kernel_isa`, e.g. `avx2` against `portable`), the gate prints both
+//! as a note; the wall-clock checks still run unchanged.
+//!
 //! The serve gate additionally audits the telemetry snapshots the bench
 //! emits ([`gate_serve_latency`]): trace count == requests served,
 //! per-class histogram bucket counts conserve, per-class trace counts
@@ -756,6 +760,22 @@ fn gate_kernel(gate: &mut Gate, fresh: &Json, baseline: &Json) {
     });
 }
 
+/// Prints both reports' `kernel_isa` (which compiled copy of the
+/// dominance kernel they timed) when they differ; a report without the
+/// field reads as unknown. A note only: it fails no check.
+fn note_kernel_isa(kind: &str, fresh: &Json, baseline: &Json) {
+    let isa = |doc: &Json| {
+        doc.get("kernel_isa")
+            .and_then(|v| v.as_str())
+            .unwrap_or("unknown")
+            .to_string()
+    };
+    let (f, b) = (isa(fresh), isa(baseline));
+    if f != b {
+        println!("bench_gate {kind}: note: kernel_isa differs: fresh {f} vs baseline {b}");
+    }
+}
+
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     parse(&text).map_err(|e| format!("parse {path}: {e:?}"))
@@ -789,6 +809,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
+    note_kernel_isa(kind, &fresh, &baseline);
 
     if gate.failures.is_empty() {
         println!("bench_gate {kind}: OK ({fresh_path} vs {baseline_path})");

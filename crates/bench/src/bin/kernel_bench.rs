@@ -6,7 +6,9 @@
 //! * `uniform` — independent points on the unit cube, stored in arrival
 //!   order. Block MBRs all hug the origin, so zone maps barely fire and
 //!   the columnar-vs-scalar gap measures the autovectorized mask loop
-//!   alone.
+//!   alone: the AVX2 copy when the CPU has AVX2, else the portable body.
+//!   The report's `kernel_isa` names which one ran, so a baseline and a
+//!   fresh run can be read against the kernel each timed.
 //! * `skewed` — correlated points sorted by coordinate sum before
 //!   insertion, probed with targets from the lower half of that order.
 //!   Blocks are coherent (all-good or all-bad products together), so
@@ -31,7 +33,9 @@ use std::time::Duration;
 use skyup_bench::{fmt_duration, parse_args, time};
 use skyup_data::synthetic::{generate, Distribution, SyntheticConfig};
 use skyup_geom::dominance::dominates;
-use skyup_geom::{collect_dominators_cols, dominated_by_any_cols, ColumnarPoints, DOM_BLOCK};
+use skyup_geom::{
+    collect_dominators_cols, dominated_by_any_cols, kernel_isa, ColumnarPoints, DOM_BLOCK,
+};
 use skyup_obs::json::Json;
 
 /// Timing samples per (dataset, variant, operation); the median is
@@ -379,6 +383,7 @@ fn main() {
                 ),
             ]),
         ),
+        ("kernel_isa", Json::Str(kernel_isa().into())),
         ("samples_per_config", Json::Num(SAMPLES as f64)),
         ("datasets", Json::Arr(dataset_docs)),
         (

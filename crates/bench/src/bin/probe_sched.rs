@@ -25,6 +25,7 @@ use skyup_core::{
     UpgradeResult,
 };
 use skyup_data::synthetic::{generate, Distribution, SyntheticConfig};
+use skyup_geom::kernel_isa;
 use skyup_obs::json::Json;
 use skyup_obs::{Counter, QueryMetrics};
 
@@ -203,6 +204,7 @@ fn main() {
                 ("cost", Json::Str("sum of linear(2.0, 1.0) per dim".into())),
             ]),
         ),
+        ("kernel_isa", Json::Str(kernel_isa().into())),
         ("samples_per_config", Json::Num(SAMPLES as f64)),
         ("sequential_wall_us", Json::Num(seq_wall.as_micros() as f64)),
         ("runs", Json::Arr(runs)),

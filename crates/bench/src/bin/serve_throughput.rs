@@ -56,7 +56,7 @@
 use skyup_bench::parse_args;
 use skyup_data::synthetic::{generate, Distribution, SyntheticConfig};
 use skyup_data::Rng;
-use skyup_geom::PointStore;
+use skyup_geom::{kernel_isa, PointStore};
 use skyup_obs::json::{parse, Json};
 use skyup_obs::{Completion, Counter};
 use skyup_rtree::persist::fnv1a;
@@ -789,6 +789,7 @@ fn main() {
                 ("seed", Json::Num(args.seed as f64)),
             ]),
         ),
+        ("kernel_isa", Json::Str(kernel_isa().into())),
         ("runs", Json::Arr(runs)),
         ("scatter_gather", Json::Arr(scatter_gather)),
         ("scatter_gather_bit_identical", Json::Bool(sg_identical)),

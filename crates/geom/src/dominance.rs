@@ -129,8 +129,65 @@ pub struct ColScan {
 /// the scalar [`dominates`] loop, so the verdict is bit-identical
 /// (coordinates are finite by the store contract, hence `x <= y` and
 /// `!(x > y)` agree).
+///
+/// The one dispatch point of every columnar scan: [`block_masks_avx2`]
+/// when the CPU reports AVX2, else [`block_masks_portable`]. Both are
+/// the same source body, so they return the same masks.
 #[inline]
 pub(crate) fn block_masks(
+    cols: &[f64],
+    stride: usize,
+    base: usize,
+    width: usize,
+    lanes: u64,
+    target: &[f64],
+) -> (u64, u64) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `block_masks_avx2` requires only that the running CPU
+        // supports AVX2, which `is_x86_feature_detected!("avx2")` has
+        // just confirmed.
+        return unsafe { block_masks_avx2(cols, stride, base, width, lanes, target) };
+    }
+    block_masks_portable(cols, stride, base, width, lanes, target)
+}
+
+/// Which compiled copy of the dominance kernel's lane loop runs on this
+/// CPU: `"avx2"` or `"portable"`. Bench reports and the servers' `stats`
+/// line carry it, so a timing can be read against the kernel it timed.
+pub fn kernel_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
+
+/// [`block_masks`] compiled with AVX2 enabled: the portable body
+/// inlines here and vectorizes 4 lanes wide instead of 2.
+///
+/// # Safety
+/// The running CPU must support AVX2 (check with
+/// `is_x86_feature_detected!("avx2")`); executing it on a CPU without
+/// AVX2 is undefined behaviour.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn block_masks_avx2(
+    cols: &[f64],
+    stride: usize,
+    base: usize,
+    width: usize,
+    lanes: u64,
+    target: &[f64],
+) -> (u64, u64) {
+    block_masks_portable(cols, stride, base, width, lanes, target)
+}
+
+/// The lane loop of [`block_masks`], compiled for the build's baseline
+/// target (SSE2 on x86-64). Always inlined, so that inside
+/// [`block_masks_avx2`] it is compiled a second time with AVX2.
+#[inline(always)]
+pub(crate) fn block_masks_portable(
     cols: &[f64],
     stride: usize,
     base: usize,
@@ -260,8 +317,82 @@ pub fn collect_dominators_cols(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The `(le, lt)` masks of one block from every compiled copy of the
+    /// lane loop this CPU can run: the portable body always, the AVX2
+    /// copy as well when the CPU reports AVX2. Nothing forces a path:
+    /// each copy is called directly.
+    fn masks_per_copy(
+        cols: &[f64],
+        stride: usize,
+        base: usize,
+        width: usize,
+        lanes: u64,
+        target: &[f64],
+    ) -> Vec<(u64, u64)> {
+        let portable = block_masks_portable(cols, stride, base, width, lanes, target);
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: `is_x86_feature_detected!("avx2")` just confirmed
+            // the one requirement of `block_masks_avx2`.
+            let avx2 = unsafe { block_masks_avx2(cols, stride, base, width, lanes, target) };
+            return vec![portable, avx2];
+        }
+        vec![portable]
+    }
+
+    /// The dominator positions of a full blockwise scan of `len` points
+    /// laid out dims-major with `stride`, run once per compiled copy of
+    /// the lane loop. Asserts that every copy yields the same masks on
+    /// every block, then returns the one position list.
+    pub(crate) fn positions_per_copy(
+        cols: &[f64],
+        stride: usize,
+        len: usize,
+        target: &[f64],
+    ) -> Vec<u32> {
+        let (blocks, tail_mask) = scan_geometry(len);
+        let mut out = Vec::new();
+        for b in 0..blocks {
+            let base = b * DOM_BLOCK;
+            let (width, lanes) = if b + 1 == blocks {
+                (len - base, tail_mask)
+            } else {
+                (DOM_BLOCK, u64::MAX)
+            };
+            let masks = masks_per_copy(cols, stride, base, width, lanes, target);
+            assert!(
+                masks.iter().all(|&m| m == masks[0]),
+                "copies disagree on block {b}: {masks:?}"
+            );
+            let dom = masks[0].0 & masks[0].1;
+            out.extend(
+                (0..width)
+                    .filter(|j| dom >> j & 1 == 1)
+                    .map(|j| (base + j) as u32),
+            );
+        }
+        out
+    }
+
+    /// A coordinate on a coarse grid, so equal coordinates (duplicate
+    /// points, lanes equal to the target) are common; the grid holds both
+    /// signed zeros, which must compare equal.
+    pub(crate) fn grid_coord(u: f64) -> f64 {
+        [-0.0, 0.0, 0.25, 0.5, 0.75, 1.0][(u * 6.0) as usize]
+    }
+
+    /// A xorshift stream of uniforms in `[0, 1)`.
+    pub(crate) fn uniforms(mut state: u64) -> impl FnMut() -> f64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
 
     #[test]
     fn dominance_is_irreflexive() {
@@ -327,27 +458,21 @@ mod tests {
 
     #[test]
     fn columnar_kernel_matches_scalar_loop() {
-        let mut state = 0x5eed_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut next = uniforms(0x5eed);
         for dims in 1..=5usize {
             for n in [0usize, 1, 7, 63, 64, 65, 130, 200] {
-                // Coarse grid so equal coordinates are common.
                 let points: Vec<Vec<f64>> = (0..n)
-                    .map(|_| (0..dims).map(|_| (next() * 4.0).floor() / 4.0).collect())
+                    .map(|_| (0..dims).map(|_| grid_coord(next())).collect())
                     .collect();
                 let stride = n + 3;
                 let cols = to_cols(&points, dims, stride);
                 for _ in 0..20 {
-                    let target: Vec<f64> =
-                        (0..dims).map(|_| (next() * 4.0).floor() / 4.0).collect();
+                    let target: Vec<f64> = (0..dims).map(|_| grid_coord(next())).collect();
                     let scalar = points.iter().any(|p| dominates(p, &target));
                     let scan = dominated_by_any_cols(&cols, stride, n, &target);
                     assert_eq!(scan.dominated, scalar, "dims={dims} n={n} t={target:?}");
+                    let per_copy = !positions_per_copy(&cols, stride, n, &target).is_empty();
+                    assert_eq!(per_copy, scalar, "dims={dims} n={n} t={target:?}");
                 }
             }
         }
@@ -355,23 +480,16 @@ mod tests {
 
     #[test]
     fn collect_kernel_matches_scalar_filter_in_order() {
-        let mut state = 0xfeed_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut next = uniforms(0xfeed);
         for dims in 1..=4usize {
             for n in [0usize, 1, 63, 64, 65, 130] {
                 let points: Vec<Vec<f64>> = (0..n)
-                    .map(|_| (0..dims).map(|_| (next() * 4.0).floor() / 4.0).collect())
+                    .map(|_| (0..dims).map(|_| grid_coord(next())).collect())
                     .collect();
                 let stride = n + 2;
                 let cols = to_cols(&points, dims, stride);
                 for _ in 0..20 {
-                    let target: Vec<f64> =
-                        (0..dims).map(|_| (next() * 4.0).floor() / 4.0).collect();
+                    let target: Vec<f64> = (0..dims).map(|_| grid_coord(next())).collect();
                     let scalar: Vec<u32> = points
                         .iter()
                         .enumerate()
@@ -384,6 +502,50 @@ mod tests {
                     assert_eq!(scan.dominated, !scalar.is_empty());
                     // The collect kernel never early-exits across blocks.
                     assert_eq!(scan.points, n as u64);
+                    assert_eq!(positions_per_copy(&cols, stride, n, &target), scalar);
+                }
+            }
+        }
+    }
+
+    /// Every compiled copy of the lane loop against per-lane scalar
+    /// compares, one block at a time: every width 1–64 (so every tail
+    /// length, including those that are not a multiple of the 2- or
+    /// 4-lane vector width), blocks at a nonzero offset inside a column
+    /// whose stride exceeds the block, duplicate lanes, signed zeros, and
+    /// targets equal to a stored lane.
+    #[test]
+    fn lane_loop_copies_match_scalar_masks() {
+        let mut next = uniforms(0xb10c);
+        for dims in 1..=5usize {
+            for width in 1..=DOM_BLOCK {
+                let base = 5;
+                let stride = base + width + 3;
+                let cols: Vec<f64> = (0..dims * stride).map(|_| grid_coord(next())).collect();
+                let lanes = if width == DOM_BLOCK {
+                    u64::MAX
+                } else {
+                    (1u64 << width) - 1
+                };
+                for round in 0..8 {
+                    let target: Vec<f64> = if round % 2 == 0 {
+                        let lane = base + (next() * width as f64) as usize;
+                        (0..dims).map(|d| cols[d * stride + lane]).collect()
+                    } else {
+                        (0..dims).map(|_| grid_coord(next())).collect()
+                    };
+                    let (mut le_want, mut dom_want) = (0u64, 0u64);
+                    for j in 0..width {
+                        let p: Vec<f64> = (0..dims).map(|d| cols[d * stride + base + j]).collect();
+                        le_want |= u64::from(dominates_or_equal(&p, &target)) << j;
+                        dom_want |= u64::from(dominates(&p, &target)) << j;
+                    }
+                    let masks = masks_per_copy(&cols, stride, base, width, lanes, &target);
+                    for &(le, lt) in &masks {
+                        assert_eq!(le, le_want, "dims={dims} width={width} t={target:?}");
+                        assert_eq!(le & lt, dom_want, "dims={dims} width={width} t={target:?}");
+                    }
+                    assert!(masks.iter().all(|&m| m == masks[0]), "{masks:?}");
                 }
             }
         }

@@ -35,7 +35,7 @@ pub use adr::{point_in_adr, point_strictly_in_adr, rect_intersects_adr};
 pub use dims::{classify_dims, DimClassification, DimMask};
 pub use dominance::{
     collect_dominators_cols, compare, dominated_by_any_cols, dominates, dominates_or_equal,
-    ColScan, DomRelation, DOM_BLOCK,
+    kernel_isa, ColScan, DomRelation, DOM_BLOCK,
 };
 pub use error::GeomError;
 pub use ordered::OrderedF64;

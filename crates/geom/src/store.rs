@@ -608,6 +608,60 @@ mod tests {
         }
     }
 
+    /// The zone-mapped scans against the scalar oracle and against a
+    /// blockwise scan through every compiled copy of the lane loop:
+    /// grid points with duplicates and signed zeros, sizes on both sides
+    /// of block boundaries (the stride, the buffer's capacity, mostly
+    /// exceeds the length), swap-removes that widen zone maps, and
+    /// targets equal to stored points.
+    #[test]
+    fn zoned_scans_match_every_kernel_copy() {
+        use crate::dominance::dominates;
+        use crate::dominance::tests::{grid_coord, positions_per_copy, uniforms};
+        let mut next = uniforms(0x20e5);
+        for dims in 1..=4usize {
+            for n in [1usize, 3, 5, 63, 64, 65, 127, 130, 257] {
+                let mut cols = ColumnarPoints::new(dims);
+                let mut mirror: Vec<Vec<f64>> = Vec::new();
+                for _ in 0..n {
+                    let p: Vec<f64> = (0..dims).map(|_| grid_coord(next())).collect();
+                    cols.push(&p);
+                    mirror.push(p);
+                }
+                for _ in 0..n / 8 {
+                    let victim = (next() * mirror.len() as f64) as usize;
+                    cols.swap_remove(victim);
+                    mirror.swap_remove(victim);
+                }
+                for round in 0..16 {
+                    let target: Vec<f64> = if round % 2 == 0 {
+                        mirror[(next() * mirror.len() as f64) as usize].clone()
+                    } else {
+                        (0..dims).map(|_| grid_coord(next())).collect()
+                    };
+                    let scalar: Vec<u32> = mirror
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, p)| dominates(p, &target))
+                        .map(|(i, _)| i as u32)
+                        .collect();
+                    let mut got = Vec::new();
+                    let scan = cols.collect_dominators(&target, &mut got);
+                    assert_eq!(got, scalar, "dims={dims} n={n} t={target:?}");
+                    assert_eq!(scan.blocks + scan.skipped, cols.blocks() as u64);
+                    let verdict = cols.dominated_by_any(&target).dominated;
+                    assert_eq!(
+                        verdict,
+                        !scalar.is_empty(),
+                        "dims={dims} n={n} t={target:?}"
+                    );
+                    let per_copy = positions_per_copy(&cols.buf, cols.cap, cols.len, &target);
+                    assert_eq!(per_copy, scalar, "dims={dims} n={n} t={target:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn columnar_gather_matches_store_points() {
         let s = PointStore::from_rows(2, vec![[0.1, 0.9], [0.3, 0.3], [0.9, 0.1]]);

@@ -576,7 +576,8 @@ impl<L: ShardLink> Coordinator<L> {
     }
 
     /// The stats line: topology shape, replica sizes (|U| and the
-    /// global skyline), and the coordinator's counters.
+    /// global skyline), the dominance kernel's compiled copy, and the
+    /// coordinator's counters.
     pub fn stats_json(&self) -> String {
         let st = self.state.lock().unwrap();
         let m = self.published.metrics();
@@ -606,6 +607,7 @@ impl<L: ShardLink> Coordinator<L> {
             ("union", Json::Uint(st.union.len() as u64)),
             ("skyline", Json::Uint(st.skyline.len() as u64)),
             ("cached", Json::Uint(self.published.cached() as u64)),
+            ("kernel_isa", Json::Str(skyup_geom::kernel_isa().into())),
             ("counters", counters),
         ])
         .render()

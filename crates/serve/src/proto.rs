@@ -276,7 +276,8 @@ pub fn render_mutation_outcome(out: &MutationOutcome) -> String {
     Json::obj(fields).render()
 }
 
-/// Renders the stats response: engine shape, current queue depth, and
+/// Renders the stats response: engine shape, current queue depth, the
+/// dominance kernel's compiled copy ([`skyup_geom::kernel_isa`]), and
 /// the serving counters.
 pub fn render_stats(stats: &EngineStats, metrics: &QueryMetrics, queue_depth: usize) -> String {
     let counters = Json::obj(
@@ -309,6 +310,7 @@ pub fn render_stats(stats: &EngineStats, metrics: &QueryMetrics, queue_depth: us
         ("rebuilds", Json::Uint(stats.rebuilds)),
         ("cached", Json::Uint(stats.cached as u64)),
         ("queue_depth", Json::Uint(queue_depth as u64)),
+        ("kernel_isa", Json::Str(skyup_geom::kernel_isa().into())),
         ("counters", counters),
     ])
     .render()

@@ -28,7 +28,8 @@
 # The step list is deliberately deduplicated: `cargo test --workspace`
 # already runs every unit, integration (chaos, CLI contract, serve
 # smoke, serve property suites), and doc test in the workspace, so no
-# test binary is invoked twice. The kernel and serve benches also run
+# test binary is invoked twice in the same profile (the geom kernel
+# tests run once more in release, where the kernel is vectorized). The kernel and serve benches also run
 # at a tiny scale before the bench gate: their self-asserts
 # (bit-identity against an oracle) are machine-independent, so they
 # still run when the timing gate is skipped.
@@ -115,6 +116,14 @@ step "tier-1: cargo build --release (MSRV-pinned, std-only)" \
 
 step "tier-1 + workspace tests (unit, chaos, CLI contract, serve smoke, property suites)" \
     timeout "$TEST_TIMEOUT" cargo test --offline -q --workspace
+
+# The sweep above is a debug build, where neither compiled copy of the
+# dominance kernel's lane loop (portable, AVX2) is vectorized. The
+# kernel's property tests run again in the build that ships, which on a
+# CPU with AVX2 compares both copies against each other and the scalar
+# oracle.
+step "geom kernel tests in release (the vectorized copies)" \
+    timeout "$TEST_TIMEOUT" cargo test --release --offline -q -p skyup-geom
 
 # The ledger is a separate cargo workspace with path dependencies on
 # crates/*; building it here catches API drift the workspace sweep

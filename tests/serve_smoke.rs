@@ -433,6 +433,8 @@ fn metrics_and_trace_verbs_account_for_every_request() {
     // so the next metrics read shows exactly one more trace.
     let stats = round_trip(&mut admin, "{\"op\":\"stats\"}");
     assert!(stats.contains("\"queue_depth\""), "{stats}");
+    let isa = format!("\"kernel_isa\":\"{}\"", skyup::geom::kernel_isa());
+    assert!(stats.contains(&isa), "{stats}");
     assert_eq!(
         field_u64(&stats, "traces_recorded"),
         None,

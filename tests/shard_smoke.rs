@@ -258,6 +258,11 @@ fn two_shards_and_a_coordinator_match_the_single_engine_oracle() {
         "|U| >= |global skyline| >= 1: {stats}"
     );
     assert_eq!(
+        doc.get("kernel_isa").and_then(|v| v.as_str()),
+        Some(skyup::geom::kernel_isa()),
+        "{stats}"
+    );
+    assert_eq!(
         get_u64(&doc, "skyline") as usize,
         oracle.stats().skyline_len,
         "{stats}"
