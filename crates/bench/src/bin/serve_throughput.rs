@@ -56,10 +56,10 @@
 use skyup_bench::parse_args;
 use skyup_data::synthetic::{generate, Distribution, SyntheticConfig};
 use skyup_data::Rng;
+use skyup_geom::persist::fnv1a;
 use skyup_geom::{kernel_isa, PointStore};
 use skyup_obs::json::{parse, Json};
 use skyup_obs::{Completion, Counter};
-use skyup_rtree::persist::fnv1a;
 use skyup_serve::proto::render_query_response;
 use skyup_serve::{
     execute_query, CompetitorId, Coordinator, CostSpec, Engine, EngineConfig, FlipAck, FsyncPolicy,

@@ -1,4 +1,6 @@
-//! Compact binary serialization for [`PointStore`].
+//! Compact binary serialization for [`PointStore`], plus the two
+//! helpers every on-disk image in the workspace shares: the [`fnv1a`]
+//! checksum and [`write_atomic`].
 //!
 //! Building a million-point R-tree takes seconds; loading one from disk
 //! takes milliseconds. The format is little-endian, versioned, and
@@ -10,6 +12,7 @@
 
 use crate::store::PointStore;
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"SKUPPSTO";
 const VERSION: u32 = 1;
@@ -43,7 +46,7 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// A little-endian cursor over a byte slice, shared with the R-tree
-/// crate's persistence code.
+/// and write-ahead-log decoders.
 #[doc(hidden)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -166,6 +169,54 @@ pub fn encode_rows<'a>(out: &mut Vec<u8>, dims: usize, rows: impl IntoIterator<I
     out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
+/// FNV-1a over `buf`: tiny, dependency-free, and plenty to catch the
+/// torn writes and bit rot a file on disk is exposed to. The serving
+/// checkpoint trails its image with it, and the bench fingerprints
+/// images with it.
+pub fn fnv1a(buf: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in buf {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The deterministic sibling path a [`write_atomic`] call stages its
+/// bytes under before the rename.
+fn atomic_tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    path.with_file_name(name)
+}
+
+/// Atomically replaces `path` with `bytes`: write to a sibling temp
+/// file, fsync it, rename over the target, then fsync the parent
+/// directory so the rename itself is durable. A crash at any point
+/// leaves either the old file intact or the new file complete — never
+/// a truncated or interleaved target.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+
+    let tmp = atomic_tmp_path(path);
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    if let Some(parent) = path.parent() {
+        // An empty parent means a bare relative filename: the cwd.
+        let dir = if parent.as_os_str().is_empty() {
+            Path::new(".")
+        } else {
+            parent
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,5 +325,46 @@ mod tests {
             PointStore::from_bytes(&bytes),
             Err(DecodeError::BadVersion(99))
         );
+    }
+
+    #[test]
+    fn fnv1a_matches_known_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn write_atomic_replaces_and_survives_torn_staging() {
+        let dir = std::env::temp_dir().join(format!("skyup-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let target = dir.join("store.bin");
+
+        let old = sample().to_bytes();
+        write_atomic(&target, &old).unwrap();
+        assert_eq!(
+            PointStore::from_bytes(&std::fs::read(&target).unwrap()),
+            Ok(sample())
+        );
+
+        // Simulate a writer killed mid-write: a later save got as far as
+        // staging a partial temp file but never reached the rename. The
+        // old file must still load, because write_atomic never touches
+        // the target until the staged copy is complete + synced.
+        let tmp = atomic_tmp_path(&target);
+        std::fs::write(&tmp, &old[..old.len() / 2]).unwrap();
+        let on_disk = std::fs::read(&target).unwrap();
+        assert_eq!(on_disk, old, "torn staging file must not affect the target");
+
+        // A subsequent save succeeds despite the leftover debris and
+        // fully replaces the target.
+        let new = PointStore::from_rows(2, [[1.0, 2.0]]);
+        write_atomic(&target, &new.to_bytes()).unwrap();
+        assert_eq!(
+            PointStore::from_bytes(&std::fs::read(&target).unwrap()),
+            Ok(new)
+        );
+        assert!(!tmp.exists(), "staging file is consumed by the rename");
+
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

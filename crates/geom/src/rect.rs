@@ -1,7 +1,5 @@
 //! Axis-aligned hyperrectangles (minimum bounding rectangles).
 
-use crate::dominance;
-
 /// An axis-aligned hyperrectangle `[lo, hi]`, the MBR type used by the
 /// R-tree and the join algorithm.
 ///
@@ -139,20 +137,6 @@ impl Rect {
             .sum()
     }
 
-    /// Volume of the intersection with `other`, or `0.0` if disjoint.
-    pub fn overlap_area(&self, other: &Rect) -> f64 {
-        let mut area = 1.0;
-        for i in 0..self.dims() {
-            let lo = self.lo[i].max(other.lo[i]);
-            let hi = self.hi[i].min(other.hi[i]);
-            if lo > hi {
-                return 0.0;
-            }
-            area *= hi - lo;
-        }
-        area
-    }
-
     /// How much the area grows if `self` is expanded to cover `other`.
     pub fn enlargement(&self, other: &Rect) -> f64 {
         let mut merged = self.clone();
@@ -167,14 +151,6 @@ impl Rect {
             .zip(self.hi.iter())
             .map(|(&l, &h)| 0.5 * (l + h))
             .collect()
-    }
-
-    /// Whether the maximum corner of `self` dominates the minimum corner
-    /// of `other` — in which case *every* point of `self` dominates
-    /// *every* point of `other` (the join algorithm's mutual dominance
-    /// pruning test).
-    pub fn max_dominates_min_of(&self, other: &Rect) -> bool {
-        dominance::dominates(&self.hi, &other.lo)
     }
 }
 
@@ -237,15 +213,10 @@ mod tests {
     }
 
     #[test]
-    fn area_margin_overlap() {
+    fn area_and_margin() {
         let a = r(&[0.0, 0.0], &[2.0, 3.0]);
         assert_eq!(a.area(), 6.0);
         assert_eq!(a.margin(), 5.0);
-        let b = r(&[1.0, 1.0], &[3.0, 2.0]);
-        assert_eq!(a.overlap_area(&b), 1.0);
-        assert_eq!(b.overlap_area(&a), 1.0);
-        let c = r(&[5.0, 5.0], &[6.0, 6.0]);
-        assert_eq!(a.overlap_area(&c), 0.0);
     }
 
     #[test]
@@ -255,18 +226,6 @@ mod tests {
         assert_eq!(a.enlargement(&inner), 0.0);
         let outside = r(&[5.0, 0.0], &[6.0, 4.0]);
         assert!(a.enlargement(&outside) > 0.0);
-    }
-
-    #[test]
-    fn max_dominates_min() {
-        // a entirely "better" than b.
-        let a = r(&[0.0, 0.0], &[1.0, 1.0]);
-        let b = r(&[2.0, 2.0], &[3.0, 3.0]);
-        assert!(a.max_dominates_min_of(&b));
-        assert!(!b.max_dominates_min_of(&a));
-        // Overlapping: neither fully dominates.
-        let c = r(&[0.5, 0.5], &[2.5, 2.5]);
-        assert!(!a.max_dominates_min_of(&c));
     }
 
     #[test]

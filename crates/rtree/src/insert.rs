@@ -8,7 +8,7 @@ use crate::{PointId, PointStore, Rect};
 impl RTree {
     /// Builds a tree by inserting every point of `store` one at a time.
     /// Slower and produces a worse-shaped tree than [`RTree::bulk_load`];
-    /// provided for incremental use cases and for the ablation study.
+    /// provided for the ablation study.
     pub fn from_insertion(store: &PointStore, params: RTreeParams) -> Self {
         let mut tree = RTree::new(store.dims(), params);
         for id in store.ids() {
@@ -141,14 +141,6 @@ fn fill_internal(node: &mut Node, group: &[(Rect, u32)]) {
         node.children.push(NodeId(*raw));
     }
     node.mbr = mbr;
-}
-
-/// Convenience: build with default parameters via insertion.
-impl RTree {
-    /// Builds a tree with [`RTreeParams::default`] by repeated insertion.
-    pub fn from_insertion_default(store: &PointStore) -> Self {
-        Self::from_insertion(store, RTreeParams::default())
-    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //! * [`RTree::bulk_load`] — Sort-Tile-Recursive (STR) packing, the
 //!   default for the experiments (both `P` and `T` are loaded up front);
 //! * [`RTree::insert`] — classic Guttman insertion with quadratic node
-//!   splitting, for incremental maintenance and for the ablation study
-//!   comparing packed vs. incrementally built trees.
+//!   splitting, for the ablation study comparing packed vs.
+//!   incrementally built trees.
 //!
 //! The tree stores [`PointId`]s and borrows coordinates from the
 //! [`PointStore`] passed to each operation; the caller must always pass
@@ -22,9 +22,7 @@
 //! bounds assertions).
 
 pub mod bulk;
-pub mod delete;
 pub mod insert;
-pub mod knn;
 pub mod node;
 pub mod persist;
 pub mod query;

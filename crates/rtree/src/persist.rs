@@ -13,8 +13,9 @@
 //! ```
 //!
 //! [`snapshot_to_bytes`] wraps a store + tree pair in a single
-//! checksummed container so a serving process can warm-start from one
-//! file:
+//! checksummed SKUPSNAP container, the `--save-snapshot` format of
+//! older `skyup serve` builds. `skyup-serve` still reads it, skipping
+//! the tree section, and its tests build such files with this writer:
 //!
 //! ```text
 //! magic "SKUPSNAP" | version u32 | store_len u64 | store bytes
@@ -24,29 +25,24 @@
 use crate::node::{Node, NodeId};
 use crate::tree::{RTree, RTreeParams};
 use crate::{PointId, PointStore, Rect};
-use skyup_geom::persist::{DecodeError, Reader};
+use skyup_geom::persist::{fnv1a, DecodeError, Reader};
 
 const MAGIC: &[u8; 8] = b"SKUPRTRE";
 const VERSION: u32 = 1;
 
+/// Bytes of a node with no MBR, children or points: level, marker,
+/// and the two counts.
+const MIN_NODE_BYTES: usize = 4 + 1 + 8 + 8;
+/// Highest node level a decoded tree may have. Real trees over `u32`
+/// point ids are at most ~32 levels deep; the cap bounds the recursion
+/// of `validate` on a hostile file.
+const MAX_LEVEL: u32 = 63;
+
 const SNAP_MAGIC: &[u8; 8] = b"SKUPSNAP";
 const SNAP_VERSION: u32 = 1;
 
-/// FNV-1a over `buf`: tiny, dependency-free, and plenty to catch the
-/// torn writes and bit rot a warm-start file is exposed to. Public so
-/// callers can fingerprint serialized snapshots (bench gate, WAL
-/// checkpoint container).
-pub fn fnv1a(buf: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in buf {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Serializes a point store and the R-tree built over it into a single
-/// checksummed snapshot file (`skyup serve --warm-start`).
+/// checksummed SKUPSNAP container.
 pub fn snapshot_to_bytes(store: &PointStore, tree: &RTree) -> Vec<u8> {
     let store_bytes = store.to_bytes();
     let tree_bytes = tree.to_bytes();
@@ -62,71 +58,14 @@ pub fn snapshot_to_bytes(store: &PointStore, tree: &RTree) -> Vec<u8> {
     out
 }
 
-/// Deserializes a snapshot produced by [`snapshot_to_bytes`],
-/// validating the checksum before decoding and the tree against the
-/// store after. Every failure mode is a [`DecodeError`], never a panic.
-pub fn snapshot_from_bytes(buf: &[u8]) -> Result<(PointStore, RTree), DecodeError> {
-    if buf.len() < 8 + 4 + 8 {
+/// Reads `count u64 | u32 * count` as ids, bounding the count by the
+/// bytes left before it sizes anything.
+fn read_ids<T>(r: &mut Reader, id: impl Fn(u32) -> T) -> Result<Vec<T>, DecodeError> {
+    let count = r.u64()?;
+    if count > (r.remaining() / 4) as u64 {
         return Err(DecodeError::Truncated);
     }
-    let (body, sum_bytes) = buf.split_at(buf.len() - 8);
-    let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-    // Magic first so a non-snapshot file reports BadMagic, not a
-    // meaningless checksum mismatch.
-    if &body[..8] != SNAP_MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    if fnv1a(body) != stored {
-        return Err(DecodeError::Corrupt("snapshot checksum mismatch"));
-    }
-    let mut r = Reader::new(body);
-    r.bytes(8)?; // magic, checked above
-    let version = r.u32()?;
-    if version != SNAP_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let store_len = r.u64()? as usize;
-    let store = PointStore::from_bytes(r.bytes(store_len)?)?;
-    let tree_len = r.u64()? as usize;
-    let tree = RTree::from_bytes(r.bytes(tree_len)?, &store)?;
-    r.finish()?;
-    Ok((store, tree))
-}
-
-/// The deterministic sibling path a [`write_atomic`] call stages its
-/// bytes under before the rename. Exposed so crash-simulation tests
-/// can plant the debris a killed writer would leave behind.
-pub fn atomic_tmp_path(path: &std::path::Path) -> std::path::PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Atomically replaces `path` with `bytes`: write to a sibling temp
-/// file, fsync it, rename over the target, then fsync the parent
-/// directory so the rename itself is durable. A crash at any point
-/// leaves either the old file intact or the new file complete — never
-/// a truncated or interleaved target.
-pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-
-    let tmp = atomic_tmp_path(path);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        // An empty parent means a bare relative filename: the cwd.
-        let dir = if parent.as_os_str().is_empty() {
-            std::path::Path::new(".")
-        } else {
-            parent
-        };
-        std::fs::File::open(dir)?.sync_all()?;
-    }
-    Ok(())
+    (0..count).map(|_| r.u32().map(&id)).collect()
 }
 
 impl RTree {
@@ -186,11 +125,20 @@ impl RTree {
         }
         let root = NodeId(r.u32()?);
         let num_points = r.u64()? as usize;
-        let num_nodes = r.u64()? as usize;
+        // Every count is bounded by the bytes left before an allocation
+        // is sized from it, so a corrupt count fails as `Truncated`
+        // instead of aborting on a giant allocation.
+        let num_nodes = r.u64()?;
+        if num_nodes > (r.remaining() / MIN_NODE_BYTES) as u64 {
+            return Err(DecodeError::Truncated);
+        }
 
-        let mut nodes = Vec::with_capacity(num_nodes.min(1 << 20));
+        let mut nodes = Vec::with_capacity(num_nodes as usize);
         for _ in 0..num_nodes {
             let level = r.u32()?;
+            if level > MAX_LEVEL {
+                return Err(DecodeError::Corrupt("node level out of range"));
+            }
             let has_mbr = r.bytes(1)?[0];
             let mbr = match has_mbr {
                 0 => Rect::empty(dims),
@@ -214,16 +162,8 @@ impl RTree {
                 }
                 _ => return Err(DecodeError::Corrupt("bad MBR marker")),
             };
-            let child_count = r.u64()? as usize;
-            let mut children = Vec::with_capacity(child_count.min(max_entries + 1));
-            for _ in 0..child_count {
-                children.push(NodeId(r.u32()?));
-            }
-            let point_count = r.u64()? as usize;
-            let mut points = Vec::with_capacity(point_count.min(max_entries + 1));
-            for _ in 0..point_count {
-                points.push(PointId(r.u32()?));
-            }
+            let children = read_ids(&mut r, NodeId)?;
+            let points = read_ids(&mut r, PointId)?;
             nodes.push(Node {
                 mbr,
                 level,
@@ -243,6 +183,18 @@ impl RTree {
             if node.points.iter().any(|p| p.index() >= store.len()) {
                 return Err(DecodeError::Corrupt("point id out of range"));
             }
+        }
+        // What hangs off the root must be a tree: a node reached twice
+        // (a shared child or a cycle) is corrupt. With that and the level
+        // cap, `validate` visits each node once, at most `MAX_LEVEL`
+        // deep. Nodes the root does not reach are allowed.
+        let mut reached = vec![false; nodes.len()];
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            if std::mem::replace(&mut reached[id.index()], true) {
+                return Err(DecodeError::Corrupt("node reached twice"));
+            }
+            stack.extend_from_slice(&nodes[id.index()].children);
         }
 
         let tree = RTree {
@@ -327,91 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip() {
-        let (s, t) = sample();
-        let bytes = snapshot_to_bytes(&s, &t);
-        let (s2, t2) = snapshot_from_bytes(&bytes).unwrap();
-        assert_eq!(s, s2);
-        assert_eq!(t2.len(), t.len());
-        t2.validate(&s2).unwrap();
-        let range = Rect::new(&[2.0, 3.0], &[9.0, 11.0]);
-        let mut a = t.range_query(&s, &range);
-        let mut b = t2.range_query(&s2, &range);
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn snapshot_corruption_rejected() {
-        let (s, t) = sample();
-        let bytes = snapshot_to_bytes(&s, &t);
-        // Every single-byte flip in the body trips the checksum.
-        for pos in [8, 20, bytes.len() / 2, bytes.len() - 9] {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x40;
-            assert_eq!(
-                snapshot_from_bytes(&bad).unwrap_err(),
-                DecodeError::Corrupt("snapshot checksum mismatch"),
-                "flip at {pos}"
-            );
-        }
-        // A flipped checksum itself also fails.
-        let mut bad = bytes.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x01;
-        assert_eq!(
-            snapshot_from_bytes(&bad).unwrap_err(),
-            DecodeError::Corrupt("snapshot checksum mismatch")
-        );
-        // Truncation and foreign files are rejected up front.
-        assert_eq!(
-            snapshot_from_bytes(&bytes[..10]).unwrap_err(),
-            DecodeError::Truncated
-        );
-        assert_eq!(
-            snapshot_from_bytes(&s.to_bytes()).unwrap_err(),
-            DecodeError::BadMagic
-        );
-        // Truncating whole trailing chunks (checksum recomputed) still
-        // fails in the structured decode, not with a panic.
-        let cut = &bytes[..bytes.len() - 50];
-        let mut refit = cut.to_vec();
-        let sum = {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for &b in &refit[..] {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        };
-        refit.extend_from_slice(&sum.to_le_bytes());
-        assert!(snapshot_from_bytes(&refit).is_err());
-    }
-
-    #[test]
-    fn snapshot_version_checked() {
-        let (s, t) = sample();
-        let mut bytes = snapshot_to_bytes(&s, &t);
-        bytes[8..12].copy_from_slice(&9u32.to_le_bytes());
-        // Checksum covers the version, so recompute it for the edit.
-        let body_end = bytes.len() - 8;
-        let sum = {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for &b in &bytes[..body_end] {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        };
-        bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            snapshot_from_bytes(&bytes).unwrap_err(),
-            DecodeError::BadVersion(9)
-        );
-    }
-
-    #[test]
     fn insertion_tree_roundtrip() {
         let mut s = PointStore::new(2);
         let mut t = RTree::new(2, RTreeParams::with_max_entries(4));
@@ -424,38 +291,81 @@ mod tests {
         assert_eq!(back.len(), 100);
     }
 
+    /// A tree image over a 2-d store holding one point at the origin:
+    /// fanout `max_entries` (minimum 2), root 0, then `nodes` as
+    /// `(level, children)`, each with the origin as its MBR and each
+    /// leaf holding the point.
+    fn image(max_entries: u64, num_nodes: u64, nodes: &[(u32, &[u32])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        for v in [2, max_entries, 2] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&0u32.to_le_bytes());
+        out.extend_from_slice(&1u64.to_le_bytes());
+        out.extend_from_slice(&num_nodes.to_le_bytes());
+        for &(level, children) in nodes {
+            out.extend_from_slice(&level.to_le_bytes());
+            out.push(1);
+            out.extend_from_slice(&[0; 32]);
+            out.extend_from_slice(&(children.len() as u64).to_le_bytes());
+            for c in children {
+                out.extend_from_slice(&c.to_le_bytes());
+            }
+            let points: &[u32] = if level == 0 { &[0] } else { &[] };
+            out.extend_from_slice(&(points.len() as u64).to_le_bytes());
+            for p in points {
+                out.extend_from_slice(&p.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    /// `n` nodes above a leaf, node `i` at level `n - i` listing node
+    /// `i + 1` `fanout` times.
+    fn chain(n: u32, fanout: usize) -> Vec<u8> {
+        let kids: Vec<Vec<u32>> = (1..=n).map(|c| vec![c; fanout]).collect();
+        let mut nodes: Vec<(u32, &[u32])> =
+            (0..n).map(|i| (n - i, &kids[i as usize][..])).collect();
+        nodes.push((0, &[]));
+        image(8, u64::from(n) + 1, &nodes)
+    }
+
     #[test]
-    fn write_atomic_replaces_and_survives_torn_staging() {
-        let dir = std::env::temp_dir().join(format!("skyup-atomic-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let target = dir.join("snapshot.bin");
-
-        let (s, t) = sample();
-        let old = snapshot_to_bytes(&s, &t);
-        write_atomic(&target, &old).unwrap();
-        assert!(snapshot_from_bytes(&std::fs::read(&target).unwrap()).is_ok());
-
-        // Simulate a writer killed mid-write: a later save got as far as
-        // staging a partial temp file but never reached the rename. The
-        // old snapshot must still load, because write_atomic never
-        // touches the target until the staged copy is complete + synced.
-        let tmp = atomic_tmp_path(&target);
-        std::fs::write(&tmp, &old[..old.len() / 2]).unwrap();
-        let on_disk = std::fs::read(&target).unwrap();
-        assert_eq!(on_disk, old, "torn staging file must not affect the target");
-        assert!(snapshot_from_bytes(&on_disk).is_ok());
-
-        // A subsequent save succeeds despite the leftover debris and
-        // fully replaces the target.
-        let mut s2 = PointStore::new(2);
-        s2.push(&[1.0, 2.0]);
-        let t2 = RTree::bulk_load(&s2, RTreeParams::default());
-        let new = snapshot_to_bytes(&s2, &t2);
-        write_atomic(&target, &new).unwrap();
-        let (back_s, _) = snapshot_from_bytes(&std::fs::read(&target).unwrap()).unwrap();
-        assert_eq!(back_s.len(), 1);
-        assert!(!tmp.exists(), "staging file is consumed by the rename");
-
-        std::fs::remove_dir_all(&dir).ok();
+    fn hostile_counts_levels_and_links_are_errors_not_aborts() {
+        let s = PointStore::from_rows(2, [[0.0, 0.0]]);
+        // One node claiming 2^40 children under a 2^40 fanout: the count
+        // once sized an allocation (an abort).
+        let mut huge = image(1 << 40, 1, &[]);
+        huge.extend_from_slice(&0u32.to_le_bytes());
+        huge.push(0);
+        huge.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        huge.resize(438, 0);
+        // Far more nodes than bytes.
+        let mut many = image(8, 1 << 20, &[]);
+        many.resize(438, 0);
+        for (what, bytes, want) in [
+            ("huge child count", &huge, DecodeError::Truncated),
+            ("node count past the bytes", &many, DecodeError::Truncated),
+            // `validate` once recursed once per level: a stack overflow.
+            (
+                "100k levels",
+                &chain(100_000, 1),
+                DecodeError::Corrupt("node level out of range"),
+            ),
+            // `validate` once walked a shared child once per path: 2^40
+            // visits.
+            (
+                "shared children",
+                &chain(40, 2),
+                DecodeError::Corrupt("node reached twice"),
+            ),
+        ] {
+            assert_eq!(RTree::from_bytes(bytes, &s).unwrap_err(), want, "{what}");
+        }
+        // `max_entries + 1` once overflowed (a panic in debug); the
+        // one-leaf tree under that fanout is valid.
+        assert!(RTree::from_bytes(&image(u64::MAX, 1, &[(0, &[])]), &s).is_ok());
     }
 }

@@ -12,37 +12,24 @@ impl RTree {
     /// `range = ADR(t)` to fetch all of `t`'s potential dominators.
     pub fn range_query(&self, store: &PointStore, range: &Rect) -> Vec<PointId> {
         let mut out = Vec::new();
-        self.range_query_into(store, range, &mut out);
+        let unlimited = self.range_query_into_lim(
+            store,
+            range,
+            &mut out,
+            &mut NullRecorder,
+            &mut ExecGuard::unlimited(),
+        );
+        debug_assert!(unlimited.is_ok(), "unlimited guard cannot interrupt");
         out
     }
 
-    /// [`Self::range_query`] writing into a caller-provided buffer
-    /// (cleared first), so hot loops can reuse the allocation.
-    pub fn range_query_into(&self, store: &PointStore, range: &Rect, out: &mut Vec<PointId>) {
-        self.range_query_into_rec(store, range, out, &mut NullRecorder);
-    }
-
-    /// [`Self::range_query_into`] with instrumentation: counts every
-    /// node read (`RtreeNodeAccesses`) and every entry examined
-    /// (`RtreeEntryAccesses`) during the traversal.
-    pub fn range_query_into_rec<R: Recorder + ?Sized>(
-        &self,
-        store: &PointStore,
-        range: &Rect,
-        out: &mut Vec<PointId>,
-        rec: &mut R,
-    ) {
-        let unlimited =
-            self.range_query_into_lim(store, range, out, rec, &mut ExecGuard::unlimited());
-        debug_assert!(unlimited.is_ok(), "unlimited guard cannot interrupt");
-    }
-
-    /// [`Self::range_query_into_rec`] under an execution guard: every
-    /// node read is charged to `guard` *before* it happens, and the
+    /// [`Self::range_query`] into a caller-provided buffer (cleared
+    /// first), counting every node read (`RtreeNodeAccesses`) and every
+    /// entry examined (`RtreeEntryAccesses`), under an execution guard:
+    /// every node read is charged to `guard` *before* it happens, and the
     /// traversal stops with `Err` the moment the guard trips. `out`
     /// then holds the points collected so far — a valid subset of the
-    /// full answer. With [`ExecGuard::unlimited`] the traversal order
-    /// and result are identical to the unguarded query.
+    /// full answer.
     pub fn range_query_into_lim<R: Recorder + ?Sized>(
         &self,
         store: &PointStore,
@@ -82,51 +69,6 @@ impl RTree {
         }
         Ok(())
     }
-
-    /// Counts the points inside `range` without materializing them.
-    pub fn range_count(&self, store: &PointStore, range: &Rect) -> usize {
-        if self.is_empty() {
-            return 0;
-        }
-        let mut count = 0;
-        let mut stack: Vec<NodeId> = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = self.node(id);
-            if !node.mbr.intersects(range) {
-                continue;
-            }
-            if range.contains_rect(&node.mbr) {
-                count += self.subtree_point_count(id);
-            } else if node.is_leaf() {
-                count += node
-                    .points
-                    .iter()
-                    .filter(|&&p| range.contains_point(store.point(p)))
-                    .count();
-            } else {
-                stack.extend_from_slice(&node.children);
-            }
-        }
-        count
-    }
-
-    fn subtree_point_count(&self, id: NodeId) -> usize {
-        let node = self.node(id);
-        if node.is_leaf() {
-            node.points.len()
-        } else {
-            node.children
-                .iter()
-                .map(|&c| self.subtree_point_count(c))
-                .sum()
-        }
-    }
-
-    /// Whether the tree contains a point with exactly these coordinates.
-    pub fn contains_coords(&self, store: &PointStore, coords: &[f64]) -> bool {
-        let probe = Rect::point(coords);
-        !self.range_query(store, &probe).is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +100,6 @@ mod tests {
             .collect();
         expected.sort();
         assert_eq!(got, expected);
-        assert_eq!(t.range_count(&s, &range), expected.len());
     }
 
     #[test]
@@ -166,7 +107,6 @@ mod tests {
         let (s, t) = grid(9);
         let range = Rect::new(&[-1.0, -1.0], &[100.0, 100.0]);
         assert_eq!(t.range_query(&s, &range).len(), 81);
-        assert_eq!(t.range_count(&s, &range), 81);
     }
 
     #[test]
@@ -174,7 +114,6 @@ mod tests {
         let (s, t) = grid(5);
         let range = Rect::new(&[50.0, 50.0], &[60.0, 60.0]);
         assert!(t.range_query(&s, &range).is_empty());
-        assert_eq!(t.range_count(&s, &range), 0);
     }
 
     #[test]
@@ -183,14 +122,6 @@ mod tests {
         let t = RTree::bulk_load(&s, RTreeParams::default());
         let range = Rect::new(&[0.0, 0.0], &[1.0, 1.0]);
         assert!(t.range_query(&s, &range).is_empty());
-        assert_eq!(t.range_count(&s, &range), 0);
-    }
-
-    #[test]
-    fn contains_coords_exact() {
-        let (s, t) = grid(4);
-        assert!(t.contains_coords(&s, &[2.0, 3.0]));
-        assert!(!t.contains_coords(&s, &[2.0, 3.5]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The R-tree container: arena storage, parameters, and accessors.
 
 use crate::node::{EntryRef, Node, NodeId};
-use crate::{PointId, PointStore, Rect};
+use crate::{PointId, PointStore};
 
 /// Fanout parameters for an [`RTree`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,14 +150,6 @@ impl RTree {
         }
     }
 
-    /// The entry's MBR as an owned rectangle (degenerate for points).
-    pub fn entry_rect(&self, store: &PointStore, e: EntryRef) -> Rect {
-        match e {
-            EntryRef::Node(n) => self.node(n).mbr.clone(),
-            EntryRef::Point(p) => Rect::point(store.point(p)),
-        }
-    }
-
     /// Collects every point id reachable below `entry` into `out`,
     /// preserving encounter order. Used by the join algorithm when it
     /// resolves a leaf product against the subtrees left in its join
@@ -223,7 +215,5 @@ mod tests {
         let t = RTree::bulk_load(&store, RTreeParams::default());
         assert_eq!(t.entry_lo(&store, EntryRef::Point(p)), &[1.0, 2.0]);
         assert_eq!(t.entry_hi(&store, EntryRef::Point(p)), &[1.0, 2.0]);
-        let r = t.entry_rect(&store, EntryRef::Node(t.root_id()));
-        assert_eq!(r.lo(), &[1.0, 2.0]);
     }
 }

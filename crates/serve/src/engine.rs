@@ -38,8 +38,6 @@ use skyup_core::{SkyupError, UpgradeConfig};
 use skyup_geom::dominance::dominates;
 use skyup_geom::{ColumnarPoints, PointId, PointStore};
 use skyup_obs::{Counter, QueryMetrics, Recorder};
-use skyup_rtree::persist::{snapshot_from_bytes, snapshot_to_bytes};
-use skyup_rtree::{RTree, RTreeParams};
 use skyup_skyline::skyline_sfs;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex};
@@ -358,13 +356,14 @@ impl Engine {
         Ok(Self::from_id_parts(store, cid_of, next_cid, 0, cfg))
     }
 
-    /// Warm start: restores the competitor set from a combined snapshot
-    /// file written by [`Engine::save_snapshot_bytes`]. The file's
-    /// R-tree is validated against its rows, then dropped: the writer
-    /// keeps no index. Corruption is reported as
-    /// [`SkyupError::InvalidInput`], never a panic.
+    /// Warm start: restores the competitor set from a snapshot file
+    /// written by [`Engine::save_snapshot_bytes`], or from a SKUPSNAP
+    /// container as older builds wrote it (its tree is skipped). The
+    /// rows get ids `0..n` at epoch 0, as a cold start over them would.
+    /// Corruption is reported as [`SkyupError::InvalidInput`], never a
+    /// panic.
     pub fn from_snapshot_bytes(buf: &[u8], cfg: EngineConfig) -> Result<Engine, SkyupError> {
-        let (store, _tree) = snapshot_from_bytes(buf)
+        let store = wal::decode_snapshot(buf)
             .map_err(|e| SkyupError::InvalidInput(format!("snapshot file rejected: {e}")))?;
         Ok(Self::from_parts(store, cfg))
     }
@@ -570,15 +569,13 @@ impl Engine {
         Ok(())
     }
 
-    /// Serializes the *live* competitor set (tombstones dropped) into
-    /// the combined snapshot format, with the STR tree over it that the
-    /// CLI's offline paths read.
+    /// Serializes the *live* competitor set (tombstones dropped), its
+    /// ids and the epoch as a checkpoint image at seq 0: a snapshot
+    /// file belongs to no log. For a freshly seeded engine this is
+    /// byte for byte the initial checkpoint [`Engine::into_durable`]
+    /// writes.
     pub fn save_snapshot_bytes(&self) -> Vec<u8> {
-        let w = self.writer.lock().unwrap();
-        let store = PointStore::from_rows(w.store.dims(), w.live_rows().map(|(_, row)| row));
-        drop(w);
-        let tree = RTree::bulk_load(&store, RTreeParams::default());
-        snapshot_to_bytes(&store, &tree)
+        Self::checkpoint_bytes(&self.writer.lock().unwrap(), 0)
     }
 
     /// Current stats for the `stats` request.

@@ -33,8 +33,17 @@
 //!
 //!   Version 1, written while the writer kept an R-tree, carried
 //!   `snap_len u64 | SKUPSNAP container (store + tree)` in place of the
-//!   rows section. It still recovers: the decoder validates the tree
-//!   against the rows, then drops it.
+//!   rows section. It still recovers: the decoder reads the container's
+//!   rows and skips its tree.
+//!
+//! `--save-snapshot` writes the same image at seq 0 (a snapshot file
+//! belongs to no log), and `--warm-start` reads it, or a SKUPSNAP
+//! container as older builds wrote it:
+//!
+//!   ```text
+//!   magic "SKUPSNAP" | version u32 (1) | store_len u64 | store bytes
+//!   | tree_len u64 | tree bytes | fnv1a u64 (over everything before it)
+//!   ```
 //!
 //! Recovery loads the checkpoint and replays every record with a newer
 //! sequence number. A *torn tail* — an incomplete or checksum-failed
@@ -49,10 +58,9 @@
 use crate::engine::Mutation;
 use crate::CompetitorId;
 use skyup_core::SkyupError;
-use skyup_geom::persist::{self, Reader};
+use skyup_geom::persist::{self, fnv1a, write_atomic, Reader};
 use skyup_geom::PointStore;
 use skyup_obs::IoFaultPlan;
-use skyup_rtree::persist::{fnv1a, snapshot_from_bytes, write_atomic};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -75,6 +83,11 @@ const CKPT_V1: u32 = 1;
 /// Checkpoint bytes before the cid table: magic, version, seq, epoch,
 /// next_cid, ncids.
 const CKPT_HEADER: usize = 8 + 4 + 8 * 4;
+
+/// The store-and-tree container of older `--save-snapshot` files and
+/// version-1 checkpoints.
+const SNAP_MAGIC: &[u8; 8] = b"SKUPSNAP";
+const SNAP_VERSION: u32 = 1;
 
 /// When the engine forces the WAL file to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -181,6 +194,15 @@ impl WalError {
             WalError::Corrupt { offset, why } => SkyupError::InvalidInput(format!(
                 "{what}: mid-log corruption at byte {offset}: {why}"
             )),
+        }
+    }
+}
+
+impl std::fmt::Display for WalError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WalError::Io(e) => e.fmt(f),
+            WalError::Corrupt { why, .. } => f.write_str(why),
         }
     }
 }
@@ -415,11 +437,7 @@ pub(crate) fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint, WalError> {
         let snap = r.bytes(snap_len).map_err(truncated)?;
         r.finish()
             .map_err(|_| corrupt("trailing checkpoint bytes"))?;
-        // The tree is validated against the rows, then dropped: the
-        // writer keeps no index.
-        let (store, _tree) =
-            snapshot_from_bytes(snap).map_err(|_| corrupt("checkpoint snapshot rejected"))?;
-        store
+        decode_legacy_snapshot(snap).map_err(|_| corrupt("checkpoint snapshot rejected"))?
     } else {
         let rows = r.bytes(r.remaining()).map_err(truncated)?;
         PointStore::from_bytes(rows).map_err(|_| corrupt("checkpoint rows rejected"))?
@@ -440,6 +458,48 @@ pub(crate) fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint, WalError> {
         cid_of,
         store,
     })
+}
+
+/// Reads the rows of a SKUPSNAP container. Magic, version and the
+/// checksum are checked, and the checksum covers the tree section, but
+/// the tree itself is skipped: the writer keeps no index.
+fn decode_legacy_snapshot(buf: &[u8]) -> Result<PointStore, WalError> {
+    let corrupt = |why| WalError::Corrupt { offset: 0, why };
+    let truncated = |_| corrupt("snapshot truncated");
+    if buf.len() < 8 + 4 + 8 {
+        return Err(corrupt("snapshot truncated"));
+    }
+    let (body, sum_bytes) = buf.split_at(buf.len() - 8);
+    if &body[..8] != SNAP_MAGIC {
+        return Err(corrupt("snapshot magic mismatch"));
+    }
+    if fnv1a(body) != u64::from_le_bytes(sum_bytes.try_into().unwrap()) {
+        return Err(corrupt("snapshot checksum mismatch"));
+    }
+    let mut r = Reader::new(&body[8..]);
+    if r.u32().map_err(truncated)? != SNAP_VERSION {
+        return Err(corrupt("unsupported snapshot version"));
+    }
+    // Two `len u64 | bytes` sections: the store, then the tree.
+    let mut section = || {
+        let len = usize::try_from(r.u64()?).map_err(|_| persist::DecodeError::Truncated)?;
+        r.bytes(len)
+    };
+    let store = section().map_err(truncated)?;
+    let store = PointStore::from_bytes(store).map_err(|_| corrupt("snapshot rows rejected"))?;
+    section().map_err(truncated)?; // the tree, never read
+    r.finish().map_err(|_| corrupt("trailing snapshot bytes"))?;
+    Ok(store)
+}
+
+/// Decodes a `--warm-start` file to its rows: a checkpoint image, as
+/// `--save-snapshot` writes it, or a legacy SKUPSNAP container.
+pub(crate) fn decode_snapshot(buf: &[u8]) -> Result<PointStore, WalError> {
+    if buf.starts_with(SNAP_MAGIC) {
+        decode_legacy_snapshot(buf)
+    } else {
+        decode_checkpoint(buf).map(|ck| ck.store)
+    }
 }
 
 /// The open log: owned by the engine, locked after the writer lock.
@@ -575,6 +635,8 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtree::persist::snapshot_to_bytes;
+    use rtree::{RTree, RTreeParams};
 
     fn sample_records() -> Vec<(u64, u64, Mutation)> {
         vec![
@@ -683,8 +745,8 @@ mod tests {
         cid_of: &[CompetitorId],
         store: &PointStore,
     ) -> Vec<u8> {
-        let tree = skyup_rtree::RTree::bulk_load(store, skyup_rtree::RTreeParams::default());
-        let snap = skyup_rtree::persist::snapshot_to_bytes(store, &tree);
+        let tree = RTree::bulk_load(store, RTreeParams::default());
+        let snap = snapshot_to_bytes(store, &tree);
         let mut out = Vec::new();
         out.extend_from_slice(CKPT_MAGIC);
         out.extend_from_slice(&CKPT_V1.to_le_bytes());
@@ -774,6 +836,60 @@ mod tests {
                 bad[at] ^= 0x10;
                 assert!(decode_checkpoint(&bad).is_err(), "flip at {at}");
             }
+        }
+    }
+
+    /// A SKUPSNAP container laid out as `snapshot_to_bytes` writes one,
+    /// sealed with a valid checksum over whatever sections it is given.
+    fn skupsnap(version: u32, store: &[u8], tree: &[u8]) -> Vec<u8> {
+        let mut out = SNAP_MAGIC.to_vec();
+        out.extend_from_slice(&version.to_le_bytes());
+        for section in [store, tree] {
+            out.extend_from_slice(&(section.len() as u64).to_le_bytes());
+            out.extend_from_slice(section);
+        }
+        let sum = fnv1a(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn legacy_snapshots_load_their_rows_and_skip_the_tree() {
+        let (store, ..) = sample_rows();
+        let tree = RTree::bulk_load(&store, RTreeParams::default());
+        let legacy = snapshot_to_bytes(&store, &tree);
+        assert_eq!(skupsnap(1, &store.to_bytes(), &tree.to_bytes()), legacy);
+        assert_eq!(decode_snapshot(&legacy).unwrap(), store);
+        // Nothing reads the tree, so a garbage one under a valid checksum
+        // loads.
+        let garbage = skupsnap(1, &store.to_bytes(), b"not a tree");
+        assert_eq!(decode_snapshot(&garbage).unwrap(), store);
+        // A checkpoint image, as `--save-snapshot` writes, gives its rows.
+        assert_eq!(
+            decode_snapshot(&encode_live(0, 0, 17)).unwrap(),
+            PointStore::from_rows(2, [[0.1, 0.9], [0.9, 0.1], [0.5, 0.6]])
+        );
+
+        let mut bad_rows = store.to_bytes();
+        bad_rows[persist::HEADER_LEN..persist::HEADER_LEN + 8]
+            .copy_from_slice(&f64::NAN.to_le_bytes());
+        for (what, bad) in [
+            ("bad version", skupsnap(2, &store.to_bytes(), b"")),
+            ("corrupt store", skupsnap(1, &bad_rows, b"")),
+            (
+                "store section cut short",
+                skupsnap(1, &store.to_bytes()[..40], b""),
+            ),
+        ] {
+            assert!(decode_snapshot(&bad).is_err(), "{what}");
+        }
+        for cut in 0..legacy.len() {
+            assert!(decode_snapshot(&legacy[..cut]).is_err(), "cut at {cut}");
+        }
+        for at in 0..legacy.len() {
+            let mut bad = legacy.clone();
+            bad[at] ^= 0x10;
+            assert!(decode_snapshot(&bad).is_err(), "flip at {at}");
         }
     }
 

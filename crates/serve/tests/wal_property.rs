@@ -6,10 +6,11 @@
 //! instead abort recovery with an error, never a panic and never a
 //! silent drop of acknowledged history.
 
+use rtree::persist::snapshot_to_bytes;
+use rtree::{RTree, RTreeParams};
 use skyup_data::Rng;
+use skyup_geom::persist::fnv1a;
 use skyup_geom::PointStore;
-use skyup_rtree::persist::{fnv1a, snapshot_to_bytes};
-use skyup_rtree::{RTree, RTreeParams};
 use skyup_serve::{Engine, EngineConfig, FsyncPolicy, Mutation, WalConfig};
 use std::path::{Path, PathBuf};
 
@@ -64,7 +65,8 @@ fn workload() -> Vec<Mutation> {
 }
 
 /// Fingerprint of an engine's durable-relevant state: the published
-/// epoch plus the compacted snapshot image (store rows and tree).
+/// epoch plus the snapshot image — the live rows, their ids, the next
+/// id and the epoch, as a checkpoint at seq 0.
 fn fingerprint(engine: &Engine) -> (u64, Vec<u8>) {
     (engine.stats().epoch, engine.save_snapshot_bytes())
 }
@@ -183,8 +185,7 @@ fn as_v1(v2: &[u8]) -> Vec<u8> {
     v1
 }
 
-/// The fingerprint plus what it leaves out: the skyline's competitor
-/// ids and the id the next add is assigned.
+/// The fingerprint plus the skyline's competitor ids, as published.
 fn fingerprint_with_ids(engine: &Engine) -> ((u64, Vec<u8>), Vec<u64>) {
     let snap = engine.snapshot();
     let cids = snap.rows().map(|(cid, _)| cid).collect();

@@ -29,10 +29,11 @@
 # already runs every unit, integration (chaos, CLI contract, serve
 # smoke, serve property suites), and doc test in the workspace, so no
 # test binary is invoked twice in the same profile (the geom kernel
-# tests run once more in release, where the kernel is vectorized). The kernel and serve benches also run
-# at a tiny scale before the bench gate: their self-asserts
-# (bit-identity against an oracle) are machine-independent, so they
-# still run when the timing gate is skipped.
+# tests run once more in release, where the kernel is vectorized). The
+# kernel, probe-scheduler and serve benches also run at a tiny scale
+# before the bench gate: their self-asserts (bit-identity against an
+# oracle) are machine-independent, so they still run when the timing
+# gate is skipped.
 #
 # `ledger/` (the end-to-end benchmark) is its own cargo workspace, so
 # `cargo test --workspace` never compiles it. A dedicated step builds
@@ -54,6 +55,7 @@ TEST_TIMEOUT="${SKYUP_CI_TEST_TIMEOUT:-900}"
 
 # Scratch output of the bench smokes; removed on every exit path.
 KERNEL_BENCH_OUT="$(mktemp)"
+PROBE_BENCH_OUT="$(mktemp)"
 SERVE_BENCH_OUT="$(mktemp)"
 
 STEP_NAMES=()
@@ -94,7 +96,7 @@ print_timings() {
 }
 
 on_exit() {
-    rm -f "$KERNEL_BENCH_OUT" "$SERVE_BENCH_OUT"
+    rm -f "$KERNEL_BENCH_OUT" "$PROBE_BENCH_OUT" "$SERVE_BENCH_OUT"
     print_timings
 }
 trap on_exit EXIT
@@ -174,6 +176,16 @@ step "kernel bench smoke (tiny scale, self-asserting)" \
     env SKYUP_BENCH_OUT="$KERNEL_BENCH_OUT" SKYUP_SCALE=0.002 \
     timeout "${SKYUP_CI_KERNEL_TIMEOUT:-120}" \
     cargo run --offline --release -q -p skyup-bench --bin kernel_bench
+
+# The probe-scheduler bench at a tiny scale, under a hard cap, likewise
+# without a baseline comparison. Its self-assert: every scheduled run
+# (work stealing and bound-sorted, 1/2/4/8 threads) is bit-identical
+# to sequential improved probing. The report lands in a mktemp file
+# cleaned up by the EXIT trap.
+step "probe scheduler bench smoke (tiny scale, self-asserting)" \
+    env SKYUP_BENCH_OUT="$PROBE_BENCH_OUT" SKYUP_SCALE=0.002 \
+    timeout 120 \
+    cargo run --offline --release -q -p skyup-bench --bin probe_sched
 
 # The serving bench at a tiny scale, under a hard cap, likewise without
 # a baseline comparison. Its self-asserts: warm and 4-worker answers

@@ -22,8 +22,8 @@
 //! skyline.
 
 use skyup_data::read_delimited;
+use skyup_geom::persist::write_atomic;
 use skyup_obs::json::{parse, Json};
-use skyup_rtree::persist::write_atomic;
 use skyup_serve::proto::parse_cost;
 use skyup_serve::{
     bind_local, serve, wal, Client, Coordinator, CoordinatorDispatch, Engine, EngineConfig,
@@ -290,53 +290,48 @@ pub fn run_serve(args: &[String]) -> Result<(), String> {
             );
             engine
         }
-        _ => match (&competitors, &warm_start, &wal_cfg) {
-            (None, None, _) => {
-                return Err(format!(
-                    "serve needs --competitors <file> or --warm-start <snap>\n{SERVE_USAGE}"
-                ))
-            }
-            (Some(path), None, wc) => {
-                let store = load_points(path, delimiter, header)?;
-                let engine = match shard {
-                    // A shard seeds its slab of the partition under the
-                    // global ids the coordinator will assign from — row
-                    // index in the full file == competitor id.
-                    Some((id, n)) => {
-                        let partition = Partition::new(n).map_err(|e| e.to_string())?;
-                        let next_cid = store.len() as u64;
-                        let (slab, cid_of) = partition.shard_seed(&store, id);
-                        Engine::with_identified_competitors(
-                            slab,
-                            cid_of,
-                            next_cid,
-                            EngineConfig::default(),
-                        )
-                        .map_err(|e| e.to_string())?
-                    }
-                    None => Engine::with_competitors(store, EngineConfig::default()),
-                };
-                match wc {
-                    Some(wc) => engine.into_durable(wc.clone()).map_err(|e| e.to_string())?,
-                    None => engine,
+        _ => {
+            let engine = match (&competitors, &warm_start) {
+                (None, None) => {
+                    return Err(format!(
+                        "serve needs --competitors <file> or --warm-start <snap>\n{SERVE_USAGE}"
+                    ))
                 }
+                (Some(path), None) => {
+                    let store = load_points(path, delimiter, header)?;
+                    match shard {
+                        // A shard seeds its slab of the partition under
+                        // the global ids the coordinator will assign from
+                        // — row index in the full file == competitor id.
+                        Some((id, n)) => {
+                            let partition = Partition::new(n).map_err(|e| e.to_string())?;
+                            let next_cid = store.len() as u64;
+                            let (slab, cid_of) = partition.shard_seed(&store, id);
+                            Engine::with_identified_competitors(
+                                slab,
+                                cid_of,
+                                next_cid,
+                                EngineConfig::default(),
+                            )
+                            .map_err(|e| e.to_string())?
+                        }
+                        None => Engine::with_competitors(store, EngineConfig::default()),
+                    }
+                }
+                (None, Some(path)) => {
+                    let bytes =
+                        std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+                    Engine::from_snapshot_bytes(&bytes, EngineConfig::default())
+                        .map_err(|e| format!("{}: {e}", path.display()))?
+                }
+                (Some(_), Some(_)) => unreachable!("checked above"),
+            };
+            // With --wal, the initial checkpoint is written before serving.
+            match &wal_cfg {
+                Some(wc) => engine.into_durable(wc.clone()).map_err(|e| e.to_string())?,
+                None => engine,
             }
-            (None, Some(path), None) => {
-                let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-                Engine::from_snapshot_bytes(&bytes, EngineConfig::default())
-                    .map_err(|e| e.to_string())?
-            }
-            (None, Some(path), Some(wc)) => {
-                // Durability over a warm start: seed from the snapshot's
-                // store; the initial checkpoint then owns id assignment.
-                let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-                let (store, _) = skyup_rtree::persist::snapshot_from_bytes(&bytes)
-                    .map_err(|e| format!("{}: snapshot file rejected: {e}", path.display()))?;
-                Engine::with_durability(store, EngineConfig::default(), wc.clone())
-                    .map_err(|e| e.to_string())?
-            }
-            (Some(_), Some(_), _) => unreachable!("checked above"),
-        },
+        }
     };
     if let Some(path) = &save_snapshot {
         write_atomic(path, &engine.save_snapshot_bytes())

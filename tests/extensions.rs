@@ -14,8 +14,10 @@ use skyup::data::synthetic::{
 };
 use skyup::geom::dominance::dominates;
 use skyup::geom::{PointId, PointStore};
+use skyup::obs::NullRecorder;
 use skyup::rtree::{RTree, RTreeParams};
 use skyup::skyline::{dominating_skyline, dominator_count, skyband, skyline_sfs};
+use skyup_serve::{Engine, EngineConfig, Mutation};
 
 fn cost2() -> SumCost {
     SumCost::reciprocal(2, 1e-2)
@@ -239,23 +241,41 @@ fn cli_module_reachable_from_facade() {
 
 #[test]
 fn deleted_competitors_reopen_the_market() {
-    // Remove the strongest competitors and watch upgrade costs drop.
+    // Remove the strongest competitor through the serving engine's
+    // delete path and watch the upgrade cost drop.
     let mut p = PointStore::new(2);
     for i in 0..50 {
         let v = 0.3 + 0.01 * i as f64;
         p.push(&[v, 0.8 - 0.01 * i as f64]);
     }
     let strong = p.push(&[0.05, 0.05]); // dominates everything below
-    let mut rp = RTree::bulk_load(&p, RTreeParams::with_max_entries(8));
     let t = PointStore::from_rows(2, vec![vec![0.9, 0.9]]);
     let cost = cost2();
     let cfg = UpgradeConfig::default();
+    let engine = Engine::with_competitors(p.clone(), EngineConfig::default());
+    let answer = |engine: &Engine| {
+        let snap = engine.snapshot();
+        snap.answer(t.point(PointId(0)), &cost, &cfg, &mut NullRecorder)
+            .cost
+    };
 
-    let before = improved_probing_topk(&p, &rp, &t, 1, &cost, &cfg)[0].cost;
-    assert!(rp.remove(&p, strong));
-    let after = improved_probing_topk(&p, &rp, &t, 1, &cost, &cfg)[0].cost;
+    let before = answer(&engine);
+    // Competitor ids are assigned in store order.
+    let out = engine.apply(Mutation::RemoveCompetitor(strong.0 as u64));
+    assert!(out.unwrap().removed);
+    let after = answer(&engine);
     assert!(
         after < before,
         "removing the dominant competitor must cheapen upgrades ({before} -> {after})"
     );
+    // Both answers are the paper's, over the set before and after.
+    let survivors =
+        PointStore::from_rows(2, p.iter().filter(|&(id, _)| id != strong).map(|(_, c)| c));
+    for (store, want) in [(&p, before), (&survivors, after)] {
+        let rp = RTree::bulk_load(store, RTreeParams::with_max_entries(8));
+        assert_eq!(
+            improved_probing_topk(store, &rp, &t, 1, &cost, &cfg)[0].cost,
+            want
+        );
+    }
 }

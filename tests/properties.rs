@@ -117,38 +117,6 @@ fn skyband_properties() {
     });
 }
 
-/// Deleting a random subset leaves a structurally valid tree over
-/// exactly the surviving points; queries match scans.
-#[test]
-fn rtree_delete_consistency() {
-    for_each_case(4, |rng| {
-        let store = store_of(&points(rng, 60));
-        let mut tree = RTree::bulk_load(&store, RTreeParams::with_max_entries(4));
-        let mut alive: std::collections::BTreeSet<u32> = (0..store.len() as u32).collect();
-        let victims = rng.range_usize(30);
-        for _ in 0..victims {
-            let id = PointId(rng.range_usize(store.len()) as u32);
-            let was_alive = alive.remove(&id.0);
-            assert_eq!(tree.remove(&store, id), was_alive);
-        }
-        assert_eq!(tree.len(), alive.len());
-        let mut pts: Vec<u32> = tree.iter_points().iter().map(|p| p.0).collect();
-        pts.sort_unstable();
-        assert_eq!(pts, alive.iter().copied().collect::<Vec<_>>());
-        // Range query still matches a scan over survivors.
-        let range = Rect::new(&[0.2; DIMS], &[0.7; DIMS]);
-        let mut got = tree.range_query(&store, &range);
-        got.sort();
-        let mut want: Vec<PointId> = alive
-            .iter()
-            .map(|&raw| PointId(raw))
-            .filter(|&p| range.contains_point(store.point(p)))
-            .collect();
-        want.sort();
-        assert_eq!(got, want);
-    });
-}
-
 /// Store and tree persistence round-trips bit-exactly.
 #[test]
 fn persistence_roundtrip() {

@@ -7,7 +7,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 fn bin() -> Command {
@@ -33,11 +33,15 @@ fn fixture(tag: &str) -> PathBuf {
 }
 
 /// Starts a server child and returns it with the address it printed.
-fn spawn_server(comp: &PathBuf, extra: &[&str]) -> (Child, String) {
+fn spawn_server(comp: &Path, extra: &[&str]) -> (Child, String) {
+    spawn_serve(&["--competitors", comp.to_str().unwrap()], extra)
+}
+
+/// Starts `skyup serve` with `seed` then `extra` as its arguments.
+fn spawn_serve(seed: &[&str], extra: &[&str]) -> (Child, String) {
     let mut child = bin()
         .arg("serve")
-        .arg("--competitors")
-        .arg(comp)
+        .args(seed)
         .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -699,4 +703,76 @@ fn bad_arguments_exit_one() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("snapshot"), "{stderr}");
+}
+
+/// The client's stdout for one request line's flags against `addr`.
+fn client(addr: &str, flags: &[&str]) -> String {
+    let out = bin()
+        .args(["query", "--connect", addr])
+        .args(flags)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{flags:?}: {out:?}");
+    String::from_utf8_lossy(&out.stdout).trim_end().to_string()
+}
+
+/// What a server answers to a fixed query, a remove, an add and the
+/// query again, then shuts down.
+fn scripted_replies(mut child: Child, addr: &str) -> Vec<String> {
+    let query = ["-t", "0.95,0.95", "-t", "0.5,0.99", "-k", "2"];
+    let lines = vec![
+        client(addr, &query),
+        client(addr, &["--remove", "7"]),
+        client(addr, &["--add", "0.3,0.3"]),
+        client(addr, &query),
+    ];
+    client(addr, &["--shutdown"]);
+    assert_eq!(child.wait().unwrap().code(), Some(0));
+    lines
+}
+
+/// A SKUPSNAP file (store plus R-tree, the `--save-snapshot` format of
+/// older builds) still warm-starts a server, and that server answers
+/// (ids included) byte for byte like a cold one.
+#[test]
+fn legacy_snapshot_warm_start_matches_the_cold_server() {
+    use skyup::rtree::persist::snapshot_to_bytes;
+    use skyup::rtree::{RTree, RTreeParams};
+
+    let comp = fixture("legacy");
+    let store = skyup::data::read_delimited(&comp, ',', false, &[0, 1]).unwrap();
+    let tree = RTree::bulk_load(&store, RTreeParams::default());
+    let legacy = comp.with_file_name("legacy.snap");
+    std::fs::write(&legacy, snapshot_to_bytes(&store, &tree)).unwrap();
+
+    let (cold, addr) = spawn_server(&comp, &[]);
+    let want = scripted_replies(cold, &addr);
+    let (warm, addr) = spawn_serve(&["--warm-start", legacy.to_str().unwrap()], &[]);
+    assert_eq!(scripted_replies(warm, &addr), want);
+}
+
+/// `--save-snapshot` writes a checkpoint image at seq 0, so with `--wal`
+/// it is byte for byte the initial checkpoint.
+#[test]
+fn save_snapshot_is_the_initial_checkpoint_image() {
+    let comp = fixture("save-checkpoint");
+    let wal_dir = comp.with_file_name("wal");
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let snap = comp.with_file_name("saved.snap");
+    let (child, addr) = spawn_server(
+        &comp,
+        &[
+            "--wal",
+            wal_dir.to_str().unwrap(),
+            "--save-snapshot",
+            snap.to_str().unwrap(),
+        ],
+    );
+    let saved = std::fs::read(&snap).unwrap();
+    assert_eq!(&saved[..8], b"SKUPCKPT");
+    assert_eq!(
+        saved,
+        std::fs::read(wal_dir.join("checkpoint.snap")).unwrap()
+    );
+    scripted_replies(child, &addr);
 }
