@@ -24,8 +24,10 @@
 //!   scheduler noise on shared hardware.
 //!
 //! When the two reports timed different copies of the dominance kernel
-//! (`kernel_isa`, e.g. `avx2` against `portable`), the gate prints both
-//! as a note; the wall-clock checks still run unchanged.
+//! (`kernel_isa`, e.g. `avx2` against `portable`), or on hosts with a
+//! different `available_parallelism` (the join resolves products on
+//! that many threads), the gate prints both as a note; the wall-clock
+//! checks still run unchanged.
 //!
 //! The serve gate additionally audits the telemetry snapshots the bench
 //! emits ([`gate_serve_latency`]): trace count == requests served,
@@ -558,8 +560,8 @@ fn gate_serve_scatter(gate: &mut Gate, fresh: &Json, baseline: &Json) {
     });
 }
 
-/// Gate for `probe_sched` reports (`BENCH_probing.json`). Rows are
-/// keyed by `(strategy, threads)`.
+/// Gate for `probe_sched` reports (`BENCH_probing.json`). Probing rows
+/// are keyed by `(strategy, threads)`, join rows by `path`.
 fn gate_probing(gate: &mut Gate, fresh: &Json, baseline: &Json) {
     for (f, b) in [
         (fresh.get("schema"), baseline.get("schema")),
@@ -634,6 +636,59 @@ fn gate_probing(gate: &mut Gate, fresh: &Json, baseline: &Json) {
     gate.check(fresh_rows.len() == base_rows.len(), || {
         format!(
             "probing run count changed: fresh {} vs baseline {}",
+            fresh_rows.len(),
+            base_rows.len()
+        )
+    });
+    gate_probing_join(gate, fresh, baseline);
+}
+
+/// The join rows of a `probe_sched` report (`join_runs`), keyed by
+/// `path`. The join is deterministic however many threads resolve its
+/// products, so its work counts are pinned exactly on every host, and
+/// the fresh run must have matched the same join resolving one product
+/// at a time.
+fn gate_probing_join(gate: &mut Gate, fresh: &Json, baseline: &Json) {
+    let (Some(fresh_rows), Some(base_rows)) =
+        (rows(fresh, "join_runs"), rows(baseline, "join_runs"))
+    else {
+        gate.fail("join_runs array missing".into());
+        return;
+    };
+    let path = |row: &Json| {
+        row.get("path")
+            .and_then(|v| v.as_str())
+            .unwrap_or("?")
+            .to_string()
+    };
+    for brow in base_rows {
+        let what = format!("join row {}", path(brow));
+        let Some(frow) = fresh_rows.iter().find(|r| path(r) == path(brow)) else {
+            gate.fail(format!("{what}: missing from fresh report"));
+            continue;
+        };
+        gate.check(is_true(frow, "identical_to_one_at_a_time"), || {
+            format!("{what}: results or counters diverged from one-at-a-time resolution")
+        });
+        if let (Some(fc), Some(bc)) = (frow.get("counters"), brow.get("counters")) {
+            for key in [
+                "exact_upgrades",
+                "dominance_tests",
+                "rtree_node_accesses",
+                "heap_pushes",
+                "heap_pops",
+                "results_emitted",
+            ] {
+                gate.exact(&what, key, fc, bc);
+            }
+        } else {
+            gate.fail(format!("{what}: counters object missing"));
+        }
+        gate.wall(&what, "wall_us", frow, brow);
+    }
+    gate.check(fresh_rows.len() == base_rows.len(), || {
+        format!(
+            "join run count changed: fresh {} vs baseline {}",
             fresh_rows.len(),
             base_rows.len()
         )
@@ -761,18 +816,16 @@ fn gate_kernel(gate: &mut Gate, fresh: &Json, baseline: &Json) {
 }
 
 /// Prints both reports' `kernel_isa` (which compiled copy of the
-/// dominance kernel they timed) when they differ; a report without the
-/// field reads as unknown. A note only: it fails no check.
-fn note_kernel_isa(kind: &str, fresh: &Json, baseline: &Json) {
-    let isa = |doc: &Json| {
-        doc.get("kernel_isa")
-            .and_then(|v| v.as_str())
-            .unwrap_or("unknown")
-            .to_string()
-    };
-    let (f, b) = (isa(fresh), isa(baseline));
-    if f != b {
-        println!("bench_gate {kind}: note: kernel_isa differs: fresh {f} vs baseline {b}");
+/// dominance kernel they timed) and `available_parallelism` when they
+/// differ; a report without a field reads as unknown. A note only: it
+/// fails no check.
+fn note_host(kind: &str, fresh: &Json, baseline: &Json) {
+    for key in ["kernel_isa", "available_parallelism"] {
+        let field = |doc: &Json| doc.get(key).map_or("unknown".into(), render);
+        let (f, b) = (field(fresh), field(baseline));
+        if f != b {
+            println!("bench_gate {kind}: note: {key} differs: fresh {f} vs baseline {b}");
+        }
     }
 }
 
@@ -809,7 +862,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    note_kernel_isa(kind, &fresh, &baseline);
+    note_host(kind, &fresh, &baseline);
 
     if gate.failures.is_empty() {
         println!("bench_gate {kind}: OK ({fresh_path} vs {baseline_path})");

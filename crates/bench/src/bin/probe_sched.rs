@@ -1,5 +1,6 @@
 //! Probe-scheduler shoot-out: work stealing vs. bound-sorted work
-//! stealing at 1/2/4/8 threads, as JSON.
+//! stealing at 1/2/4/8 threads, plus the paper's join on the same
+//! instance, as JSON.
 //!
 //! The workload is a fig8-scale synthetic: anti-correlated `P` on the
 //! unit cube (many skyline points, so `getDominatingSky` has real work
@@ -8,6 +9,15 @@
 //! positive and the shared-threshold screen actually fires. Every
 //! scheduled run is checked bit-for-bit against the sequential
 //! `improved_probing_topk` oracle before its timing is trusted.
+//!
+//! The join row (`join_runs`, path `paper`) runs `JoinUpgrader::new`
+//! with CLB and the paper bound mode, as the ledger's `paper_topk` does.
+//! Its results and every counter but `guarded_node_visits` must equal
+//! the same join under a node budget of `u64::MAX`: armed limits
+//! resolve one product at a time, so this checks the look-ahead
+//! resolution against the sequential join on every run, smoke scale
+//! included. The header records `available_parallelism`, which decides
+//! how many threads the join resolves on.
 //!
 //! Wall-clock is the machine-dependent half of the output; the counter
 //! snapshot (`ProductsEvaluated`, `ThresholdPrunes`, `StealEvents`, …)
@@ -21,8 +31,8 @@ use skyup_bench::runner::build_trees;
 use skyup_bench::{fmt_duration, parse_args, time};
 use skyup_core::cost::{AttributeCost, LinearCost, SumCost};
 use skyup_core::{
-    improved_probing_topk, improved_probing_topk_scheduled_rec, ProbeStrategy, UpgradeConfig,
-    UpgradeResult,
+    improved_probing_topk, improved_probing_topk_scheduled_rec, BoundMode, ExecutionLimits,
+    JoinUpgrader, LowerBound, ProbeStrategy, UpgradeConfig, UpgradeResult,
 };
 use skyup_data::synthetic::{generate, Distribution, SyntheticConfig};
 use skyup_geom::kernel_isa;
@@ -91,7 +101,7 @@ fn main() {
             seed: args.seed ^ 0x5eed,
         },
     );
-    let (rp, _rt) = build_trees(&p, &t);
+    let (rp, rt) = build_trees(&p, &t);
     let cost = linear_cost(DIMS);
     let cfg = UpgradeConfig::default();
 
@@ -173,6 +183,51 @@ fn main() {
         }
     }
 
+    // The paper's join, as the ledger runs it, against the same join
+    // resolving one product at a time (armed limits, no budget hit).
+    let join = |limits: Option<&ExecutionLimits>| {
+        let mut join = JoinUpgrader::new(&p, &rp, &t, &rt, &cost, cfg, LowerBound::Conservative)
+            .with_bound_mode(BoundMode::Paper);
+        if let Some(limits) = limits {
+            join = join.with_limits(limits);
+        }
+        let results: Vec<UpgradeResult> = join.by_ref().take(K).collect();
+        (results, join.metrics().clone())
+    };
+    let unhit = ExecutionLimits::none().with_max_node_visits(u64::MAX);
+    let (joined, join_metrics) = join(None);
+    let (one_at_a_time, guarded_metrics) = join(Some(&unhit));
+    let join_identical = bit_identical(&joined, &one_at_a_time)
+        && Counter::ALL
+            .iter()
+            .filter(|&&c| c != Counter::GuardedNodeVisits)
+            .all(|&c| join_metrics.get(c) == guarded_metrics.get(c));
+    let join_wall = median_wall(|| {
+        std::hint::black_box(join(None));
+    });
+    let one_at_a_time_wall = median_wall(|| {
+        std::hint::black_box(join(Some(&unhit)));
+    });
+    println!(
+        "  paper join (CLB, paper bounds): {} (one product at a time: {})  exact_upgrades={}{}",
+        fmt_duration(join_wall),
+        fmt_duration(one_at_a_time_wall),
+        join_metrics.get(Counter::ExactUpgrades),
+        if join_identical { "" } else { "  MISMATCH" },
+    );
+    let join_runs = vec![Json::obj(vec![
+        ("path", Json::Str("paper".into())),
+        ("bound", Json::Str("conservative".into())),
+        ("bound_mode", Json::Str("paper".into())),
+        ("wall_us", Json::Num(join_wall.as_micros() as f64)),
+        (
+            "one_at_a_time_wall_us",
+            Json::Num(one_at_a_time_wall.as_micros() as f64),
+        ),
+        ("identical_to_one_at_a_time", Json::Bool(join_identical)),
+        ("counters", counters_json(&join_metrics)),
+    ])];
+
     // Acceptance: at 4 threads the bound-sorted prober must beat plain
     // work stealing on both wall-clock and products evaluated.
     let steal4 = at4.iter().find(|(n, ..)| *n == "work_stealing").unwrap();
@@ -205,9 +260,14 @@ fn main() {
             ]),
         ),
         ("kernel_isa", Json::Str(kernel_isa().into())),
+        (
+            "available_parallelism",
+            Json::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
+        ),
         ("samples_per_config", Json::Num(SAMPLES as f64)),
         ("sequential_wall_us", Json::Num(seq_wall.as_micros() as f64)),
         ("runs", Json::Arr(runs)),
+        ("join_runs", Json::Arr(join_runs)),
         (
             "acceptance",
             Json::obj(vec![
@@ -243,5 +303,9 @@ fn main() {
     assert!(
         all_identical,
         "scheduled probing diverged from the sequential oracle"
+    );
+    assert!(
+        join_identical,
+        "the join's look-ahead diverged from resolving one product at a time"
     );
 }

@@ -24,6 +24,17 @@
 //! join-list entry is already a point. No `R_P` expansion is possible,
 //! so the `R_T` node is expanded instead (the only sound progress step);
 //! a leaf product in the same situation is simply resolved.
+//!
+//! Resolving a product is independent of the rest of the heap, so the
+//! join resolves ahead: with the popped leaf product it lifts up to
+//! [`LOOKAHEAD`]` - 1` more unresolved leaf products off the heap top
+//! (stepping over resolved entries, stopping at the first `R_T` node
+//! entry), puts every lifted entry back untouched, and resolves the
+//! batch on the calling thread plus scoped helper threads. A look-ahead
+//! result waits until the join pops its product; only then are its
+//! metrics absorbed and its exact upgrade pushed. The pop sequence, the
+//! emissions and every counter are therefore those of resolving one
+//! product at a time (DESIGN.md §11).
 
 use super::bounds::{entry_bound, list_bound, BoundMode, LowerBound};
 use super::heap::JoinHeapEntry;
@@ -42,7 +53,127 @@ use skyup_obs::{
 use skyup_rtree::{EntryRef, RTree};
 use skyup_skyline::dominating_skyline_from_lim;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// L: the leaf products one resolution batch may hold — the popped one
+/// plus up to `L - 1` lifted off the heap top. Picked by measurement on
+/// the `paper_topk` shape (DESIGN.md §11): past 12 the join got no
+/// faster on two CPUs while it discarded more look-ahead work.
+pub(super) const LOOKAHEAD: usize = 12;
+
+/// Threads that resolve look-ahead products besides the caller:
+/// `available_parallelism() - 1`, read once per process.
+fn lookahead_helpers() -> usize {
+    static HELPERS: OnceLock<usize> = OnceLock::new();
+    *HELPERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()) - 1)
+}
+
+fn product_of(e: EntryRef) -> PointId {
+    match e {
+        EntryRef::Point(p) => p,
+        EntryRef::Node(_) => unreachable!("only leaf entries are products"),
+    }
+}
+
+/// What resolving a leaf product reads; shared by every thread of a
+/// batch.
+struct Resolver<'a, C: CostFunction + ?Sized> {
+    p_store: &'a PointStore,
+    p_tree: &'a RTree,
+    p_skyline: Option<&'a [PointId]>,
+    cost_fn: &'a C,
+    cfg: &'a UpgradeConfig,
+}
+
+/// One product's exact upgrade `(cost, t′)`, or the interrupt that cut
+/// it short, plus the work it took.
+struct Resolution {
+    metrics: QueryMetrics,
+    upgrade: Result<(f64, Vec<f64>), Interrupt>,
+}
+
+/// Lines 9-11 for leaf product `t` with join list `jl`: the skyline of
+/// its dominators (constrained BBS over the join-list subtrees, or a
+/// filter of the precomputed skyline), then Algorithm 1. The work is
+/// recorded into the resolution's own metrics, so it can run on any
+/// thread. On interruption the product's partial work is discarded
+/// whole — a truncated dominator skyline may miss dominators and is
+/// unsound for Algorithm 1.
+fn resolve_product<C: CostFunction + ?Sized>(
+    r: &Resolver<'_, C>,
+    t: &[f64],
+    jl: &[EntryRef],
+    guard: &mut ExecGuard,
+) -> Resolution {
+    let mut metrics = QueryMetrics::new();
+    let skyline = timed(&mut metrics, Phase::DominatingSky, |m| match r.p_skyline {
+        Some(sky) => {
+            guard.checkpoint()?;
+            Ok(dominators_from_skyline(r.p_store, sky, t, m))
+        }
+        None => dominating_skyline_from_lim(r.p_store, r.p_tree, jl, t, m, guard),
+    });
+    let upgrade = skyline.map(|skyline| {
+        debug_assert!(skyline.iter().all(|&s| dominates(r.p_store.point(s), t)));
+        timed(&mut metrics, Phase::Upgrade, |_| {
+            upgrade_single(r.p_store, &skyline, t, r.cost_fn, r.cfg)
+        })
+    });
+    Resolution { metrics, upgrade }
+}
+
+/// Resolves every `(t, jl)` of `batch` on the calling thread plus up to
+/// `helpers` scoped threads, each claiming the next unclaimed product
+/// from a shared index, and returns the resolutions in batch order. A
+/// batch of one, or no helpers, runs on the caller alone. A helper's
+/// panic resumes on the caller.
+fn resolve_batch<C: CostFunction + ?Sized>(
+    r: &Resolver<'_, C>,
+    batch: &[(&[f64], &[EntryRef])],
+    helpers: usize,
+    guard: &mut ExecGuard,
+) -> Vec<Resolution> {
+    // The claim index publishes no data: resolutions come back through
+    // `join`, which orders them after the helper's writes.
+    let next = AtomicUsize::new(0);
+    let work = |guard: &mut ExecGuard| {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(t, jl)) = batch.get(i) else {
+                return done;
+            };
+            done.push((i, resolve_product(r, t, jl, guard)));
+        }
+    };
+    let helpers = helpers.min(batch.len() - 1);
+    let mut done = if helpers == 0 {
+        work(guard)
+    } else {
+        let work = &work;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers)
+                .map(|_| {
+                    let mut g = guard.clone();
+                    s.spawn(move || work(&mut g))
+                })
+                .collect();
+            let mut done = work(guard);
+            for h in handles {
+                match h.join() {
+                    Ok(more) => done.extend(more),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            done
+        })
+    };
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, res)| res).collect()
+}
 
 /// Instrumentation counters exposed by [`JoinUpgrader::stats`].
 ///
@@ -82,9 +213,12 @@ impl JoinStats {
 
 /// The progressive join (Algorithm 4), exposed as an [`Iterator`] that
 /// yields upgrades in ascending cost order. Take `k` items for a top-k
-/// answer; the join does only the work needed for the results actually
-/// consumed, which is the progressiveness property Figures 5, 10, and 11
-/// measure.
+/// answer; the counted work (every [`Counter`]) is exactly what the
+/// results actually consumed need, which is the progressiveness
+/// property Figures 5, 10, and 11 measure. On more than one CPU the
+/// join resolves up to `L - 1` products ahead of the one it popped
+/// (module docs); a look-ahead resolution the consumer never reaches is
+/// discarded CPU work, never counted.
 pub struct JoinUpgrader<'a, C: CostFunction + ?Sized> {
     p_store: &'a PointStore,
     p_tree: &'a RTree,
@@ -102,6 +236,12 @@ pub struct JoinUpgrader<'a, C: CostFunction + ?Sized> {
     completion: Completion,
     finished: bool,
     guard_recorded: bool,
+    /// Products per resolution batch (L); 1 resolves one at a time.
+    lookahead: usize,
+    /// Threads besides the caller that resolve a batch.
+    helpers: usize,
+    /// Look-ahead resolutions waiting for the join to pop their product.
+    ahead: HashMap<PointId, Resolution>,
 }
 
 impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
@@ -128,6 +268,7 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
         assert_eq!(p_tree.len(), p_store.len(), "R_P does not index all of P");
         assert_eq!(t_tree.len(), t_store.len(), "R_T does not index all of T");
 
+        let helpers = lookahead_helpers();
         let mut join = Self {
             p_store,
             p_tree,
@@ -145,6 +286,9 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
             completion: Completion::Exact,
             finished: false,
             guard_recorded: false,
+            lookahead: if helpers == 0 { 1 } else { LOOKAHEAD },
+            helpers,
+            ahead: HashMap::new(),
         };
 
         // Line 2: enheap(⟨{R_P.root}, R_T.root, null, ∞⟩) — we compute
@@ -229,6 +373,10 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
     /// [`Completion::Partial`]. The results already emitted are an exact
     /// prefix of the unlimited run's emission sequence. Must be called
     /// before consuming any results.
+    ///
+    /// Armed limits (any budget, deadline, token or fault plan) resolve
+    /// one product at a time on the calling thread, so every charge to
+    /// the guard happens in the sequential order.
     pub fn with_limits(mut self, limits: &ExecutionLimits) -> Self {
         assert_eq!(
             self.metrics.get(Counter::ResultsEmitted),
@@ -236,7 +384,28 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
             "limits must be armed before iteration starts"
         );
         self.guard = limits.start();
+        if !self.guard.is_unlimited() {
+            self.lookahead = 1;
+            self.helpers = 0;
+        }
         self
+    }
+
+    /// Overrides the batch size L and the helper count, so that tests
+    /// can run both one product at a time and the look-ahead with
+    /// helpers on any host.
+    #[cfg(test)]
+    pub(crate) fn with_lookahead(mut self, lookahead: usize, helpers: usize) -> Self {
+        assert!(lookahead >= 1, "a batch holds at least the popped product");
+        self.lookahead = lookahead;
+        self.helpers = helpers;
+        self
+    }
+
+    /// Look-ahead resolutions waiting for their product to be popped.
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
+        self.ahead.len()
     }
 
     /// Whether the join ran to completion or was interrupted by a
@@ -407,34 +576,72 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
         }));
     }
 
-    /// Lines 9-11: compute the exact upgrade of leaf product `target`.
-    /// On interruption the product's partial work is discarded whole — a
-    /// truncated dominator skyline may miss dominators and is unsound
-    /// for Algorithm 1.
-    fn resolve_product(&mut self, target: EntryRef, jl: Vec<EntryRef>) -> Result<(), Interrupt> {
-        let tid = match target {
-            EntryRef::Point(p) => p,
-            EntryRef::Node(_) => unreachable!("resolve_product takes leaf entries"),
+    /// Lines 8-11: resolve leaf product `target` and push its exact
+    /// upgrade back. A look-ahead resolution of it is used if one is
+    /// waiting; otherwise it is resolved in a batch with the products
+    /// lifted behind it. Either way its metrics are absorbed only now,
+    /// when the sequential join would have done the work.
+    fn resolve_leaf(&mut self, target: EntryRef, jl: Vec<EntryRef>) -> Result<(), Interrupt> {
+        let tid = product_of(target);
+        let done = match self.ahead.remove(&tid) {
+            Some(done) => done,
+            None => self.resolve_with_lookahead(tid, &jl),
         };
-        let t = self.t_store.point(tid);
-        let (p_store, p_tree) = (self.p_store, self.p_tree);
-        let guard = &mut self.guard;
-        let pre = self.p_skyline;
-        let skyline = timed(&mut self.metrics, Phase::DominatingSky, |m| match pre {
-            Some(sky) => {
-                guard.checkpoint()?;
-                Ok(dominators_from_skyline(p_store, sky, t, m))
-            }
-            None => dominating_skyline_from_lim(p_store, p_tree, &jl, t, m, guard),
-        })?;
-        debug_assert!(skyline.iter().all(|&s| dominates(self.p_store.point(s), t)));
-        let (cost_fn, cfg) = (self.cost_fn, &self.cfg);
-        let (cost, upgraded) = timed(&mut self.metrics, Phase::Upgrade, |_| {
-            upgrade_single(p_store, &skyline, t, cost_fn, cfg)
-        });
+        self.metrics.absorb(&done.metrics);
+        let (cost, upgraded) = done.upgrade?;
         self.metrics.bump(Counter::ExactUpgrades);
         self.push(target, Vec::new(), Some((cost, upgraded)));
         Ok(())
+    }
+
+    /// Resolves `tid` together with up to `L - 1` unresolved leaf
+    /// products lifted off the heap top, and parks their resolutions in
+    /// `ahead`. The lift steps over resolved entries and products
+    /// already waiting, stops at the first `R_T` node entry, and puts
+    /// every lifted entry back unchanged — same key, same `seq`, no
+    /// counter and no guard charge — so the pop order is untouched.
+    fn resolve_with_lookahead(&mut self, tid: PointId, jl: &[EntryRef]) -> Resolution {
+        let mut lifted = Vec::new();
+        let mut picks = Vec::new();
+        while picks.len() + 1 < self.lookahead {
+            let Some(top) = self.heap.peek_mut() else {
+                break;
+            };
+            if !top.0.target.is_point() {
+                break;
+            }
+            let Reverse(e) = PeekMut::pop(top);
+            if e.resolved.is_none() && !self.ahead.contains_key(&product_of(e.target)) {
+                picks.push(lifted.len());
+            }
+            lifted.push(e);
+        }
+        let t_store = self.t_store;
+        let batch: Vec<(&[f64], &[EntryRef])> = std::iter::once((t_store.point(tid), jl))
+            .chain(picks.iter().map(|&i| {
+                let e: &JoinHeapEntry = &lifted[i];
+                (t_store.point(product_of(e.target)), &e.jl[..])
+            }))
+            .collect();
+        let r = Resolver {
+            p_store: self.p_store,
+            p_tree: self.p_tree,
+            p_skyline: self.p_skyline,
+            cost_fn: self.cost_fn,
+            cfg: &self.cfg,
+        };
+        let mut done = resolve_batch(&r, &batch, self.helpers, &mut self.guard).into_iter();
+        let first = done.next().expect("a batch resolves its popped product");
+        for (&i, res) in picks.iter().zip(done) {
+            // Only an unlimited guard lifts, so look-aheads never see an
+            // interrupt; one that did is simply resolved again when
+            // popped.
+            if res.upgrade.is_ok() {
+                self.ahead.insert(product_of(lifted[i].target), res);
+            }
+        }
+        self.heap.extend(lifted.into_iter().map(Reverse));
+        first
     }
 
     /// Lines 13-20 (Heuristic 1): expand the `R_T` node `target`.
@@ -586,10 +793,7 @@ impl<C: CostFunction + ?Sized> Iterator for JoinUpgrader<'_, C> {
             // Lines 5-7: a resolved product at the top of the heap is the
             // cheapest remaining upgrade.
             if let Some(upgraded) = resolved {
-                let tid = match target {
-                    EntryRef::Point(p) => p,
-                    EntryRef::Node(_) => unreachable!("only products resolve"),
-                };
+                let tid = product_of(target);
                 self.metrics.bump(Counter::ResultsEmitted);
                 return Some(UpgradeResult {
                     product: tid,
@@ -601,7 +805,7 @@ impl<C: CostFunction + ?Sized> Iterator for JoinUpgrader<'_, C> {
 
             let step = match target {
                 // Lines 8-11: leaf product with a pending join list.
-                EntryRef::Point(_) => self.resolve_product(target, jl),
+                EntryRef::Point(_) => self.resolve_leaf(target, jl),
                 EntryRef::Node(_) => {
                     self.metrics.enter(Phase::JoinExpansion);
                     let step = if cost.get() == 0.0 {

@@ -329,6 +329,217 @@ mod tests {
         assert!(stats.exact_upgrades >= 1);
     }
 
+    /// What a join run must produce however its products are resolved:
+    /// the emitted (product, cost bits, upgraded bits) and every counter.
+    #[derive(Debug, PartialEq)]
+    struct Run {
+        emitted: Vec<(u32, u64, Vec<u64>)>,
+        counters: Vec<(&'static str, u64)>,
+    }
+
+    /// Runs the join for `k` results with batch size `lookahead` and
+    /// `helpers` helper threads; also returns how many look-ahead
+    /// resolutions were left unconsumed.
+    #[allow(clippy::too_many_arguments)]
+    fn run_join<C: CostFunction + ?Sized>(
+        (p, rp): (&PointStore, &RTree),
+        (t, rt): (&PointStore, &RTree),
+        cost: &C,
+        bound: LowerBound,
+        mode: BoundMode,
+        sky: Option<&[skyup_geom::PointId]>,
+        k: usize,
+        (lookahead, helpers): (usize, usize),
+    ) -> (Run, usize) {
+        let mut join = JoinUpgrader::new(p, rp, t, rt, cost, UpgradeConfig::default(), bound)
+            .with_bound_mode(mode)
+            .with_lookahead(lookahead, helpers);
+        if let Some(sky) = sky {
+            join = join.with_skyline(sky);
+        }
+        let emitted = join
+            .by_ref()
+            .take(k)
+            .map(|r| {
+                let bits = r.upgraded.iter().map(|v| v.to_bits()).collect();
+                (r.product.0, r.cost.to_bits(), bits)
+            })
+            .collect();
+        let counters = skyup_obs::Counter::ALL
+            .iter()
+            .map(|&c| (c.name(), join.metrics().get(c)))
+            .collect();
+        (Run { emitted, counters }, join.parked())
+    }
+
+    #[test]
+    fn lookahead_matches_one_at_a_time_resolution() {
+        let mut configs = 0;
+        let mut parked = 0;
+        for (seed, dims) in [
+            (0xA1, 2),
+            (0xA2, 2),
+            (0xA3, 2),
+            (0xB1, 3),
+            (0xB2, 3),
+            (0xB3, 3),
+        ] {
+            let p = pseudo_random_store(300, dims, 0.0, 1.0, seed);
+            let rp = RTree::bulk_load(&p, RTreeParams::with_max_entries(8));
+            let all: Vec<_> = p.ids().collect();
+            let mut sky = skyup_skyline::skyline_sfs(&p, &all);
+            sky.sort_unstable();
+            // The paper's domain (every product dominated by most of P)
+            // and an interleaved one, under the ledger's linear cost.
+            for (lo, hi) in [(1.0, 2.0), (0.3, 1.3)] {
+                let t = pseudo_random_store(40, dims, lo, hi, seed ^ 0x5eed);
+                let rt = RTree::bulk_load(&t, RTreeParams::with_max_entries(8));
+                let cost = SumCost::new(
+                    (0..dims)
+                        .map(|_| {
+                            Box::new(crate::cost::LinearCost::new(2.0, 1.0))
+                                as Box<dyn crate::cost::AttributeCost>
+                        })
+                        .collect(),
+                );
+                for bound in LowerBound::ALL {
+                    for mode in [BoundMode::Paper, BoundMode::Admissible] {
+                        for seeded in [None, Some(&sky[..])] {
+                            for k in [1, 10, t.len()] {
+                                let run = |lanes| {
+                                    run_join(
+                                        (&p, &rp),
+                                        (&t, &rt),
+                                        &cost,
+                                        bound,
+                                        mode,
+                                        seeded,
+                                        k,
+                                        lanes,
+                                    )
+                                };
+                                let (one, _) = run((1, 0));
+                                let (ahead, left) = run((algorithm::LOOKAHEAD, 2));
+                                assert_eq!(
+                                    one,
+                                    ahead,
+                                    "seed {seed:#x} T in [{lo}, {hi}] {bound:?} {mode:?} \
+                                     skyline {} k {k}",
+                                    seeded.is_some()
+                                );
+                                parked += left;
+                                configs += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(configs, 432);
+        // Some run stopped with look-ahead work unconsumed, so the lift
+        // and the helpers really ran.
+        assert!(parked > 0, "no look-ahead resolution was ever parked");
+    }
+
+    /// A cost function whose `product_cost` (Algorithm 1's first call,
+    /// never a bound's) panics off the thread that built it. Its first
+    /// call on the builder's thread waits, bounded, for a helper's call
+    /// to arrive on `arrived`, so a helper surely takes part in the
+    /// first batch.
+    struct PanicsOffThread {
+        inner: SumCost,
+        owner: std::thread::ThreadId,
+        arrived: (
+            std::sync::mpsc::SyncSender<()>,
+            std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+        ),
+        waited: std::sync::Once,
+    }
+
+    impl CostFunction for PanicsOffThread {
+        fn dims(&self) -> usize {
+            self.inner.dims()
+        }
+        fn attr_cost(&self, dim: usize, v: f64) -> f64 {
+            self.inner.attr_cost(dim, v)
+        }
+        fn product_cost(&self, p: &[f64]) -> f64 {
+            if std::thread::current().id() != self.owner {
+                let _ = self.arrived.0.try_send(());
+                panic!("injected helper panic");
+            }
+            self.waited.call_once(|| {
+                let rx = self.arrived.1.lock().unwrap();
+                let _ = rx.recv_timeout(std::time::Duration::from_secs(10));
+            });
+            self.inner.product_cost(p)
+        }
+    }
+
+    #[test]
+    fn a_helper_panic_resumes_on_the_caller() {
+        let p = pseudo_random_store(300, 2, 0.0, 1.0, 0xC1);
+        let t = pseudo_random_store(40, 2, 1.0, 2.0, 0xC2);
+        let rp = RTree::bulk_load(&p, RTreeParams::with_max_entries(8));
+        let rt = RTree::bulk_load(&t, RTreeParams::with_max_entries(8));
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let cost = PanicsOffThread {
+            inner: SumCost::reciprocal(2, 1e-3),
+            owner: std::thread::current().id(),
+            arrived: (tx, std::sync::Mutex::new(rx)),
+            waited: std::sync::Once::new(),
+        };
+        let mut join = JoinUpgrader::new(
+            &p,
+            &rp,
+            &t,
+            &rt,
+            &cost,
+            UpgradeConfig::default(),
+            LowerBound::Conservative,
+        )
+        .with_lookahead(algorithm::LOOKAHEAD, 1);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| join.next()))
+            .expect_err("the helper's panic must reach the caller");
+        assert_eq!(
+            caught.downcast_ref::<&str>(),
+            Some(&"injected helper panic")
+        );
+    }
+
+    #[test]
+    fn armed_limits_resolve_one_product_at_a_time() {
+        let p = pseudo_random_store(300, 2, 0.0, 1.0, 0xD1);
+        let t = pseudo_random_store(40, 2, 1.0, 2.0, 0xD2);
+        let rp = RTree::bulk_load(&p, RTreeParams::with_max_entries(8));
+        let rt = RTree::bulk_load(&t, RTreeParams::with_max_entries(8));
+        let cost = SumCost::reciprocal(2, 1e-3);
+        // Look-ahead resolutions left parked after the first result.
+        let parked = |limits: &ExecutionLimits| {
+            let mut join = JoinUpgrader::new(
+                &p,
+                &rp,
+                &t,
+                &rt,
+                &cost,
+                UpgradeConfig::default(),
+                LowerBound::Conservative,
+            )
+            .with_lookahead(algorithm::LOOKAHEAD, 3)
+            .with_limits(limits);
+            assert!(join.next().is_some());
+            join.parked()
+        };
+        assert!(parked(&ExecutionLimits::none()) > 0);
+        for limits in [
+            ExecutionLimits::none().with_max_node_visits(u64::MAX),
+            ExecutionLimits::none().with_deadline(std::time::Duration::from_secs(60)),
+            ExecutionLimits::none().with_faults(skyup_obs::FaultPlan::new()),
+        ] {
+            assert_eq!(parked(&limits), 0, "{limits:?}");
+        }
+    }
+
     #[test]
     fn progressive_prefix_property() {
         // The first k results of a fresh join equal the first k of a

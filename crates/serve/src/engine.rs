@@ -357,15 +357,22 @@ impl Engine {
     }
 
     /// Warm start: restores the competitor set from a snapshot file
-    /// written by [`Engine::save_snapshot_bytes`], or from a SKUPSNAP
-    /// container as older builds wrote it (its tree is skipped). The
-    /// rows get ids `0..n` at epoch 0, as a cold start over them would.
-    /// Corruption is reported as [`SkyupError::InvalidInput`], never a
-    /// panic.
+    /// written by [`Engine::save_snapshot_bytes`] — rows, competitor
+    /// ids, next id and epoch, as `--wal` recovery restores a
+    /// checkpoint — or from a SKUPSNAP container as older builds wrote
+    /// it (its tree is skipped), whose rows get ids `0..n` at epoch 0,
+    /// as a cold start over them would. Corruption is reported as
+    /// [`SkyupError::InvalidInput`], never a panic.
     pub fn from_snapshot_bytes(buf: &[u8], cfg: EngineConfig) -> Result<Engine, SkyupError> {
-        let store = wal::decode_snapshot(buf)
+        let ck = wal::decode_snapshot(buf)
             .map_err(|e| SkyupError::InvalidInput(format!("snapshot file rejected: {e}")))?;
-        Ok(Self::from_parts(store, cfg))
+        Ok(Self::from_id_parts(
+            ck.store,
+            ck.cid_of,
+            ck.next_cid,
+            ck.epoch,
+            cfg,
+        ))
     }
 
     fn from_parts(store: PointStore, cfg: EngineConfig) -> Engine {

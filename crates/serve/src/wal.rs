@@ -184,7 +184,14 @@ pub(crate) struct WalRecord {
 #[derive(Debug)]
 pub(crate) enum WalError {
     Io(std::io::Error),
-    Corrupt { offset: usize, why: &'static str },
+    /// A log record at byte `offset` of the log failed to decode.
+    Corrupt {
+        offset: usize,
+        why: &'static str,
+    },
+    /// A checkpoint or snapshot image failed to decode; it is checked
+    /// whole, so there is no offset to report.
+    Rejected(&'static str),
 }
 
 impl WalError {
@@ -194,6 +201,7 @@ impl WalError {
             WalError::Corrupt { offset, why } => SkyupError::InvalidInput(format!(
                 "{what}: mid-log corruption at byte {offset}: {why}"
             )),
+            WalError::Rejected(why) => SkyupError::InvalidInput(format!("{what}: {why}")),
         }
     }
 }
@@ -202,7 +210,7 @@ impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WalError::Io(e) => e.fmt(f),
-            WalError::Corrupt { why, .. } => f.write_str(why),
+            WalError::Corrupt { why, .. } | WalError::Rejected(why) => f.write_str(why),
         }
     }
 }
@@ -402,7 +410,7 @@ where
 
 /// Decodes a version-2 or version-1 checkpoint image.
 pub(crate) fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint, WalError> {
-    let corrupt = |why| WalError::Corrupt { offset: 0, why };
+    let corrupt = WalError::Rejected;
     let truncated = |_| corrupt("checkpoint truncated");
     if buf.len() < 8 + 4 + 8 {
         return Err(corrupt("checkpoint truncated"));
@@ -464,7 +472,7 @@ pub(crate) fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint, WalError> {
 /// checksum are checked, and the checksum covers the tree section, but
 /// the tree itself is skipped: the writer keeps no index.
 fn decode_legacy_snapshot(buf: &[u8]) -> Result<PointStore, WalError> {
-    let corrupt = |why| WalError::Corrupt { offset: 0, why };
+    let corrupt = WalError::Rejected;
     let truncated = |_| corrupt("snapshot truncated");
     if buf.len() < 8 + 4 + 8 {
         return Err(corrupt("snapshot truncated"));
@@ -492,14 +500,23 @@ fn decode_legacy_snapshot(buf: &[u8]) -> Result<PointStore, WalError> {
     Ok(store)
 }
 
-/// Decodes a `--warm-start` file to its rows: a checkpoint image, as
-/// `--save-snapshot` writes it, or a legacy SKUPSNAP container.
-pub(crate) fn decode_snapshot(buf: &[u8]) -> Result<PointStore, WalError> {
-    if buf.starts_with(SNAP_MAGIC) {
-        decode_legacy_snapshot(buf)
-    } else {
-        decode_checkpoint(buf).map(|ck| ck.store)
+/// Decodes a `--warm-start` file: a checkpoint image, as
+/// `--save-snapshot` writes it, with its saved ids, `next_cid` and
+/// epoch; or a legacy SKUPSNAP container, which holds rows only and so
+/// reads as ids `0..n` at epoch 0, like a cold start over them.
+pub(crate) fn decode_snapshot(buf: &[u8]) -> Result<Checkpoint, WalError> {
+    if !buf.starts_with(SNAP_MAGIC) {
+        return decode_checkpoint(buf);
     }
+    let store = decode_legacy_snapshot(buf)?;
+    let n = store.len() as CompetitorId;
+    Ok(Checkpoint {
+        seq: 0,
+        epoch: 0,
+        next_cid: n,
+        cid_of: (0..n).collect(),
+        store,
+    })
 }
 
 /// The open log: owned by the engine, locked after the writer lock.
@@ -859,16 +876,25 @@ mod tests {
         let tree = RTree::bulk_load(&store, RTreeParams::default());
         let legacy = snapshot_to_bytes(&store, &tree);
         assert_eq!(skupsnap(1, &store.to_bytes(), &tree.to_bytes()), legacy);
-        assert_eq!(decode_snapshot(&legacy).unwrap(), store);
+        // Rows only: ids 0..n at epoch 0, as a cold start assigns them.
+        let ck = decode_snapshot(&legacy).unwrap();
+        assert_eq!(ck.store, store);
+        let n = store.len() as u64;
+        assert_eq!((ck.seq, ck.epoch, ck.next_cid), (0, 0, n));
+        assert_eq!(ck.cid_of, (0..n).collect::<Vec<_>>());
         // Nothing reads the tree, so a garbage one under a valid checksum
         // loads.
         let garbage = skupsnap(1, &store.to_bytes(), b"not a tree");
-        assert_eq!(decode_snapshot(&garbage).unwrap(), store);
-        // A checkpoint image, as `--save-snapshot` writes, gives its rows.
+        assert_eq!(decode_snapshot(&garbage).unwrap().store, store);
+        // A checkpoint image, as `--save-snapshot` writes, gives its rows
+        // with their saved ids, next id and epoch.
+        let ck = decode_snapshot(&encode_live(0, 5, 17)).unwrap();
         assert_eq!(
-            decode_snapshot(&encode_live(0, 0, 17)).unwrap(),
+            ck.store,
             PointStore::from_rows(2, [[0.1, 0.9], [0.9, 0.1], [0.5, 0.6]])
         );
+        assert_eq!((ck.epoch, ck.next_cid), (5, 17));
+        assert_eq!(ck.cid_of, vec![3, 11, 12]);
 
         let mut bad_rows = store.to_bytes();
         bad_rows[persist::HEADER_LEN..persist::HEADER_LEN + 8]
@@ -937,7 +963,7 @@ mod tests {
         ];
         for (what, bad) in cases {
             assert!(
-                matches!(decode_checkpoint(&bad), Err(WalError::Corrupt { .. })),
+                matches!(decode_checkpoint(&bad), Err(WalError::Rejected(_))),
                 "{what}"
             );
         }

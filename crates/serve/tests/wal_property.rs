@@ -167,6 +167,58 @@ fn mid_log_corruption_aborts_recovery_with_an_error() {
     assert!(Engine::recover(EngineConfig::default(), wal_cfg(&dir)).is_err());
 }
 
+/// Recovery errors say which file failed: a checkpoint is rejected
+/// whole, with what its decoder found, while corruption inside the log
+/// keeps the byte offset of the record it hit.
+#[test]
+fn recovery_errors_name_the_checkpoint_or_the_log_offset() {
+    let grow = temp_dir("errors-grow");
+    let engine = Engine::with_durability(base_store(), EngineConfig::default(), wal_cfg(&grow))
+        .expect("fresh durable engine");
+    for m in workload() {
+        engine.apply(m).expect("acked mutation");
+    }
+    engine.flush_wal().unwrap();
+    let log = std::fs::read(grow.join("wal.log")).unwrap();
+    let checkpoint = std::fs::read(grow.join("checkpoint.snap")).unwrap();
+    let dir = temp_dir("errors");
+    let recover_err = |ckpt: &[u8], log: &[u8]| {
+        std::fs::write(dir.join("checkpoint.snap"), ckpt).unwrap();
+        std::fs::write(dir.join("wal.log"), log).unwrap();
+        Engine::recover(EngineConfig::default(), wal_cfg(&dir))
+            .err()
+            .expect("recovery must refuse corrupt state")
+            .to_string()
+    };
+
+    let mut bad_ckpt = checkpoint.clone();
+    bad_ckpt[20] ^= 0x01; // the epoch field, under the checksum
+    assert_eq!(
+        recover_err(&bad_ckpt, &log),
+        "invalid input: checkpoint rejected: checkpoint checksum mismatch"
+    );
+
+    // Records are `len u32 | crc u32 | payload`; flip a payload byte of
+    // the middle one.
+    let mut starts = vec![0usize];
+    while let Some(&at) = starts.last().filter(|&&at| at < log.len()) {
+        let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+        starts.push(at + 8 + len);
+    }
+    assert_eq!(starts.pop(), Some(log.len()));
+    assert_eq!(starts.len(), MUTATIONS);
+    let mid = starts[MUTATIONS / 2];
+    let mut bad_log = log.clone();
+    bad_log[mid + 8 + 2] ^= 0x01;
+    assert_eq!(
+        recover_err(&checkpoint, &bad_log),
+        format!(
+            "invalid input: wal rejected: mid-log corruption at byte {mid}: \
+             record checksum mismatch"
+        )
+    );
+}
+
 /// Rewrites a version-2 checkpoint image as the version-1 image engines
 /// wrote while the writer kept an R-tree: the same header and ids, then
 /// a SKUPSNAP container holding the rows and an STR tree over them.

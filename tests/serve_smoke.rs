@@ -776,3 +776,42 @@ fn save_snapshot_is_the_initial_checkpoint_image() {
     );
     scripted_replies(child, &addr);
 }
+
+/// A warm start keeps the competitor ids the snapshot saved. A `--wal`
+/// server removes cid 0 of 3 and is restarted with `--save-snapshot`;
+/// a server warm-started from that file still knows cid 2, no longer
+/// knows cid 0, and gives the next add cid 3.
+#[test]
+fn warm_start_keeps_competitor_ids() {
+    let dir = std::env::temp_dir().join("skyup-serve-smoke-warm-ids");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let comp = dir.join("three.csv");
+    std::fs::write(&comp, "0.2,0.8\n0.5,0.5\n0.8,0.2\n").unwrap();
+    let wal = dir.join("wal");
+    let wal = wal.to_str().unwrap();
+    let snap = dir.join("saved.snap");
+
+    let stop = |mut child: Child, addr: &str| {
+        client(addr, &["--shutdown"]);
+        assert_eq!(child.wait().unwrap().code(), Some(0));
+    };
+    let (child, addr) = spawn_server(&comp, &["--wal", wal]);
+    let reply = client(&addr, &["--remove", "0"]);
+    assert!(reply.contains("\"removed\":true"), "{reply}");
+    stop(child, &addr);
+    let (child, addr) = spawn_server(
+        &comp,
+        &["--wal", wal, "--save-snapshot", snap.to_str().unwrap()],
+    );
+    stop(child, &addr);
+
+    let (child, addr) = spawn_serve(&["--warm-start", snap.to_str().unwrap()], &[]);
+    let reply = client(&addr, &["--remove", "2"]);
+    assert!(reply.contains("\"removed\":true"), "{reply}");
+    let reply = client(&addr, &["--remove", "0"]);
+    assert!(reply.contains("\"removed\":false"), "{reply}");
+    let reply = client(&addr, &["--add", "0.4,0.4"]);
+    assert_eq!(field_u64(&reply, "cid"), Some(3), "{reply}");
+    stop(child, &addr);
+}
