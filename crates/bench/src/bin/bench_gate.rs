@@ -26,8 +26,8 @@
 //! When the two reports timed different copies of the dominance kernel
 //! (`kernel_isa`, e.g. `avx2` against `portable`), or on hosts with a
 //! different `available_parallelism` (the join resolves products on
-//! that many threads), the gate prints both as a note; the wall-clock
-//! checks still run unchanged.
+//! that many threads; its row records the count too), the gate prints
+//! both as a note; the wall-clock checks still run unchanged.
 //!
 //! The serve gate additionally audits the telemetry snapshots the bench
 //! emits ([`gate_serve_latency`]): trace count == requests served,
@@ -684,6 +684,14 @@ fn gate_probing_join(gate: &mut Gate, fresh: &Json, baseline: &Json) {
         } else {
             gate.fail(format!("{what}: counters object missing"));
         }
+        // The row's wall time depends on how many threads resolved its
+        // products; a 1-CPU host resolves one at a time.
+        note_differs(
+            &format!("bench_gate probing: {what}"),
+            "available_parallelism",
+            frow,
+            brow,
+        );
         gate.wall(&what, "wall_us", frow, brow);
     }
     gate.check(fresh_rows.len() == base_rows.len(), || {
@@ -815,17 +823,22 @@ fn gate_kernel(gate: &mut Gate, fresh: &Json, baseline: &Json) {
     });
 }
 
-/// Prints both reports' `kernel_isa` (which compiled copy of the
-/// dominance kernel they timed) and `available_parallelism` when they
-/// differ; a report without a field reads as unknown. A note only: it
+/// Prints `key` of a fresh and a baseline report (or row) when they
+/// differ; one without the field reads as unknown. A note only: it
 /// fails no check.
+fn note_differs(what: &str, key: &str, fresh: &Json, baseline: &Json) {
+    let field = |doc: &Json| doc.get(key).map_or("unknown".into(), render);
+    let (f, b) = (field(fresh), field(baseline));
+    if f != b {
+        println!("{what}: note: {key} differs: fresh {f} vs baseline {b}");
+    }
+}
+
+/// Notes a differing `kernel_isa` (which compiled copy of the dominance
+/// kernel the reports timed) or `available_parallelism` in the headers.
 fn note_host(kind: &str, fresh: &Json, baseline: &Json) {
     for key in ["kernel_isa", "available_parallelism"] {
-        let field = |doc: &Json| doc.get(key).map_or("unknown".into(), render);
-        let (f, b) = (field(fresh), field(baseline));
-        if f != b {
-            println!("bench_gate {kind}: note: {key} differs: fresh {f} vs baseline {b}");
-        }
+        note_differs(&format!("bench_gate {kind}"), key, fresh, baseline);
     }
 }
 

@@ -16,8 +16,10 @@
 //! the same join under a node budget of `u64::MAX`: armed limits
 //! resolve one product at a time, so this checks the look-ahead
 //! resolution against the sequential join on every run, smoke scale
-//! included. The header records `available_parallelism`, which decides
-//! how many threads the join resolves on.
+//! included — on a host with more than one CPU; on one CPU both sides
+//! resolve one product at a time. The header and the join row record
+//! `available_parallelism`, which decides how many threads the join
+//! resolves on.
 //!
 //! Wall-clock is the machine-dependent half of the output; the counter
 //! snapshot (`ProductsEvaluated`, `ThresholdPrunes`, `StealEvents`, …)
@@ -215,10 +217,12 @@ fn main() {
         join_metrics.get(Counter::ExactUpgrades),
         if join_identical { "" } else { "  MISMATCH" },
     );
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let join_runs = vec![Json::obj(vec![
         ("path", Json::Str("paper".into())),
         ("bound", Json::Str("conservative".into())),
         ("bound_mode", Json::Str("paper".into())),
+        ("available_parallelism", Json::Num(parallelism as f64)),
         ("wall_us", Json::Num(join_wall.as_micros() as f64)),
         (
             "one_at_a_time_wall_us",
@@ -260,10 +264,7 @@ fn main() {
             ]),
         ),
         ("kernel_isa", Json::Str(kernel_isa().into())),
-        (
-            "available_parallelism",
-            Json::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
-        ),
+        ("available_parallelism", Json::Num(parallelism as f64)),
         ("samples_per_config", Json::Num(SAMPLES as f64)),
         ("sequential_wall_us", Json::Num(seq_wall.as_micros() as f64)),
         ("runs", Json::Arr(runs)),

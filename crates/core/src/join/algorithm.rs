@@ -62,7 +62,7 @@ use std::sync::OnceLock;
 /// plus up to `L - 1` lifted off the heap top. Picked by measurement on
 /// the `paper_topk` shape (DESIGN.md §11): past 12 the join got no
 /// faster on two CPUs while it discarded more look-ahead work.
-pub(super) const LOOKAHEAD: usize = 12;
+const LOOKAHEAD: usize = 12;
 
 /// Threads that resolve look-ahead products besides the caller:
 /// `available_parallelism() - 1`, read once per process.
@@ -128,8 +128,8 @@ fn resolve_product<C: CostFunction + ?Sized>(
 /// Resolves every `(t, jl)` of `batch` on the calling thread plus up to
 /// `helpers` scoped threads, each claiming the next unclaimed product
 /// from a shared index, and returns the resolutions in batch order. A
-/// batch of one, or no helpers, runs on the caller alone. A helper's
-/// panic resumes on the caller.
+/// batch of one, or no helpers, spawns nothing. A helper's panic
+/// resumes on the caller.
 fn resolve_batch<C: CostFunction + ?Sized>(
     r: &Resolver<'_, C>,
     batch: &[(&[f64], &[EntryRef])],
@@ -149,28 +149,23 @@ fn resolve_batch<C: CostFunction + ?Sized>(
             done.push((i, resolve_product(r, t, jl, guard)));
         }
     };
-    let helpers = helpers.min(batch.len() - 1);
-    let mut done = if helpers == 0 {
-        work(guard)
-    } else {
-        let work = &work;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..helpers)
-                .map(|_| {
-                    let mut g = guard.clone();
-                    s.spawn(move || work(&mut g))
-                })
-                .collect();
-            let mut done = work(guard);
-            for h in handles {
-                match h.join() {
-                    Ok(more) => done.extend(more),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
+    let work = &work;
+    let mut done = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..helpers.min(batch.len() - 1))
+            .map(|_| {
+                let mut g = guard.clone();
+                s.spawn(move || work(&mut g))
+            })
+            .collect();
+        let mut done = work(guard);
+        for h in handles {
+            match h.join() {
+                Ok(more) => done.extend(more),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
-            done
-        })
-    };
+        }
+        done
+    });
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, res)| res).collect()
 }
@@ -236,9 +231,8 @@ pub struct JoinUpgrader<'a, C: CostFunction + ?Sized> {
     completion: Completion,
     finished: bool,
     guard_recorded: bool,
-    /// Products per resolution batch (L); 1 resolves one at a time.
-    lookahead: usize,
-    /// Threads besides the caller that resolve a batch.
+    /// Threads besides the caller that resolve a batch; with none, a
+    /// batch holds only the popped product.
     helpers: usize,
     /// Look-ahead resolutions waiting for the join to pop their product.
     ahead: HashMap<PointId, Resolution>,
@@ -268,7 +262,6 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
         assert_eq!(p_tree.len(), p_store.len(), "R_P does not index all of P");
         assert_eq!(t_tree.len(), t_store.len(), "R_T does not index all of T");
 
-        let helpers = lookahead_helpers();
         let mut join = Self {
             p_store,
             p_tree,
@@ -286,8 +279,7 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
             completion: Completion::Exact,
             finished: false,
             guard_recorded: false,
-            lookahead: if helpers == 0 { 1 } else { LOOKAHEAD },
-            helpers,
+            helpers: lookahead_helpers(),
             ahead: HashMap::new(),
         };
 
@@ -385,19 +377,16 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
         );
         self.guard = limits.start();
         if !self.guard.is_unlimited() {
-            self.lookahead = 1;
             self.helpers = 0;
         }
         self
     }
 
-    /// Overrides the batch size L and the helper count, so that tests
-    /// can run both one product at a time and the look-ahead with
-    /// helpers on any host.
+    /// Overrides the helper count, so that tests can run both one
+    /// product at a time (`0`) and the look-ahead with helpers on any
+    /// host.
     #[cfg(test)]
-    pub(crate) fn with_lookahead(mut self, lookahead: usize, helpers: usize) -> Self {
-        assert!(lookahead >= 1, "a batch holds at least the popped product");
-        self.lookahead = lookahead;
+    pub(crate) fn with_helpers(mut self, helpers: usize) -> Self {
         self.helpers = helpers;
         self
     }
@@ -601,9 +590,10 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
     /// every lifted entry back unchanged — same key, same `seq`, no
     /// counter and no guard charge — so the pop order is untouched.
     fn resolve_with_lookahead(&mut self, tid: PointId, jl: &[EntryRef]) -> Resolution {
+        let lookahead = if self.helpers == 0 { 1 } else { LOOKAHEAD };
         let mut lifted = Vec::new();
         let mut picks = Vec::new();
-        while picks.len() + 1 < self.lookahead {
+        while picks.len() + 1 < lookahead {
             let Some(top) = self.heap.peek_mut() else {
                 break;
             };
@@ -633,12 +623,9 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
         let mut done = resolve_batch(&r, &batch, self.helpers, &mut self.guard).into_iter();
         let first = done.next().expect("a batch resolves its popped product");
         for (&i, res) in picks.iter().zip(done) {
-            // Only an unlimited guard lifts, so look-aheads never see an
-            // interrupt; one that did is simply resolved again when
-            // popped.
-            if res.upgrade.is_ok() {
-                self.ahead.insert(product_of(lifted[i].target), res);
-            }
+            // Only an unlimited guard lifts, and it never interrupts.
+            debug_assert!(res.upgrade.is_ok());
+            self.ahead.insert(product_of(lifted[i].target), res);
         }
         self.heap.extend(lifted.into_iter().map(Reverse));
         first

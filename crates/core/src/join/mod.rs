@@ -337,8 +337,8 @@ mod tests {
         counters: Vec<(&'static str, u64)>,
     }
 
-    /// Runs the join for `k` results with batch size `lookahead` and
-    /// `helpers` helper threads; also returns how many look-ahead
+    /// Runs the join for `k` results with `helpers` helper threads (`0`
+    /// resolves one product at a time); also returns how many look-ahead
     /// resolutions were left unconsumed.
     #[allow(clippy::too_many_arguments)]
     fn run_join<C: CostFunction + ?Sized>(
@@ -349,11 +349,11 @@ mod tests {
         mode: BoundMode,
         sky: Option<&[skyup_geom::PointId]>,
         k: usize,
-        (lookahead, helpers): (usize, usize),
+        helpers: usize,
     ) -> (Run, usize) {
         let mut join = JoinUpgrader::new(p, rp, t, rt, cost, UpgradeConfig::default(), bound)
             .with_bound_mode(mode)
-            .with_lookahead(lookahead, helpers);
+            .with_helpers(helpers);
         if let Some(sky) = sky {
             join = join.with_skyline(sky);
         }
@@ -406,7 +406,7 @@ mod tests {
                     for mode in [BoundMode::Paper, BoundMode::Admissible] {
                         for seeded in [None, Some(&sky[..])] {
                             for k in [1, 10, t.len()] {
-                                let run = |lanes| {
+                                let run = |helpers| {
                                     run_join(
                                         (&p, &rp),
                                         (&t, &rt),
@@ -415,11 +415,11 @@ mod tests {
                                         mode,
                                         seeded,
                                         k,
-                                        lanes,
+                                        helpers,
                                     )
                                 };
-                                let (one, _) = run((1, 0));
-                                let (ahead, left) = run((algorithm::LOOKAHEAD, 2));
+                                let (one, _) = run(0);
+                                let (ahead, left) = run(2);
                                 assert_eq!(
                                     one,
                                     ahead,
@@ -498,7 +498,7 @@ mod tests {
             UpgradeConfig::default(),
             LowerBound::Conservative,
         )
-        .with_lookahead(algorithm::LOOKAHEAD, 1);
+        .with_helpers(1);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| join.next()))
             .expect_err("the helper's panic must reach the caller");
         assert_eq!(
@@ -525,7 +525,7 @@ mod tests {
                 UpgradeConfig::default(),
                 LowerBound::Conservative,
             )
-            .with_lookahead(algorithm::LOOKAHEAD, 3)
+            .with_helpers(3)
             .with_limits(limits);
             assert!(join.next().is_some());
             join.parked()
