@@ -30,7 +30,8 @@
 //! [`LOOKAHEAD`]` - 1` more unresolved leaf products off the heap top
 //! (stepping over resolved entries, stopping at the first `R_T` node
 //! entry), puts every lifted entry back untouched, and resolves the
-//! batch on the calling thread plus scoped helper threads. A look-ahead
+//! batch on the calling thread plus scoped helper threads, each in a
+//! scratch the join owns for its whole lifetime. A look-ahead
 //! result waits until the join pops its product; only then are its
 //! metrics absorbed and its exact upgrade pushed. The pop sequence, the
 //! emissions and every counter are therefore those of resolving one
@@ -43,15 +44,15 @@ use crate::cost::diagnostics::verify_monotone_on;
 use crate::cost::CostFunction;
 use crate::error::{SkyupError, MONOTONE_SAMPLE_LIMIT};
 use crate::result::{AnytimeTopK, UpgradeResult};
-use crate::upgrade::{dominators_from_skyline, upgrade_single};
+use crate::upgrade::{dominators_from_skyline, upgrade_single_into, UpgradeScratch};
 use skyup_geom::dominance::dominates;
 use skyup_geom::{OrderedF64, PointId, PointStore};
 use skyup_obs::{
-    timed, Completion, Counter, ExecGuard, ExecutionLimits, Interrupt, Phase, QueryMetrics,
+    clocked, Completion, Counter, ExecGuard, ExecutionLimits, Interrupt, Phase, QueryMetrics,
     Recorder,
 };
 use skyup_rtree::{EntryRef, RTree};
-use skyup_skyline::dominating_skyline_from_lim;
+use skyup_skyline::{dominating_skyline_from_into, SkylineScratch};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
@@ -88,6 +89,25 @@ struct Resolver<'a, C: CostFunction + ?Sized> {
     cfg: &'a UpgradeConfig,
 }
 
+/// The buffers one resolving thread reuses from product to product:
+/// Algorithm 3's heap and dominator skyline, and Algorithm 1's sort
+/// orders and candidates. The join owns one per resolving thread for
+/// its whole lifetime, so a warm scratch resolves a product without
+/// allocating anything but the upgraded coordinates it returns.
+struct Scratch {
+    sky: SkylineScratch,
+    upg: UpgradeScratch,
+}
+
+impl Scratch {
+    fn new(dims: usize) -> Self {
+        Self {
+            sky: SkylineScratch::new(dims),
+            upg: UpgradeScratch::new(),
+        }
+    }
+}
+
 /// One product's exact upgrade `(cost, t′)`, or the interrupt that cut
 /// it short, plus the work it took.
 struct Resolution {
@@ -97,67 +117,81 @@ struct Resolution {
 
 /// Lines 9-11 for leaf product `t` with join list `jl`: the skyline of
 /// its dominators (constrained BBS over the join-list subtrees, or a
-/// filter of the precomputed skyline), then Algorithm 1. The work is
-/// recorded into the resolution's own metrics, so it can run on any
-/// thread. On interruption the product's partial work is discarded
-/// whole — a truncated dominator skyline may miss dominators and is
-/// unsound for Algorithm 1.
+/// filter of the precomputed skyline), then Algorithm 1, both in the
+/// calling thread's `scratch`. The work is recorded into the
+/// resolution's own metrics, so it can run on any thread. On
+/// interruption the product's partial work is discarded whole — a
+/// truncated dominator skyline may miss dominators and is unsound for
+/// Algorithm 1.
 fn resolve_product<C: CostFunction + ?Sized>(
     r: &Resolver<'_, C>,
     t: &[f64],
     jl: &[EntryRef],
     guard: &mut ExecGuard,
+    scratch: &mut Scratch,
 ) -> Resolution {
+    // Spans are timed with `clocked` and added whole: opening one on
+    // fresh metrics would allocate their span stack.
     let mut metrics = QueryMetrics::new();
-    let skyline = timed(&mut metrics, Phase::DominatingSky, |m| match r.p_skyline {
-        Some(sky) => {
-            guard.checkpoint()?;
-            Ok(dominators_from_skyline(r.p_store, sky, t, m))
-        }
-        None => dominating_skyline_from_lim(r.p_store, r.p_tree, jl, t, m, guard),
+    let Scratch { sky, upg } = scratch;
+    let (nanos, filtered) = clocked(|| match r.p_skyline {
+        Some(p_sky) => guard
+            .checkpoint()
+            .map(|()| Some(dominators_from_skyline(r.p_store, p_sky, t, &mut metrics))),
+        None => dominating_skyline_from_into(r.p_store, r.p_tree, jl, t, &mut metrics, guard, sky)
+            .map(|()| None),
     });
-    let upgrade = skyline.map(|skyline| {
+    metrics.add_phase(Phase::DominatingSky, nanos, 1);
+    let upgrade = filtered.map(|filtered| {
+        let skyline = filtered.as_deref().unwrap_or(sky.skyline());
         debug_assert!(skyline.iter().all(|&s| dominates(r.p_store.point(s), t)));
-        timed(&mut metrics, Phase::Upgrade, |_| {
-            upgrade_single(r.p_store, &skyline, t, r.cost_fn, r.cfg)
-        })
+        let (nanos, cost) =
+            clocked(|| upgrade_single_into(r.p_store, skyline, t, r.cost_fn, r.cfg, upg));
+        metrics.add_phase(Phase::Upgrade, nanos, 1);
+        (cost, upg.upgraded().to_vec())
     });
     Resolution { metrics, upgrade }
 }
 
 /// Resolves every `(t, jl)` of `batch` on the calling thread plus up to
-/// `helpers` scoped threads, each claiming the next unclaimed product
-/// from a shared index, and returns the resolutions in batch order. A
-/// batch of one, or no helpers, spawns nothing. A helper's panic
-/// resumes on the caller.
+/// `scratches.len() - 1` scoped helper threads, each claiming the next
+/// unclaimed product from a shared index, and returns the resolutions
+/// in batch order. Each thread works in its own scratch: the caller in
+/// the first, helper `i` in scratch `i + 1`. A helper's panic resumes
+/// on the caller.
 fn resolve_batch<C: CostFunction + ?Sized>(
     r: &Resolver<'_, C>,
     batch: &[(&[f64], &[EntryRef])],
-    helpers: usize,
+    scratches: &mut [Scratch],
     guard: &mut ExecGuard,
 ) -> Vec<Resolution> {
     // The claim index publishes no data: resolutions come back through
     // `join`, which orders them after the helper's writes.
     let next = AtomicUsize::new(0);
-    let work = |guard: &mut ExecGuard| {
+    let work = |guard: &mut ExecGuard, scratch: &mut Scratch| {
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(&(t, jl)) = batch.get(i) else {
                 return done;
             };
-            done.push((i, resolve_product(r, t, jl, guard)));
+            done.push((i, resolve_product(r, t, jl, guard, scratch)));
         }
     };
     let work = &work;
+    let (mine, helpers) = scratches
+        .split_first_mut()
+        .expect("the caller resolves in the first scratch");
     let mut done = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..helpers.min(batch.len() - 1))
-            .map(|_| {
+        let handles: Vec<_> = helpers
+            .iter_mut()
+            .take(batch.len() - 1)
+            .map(|scratch| {
                 let mut g = guard.clone();
-                s.spawn(move || work(&mut g))
+                s.spawn(move || work(&mut g, scratch))
             })
             .collect();
-        let mut done = work(guard);
+        let mut done = work(guard, mine);
         for h in handles {
             match h.join() {
                 Ok(more) => done.extend(more),
@@ -231,9 +265,10 @@ pub struct JoinUpgrader<'a, C: CostFunction + ?Sized> {
     completion: Completion,
     finished: bool,
     guard_recorded: bool,
-    /// Threads besides the caller that resolve a batch; with none, a
-    /// batch holds only the popped product.
-    helpers: usize,
+    /// One scratch per resolving thread: the caller's first, then one
+    /// per helper. With no helper, a batch holds only the popped
+    /// product.
+    scratches: Vec<Scratch>,
     /// Look-ahead resolutions waiting for the join to pop their product.
     ahead: HashMap<PointId, Resolution>,
 }
@@ -279,7 +314,9 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
             completion: Completion::Exact,
             finished: false,
             guard_recorded: false,
-            helpers: lookahead_helpers(),
+            scratches: (0..=lookahead_helpers())
+                .map(|_| Scratch::new(p_store.dims()))
+                .collect(),
             ahead: HashMap::new(),
         };
 
@@ -377,7 +414,7 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
         );
         self.guard = limits.start();
         if !self.guard.is_unlimited() {
-            self.helpers = 0;
+            self.scratches.truncate(1);
         }
         self
     }
@@ -387,7 +424,9 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
     /// host.
     #[cfg(test)]
     pub(crate) fn with_helpers(mut self, helpers: usize) -> Self {
-        self.helpers = helpers;
+        let dims = self.p_store.dims();
+        self.scratches
+            .resize_with(helpers + 1, || Scratch::new(dims));
         self
     }
 
@@ -517,11 +556,11 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
         &self.metrics
     }
 
-    fn t_lo(&self, e: EntryRef) -> &[f64] {
+    fn t_lo(&self, e: EntryRef) -> &'a [f64] {
         self.t_tree.entry_lo(self.t_store, e)
     }
 
-    fn t_hi(&self, e: EntryRef) -> &[f64] {
+    fn t_hi(&self, e: EntryRef) -> &'a [f64] {
         self.t_tree.entry_hi(self.t_store, e)
     }
 
@@ -590,7 +629,11 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
     /// every lifted entry back unchanged — same key, same `seq`, no
     /// counter and no guard charge — so the pop order is untouched.
     fn resolve_with_lookahead(&mut self, tid: PointId, jl: &[EntryRef]) -> Resolution {
-        let lookahead = if self.helpers == 0 { 1 } else { LOOKAHEAD };
+        let lookahead = if self.scratches.len() == 1 {
+            1
+        } else {
+            LOOKAHEAD
+        };
         let mut lifted = Vec::new();
         let mut picks = Vec::new();
         while picks.len() + 1 < lookahead {
@@ -606,13 +649,6 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
             }
             lifted.push(e);
         }
-        let t_store = self.t_store;
-        let batch: Vec<(&[f64], &[EntryRef])> = std::iter::once((t_store.point(tid), jl))
-            .chain(picks.iter().map(|&i| {
-                let e: &JoinHeapEntry = &lifted[i];
-                (t_store.point(product_of(e.target)), &e.jl[..])
-            }))
-            .collect();
         let r = Resolver {
             p_store: self.p_store,
             p_tree: self.p_tree,
@@ -620,7 +656,20 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
             cost_fn: self.cost_fn,
             cfg: &self.cfg,
         };
-        let mut done = resolve_batch(&r, &batch, self.helpers, &mut self.guard).into_iter();
+        let t_store = self.t_store;
+        if picks.is_empty() {
+            // Nothing to resolve ahead: no thread scope or batch to set up.
+            self.heap.extend(lifted.into_iter().map(Reverse));
+            let (guard, scratch) = (&mut self.guard, &mut self.scratches[0]);
+            return resolve_product(&r, t_store.point(tid), jl, guard, scratch);
+        }
+        let batch: Vec<(&[f64], &[EntryRef])> = std::iter::once((t_store.point(tid), jl))
+            .chain(picks.iter().map(|&i| {
+                let e: &JoinHeapEntry = &lifted[i];
+                (t_store.point(product_of(e.target)), &e.jl[..])
+            }))
+            .collect();
+        let mut done = resolve_batch(&r, &batch, &mut self.scratches, &mut self.guard).into_iter();
         let first = done.next().expect("a batch resolves its popped product");
         for (&i, res) in picks.iter().zip(done) {
             // Only an unlimited guard lifts, and it never interrupts.
@@ -639,13 +688,13 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
         };
         self.guard.visit_node()?;
         self.metrics.bump(Counter::TNodesExpanded);
-        let children: Vec<EntryRef> = self.t_tree.node(node).entries().collect();
-        for child in children {
-            let child_max = self.t_hi(child).to_vec();
+        let t_tree = self.t_tree;
+        for child in t_tree.node(node).entries() {
+            let child_max = self.t_hi(child);
             let child_jl: Vec<EntryRef> = jl
                 .iter()
                 .copied()
-                .filter(|&e| self.p_overlaps_adr(e, &child_max))
+                .filter(|&e| self.p_overlaps_adr(e, child_max))
                 .collect();
             self.push(child, child_jl, None);
         }
@@ -711,23 +760,23 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
         };
         self.guard.visit_node()?;
         self.metrics.bump(Counter::PNodesExpanded);
-        let t_max = self.t_hi(target).to_vec();
+        let t_max = self.t_hi(target);
 
         for child in self.p_tree.node(node).entries() {
             // Line 24: keep only children that can hold dominators.
-            if !self.p_overlaps_adr(child, &t_max) {
+            if !self.p_overlaps_adr(child, t_max) {
                 continue;
             }
             // Lines 25-31: mutual dominance between the child and the
             // current join list.
-            let child_lo = self.p_tree.entry_lo(self.p_store, child).to_vec();
-            let child_hi = self.p_tree.entry_hi(self.p_store, child).to_vec();
+            let child_lo = self.p_tree.entry_lo(self.p_store, child);
+            let child_hi = self.p_tree.entry_hi(self.p_store, child);
             let mut child_dominated = false;
             let mut i = 0;
             while i < jl.len() {
                 let other_lo = self.p_tree.entry_lo(self.p_store, jl[i]);
                 let other_hi = self.p_tree.entry_hi(self.p_store, jl[i]);
-                if dominates(other_hi, &child_lo) {
+                if dominates(other_hi, child_lo) {
                     // Every point of jl[i] dominates every point of the
                     // child: the child contributes no dominator-skyline
                     // point.
@@ -735,7 +784,7 @@ impl<'a, C: CostFunction + ?Sized> JoinUpgrader<'a, C> {
                     self.metrics.bump(Counter::JlEntriesPruned);
                     break;
                 }
-                if dominates(&child_hi, other_lo) {
+                if dominates(child_hi, other_lo) {
                     // Symmetric: jl[i] is wholesale dominated.
                     jl.swap_remove(i);
                     self.metrics.bump(Counter::JlEntriesPruned);

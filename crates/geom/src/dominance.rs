@@ -113,18 +113,29 @@ pub struct ColScan {
 }
 
 /// Evaluates the `le`/`lt` masks of one block in dims-major, branch-free
-/// form: for each dimension the whole lane column is compared against
-/// the target's coordinate with no branch inside the lane loop (the
-/// shape the compiler autovectorizes into packed compares + movemask),
-/// and the per-dimension masks are combined afterwards.
+/// form: for each dimension the block's [`DOM_BLOCK`]-lane column is
+/// compared against the target's coordinate with no branch inside the
+/// lane loop (the shape the compiler autovectorizes into packed compares
+/// + movemask), and the per-dimension masks are combined afterwards.
+///
+/// The lane loop always runs over all [`DOM_BLOCK`] lanes: a fixed trip
+/// count vectorizes better than a runtime one, and most scans end in a
+/// partial block. So `cols[d * stride + base ..][..DOM_BLOCK]` must lie
+/// inside `cols` for every dimension `d`, even for the last block.
+/// [`crate::ColumnarPoints`] guarantees this (its capacity, the stride, is
+/// a multiple of [`DOM_BLOCK`]); the raw column kernels copy a partial
+/// last block into a zero-padded stack column instead
+/// ([`raw_block_masks`]).
 ///
 /// `lanes` is the valid-lane mask (`u64::MAX` for a full block, the
-/// precomputed tail mask for the last partial block). Bit `j` of the
-/// returned `le` is set when point `base + j` is `<=` the target on
-/// every dimension evaluated; bit `j` of `lt` when it is `<` on some
-/// evaluated dimension. A block's remaining dimensions are abandoned as
-/// soon as `le` empties — an exit at dimension granularity, outside the
-/// lane loop, so it costs the vectorizer nothing. `le & lt` is the
+/// precomputed tail mask for the last partial block). Lanes outside it
+/// may hold anything — stale points of a cleared or shrunk buffer, or
+/// padding — and never reach the result. Bit `j` of the returned `le`
+/// is set when point `base + j` is `<=` the target on every dimension
+/// evaluated; bit `j` of `lt` when it is `<` on some evaluated
+/// dimension. A block's remaining dimensions are abandoned as soon as
+/// `le` empties — an exit at dimension granularity, outside the lane
+/// loop, so it costs the vectorizer nothing. `le & lt` is the
 /// dominator mask; the comparisons are the exact `f64` comparisons of
 /// the scalar [`dominates`] loop, so the verdict is bit-identical
 /// (coordinates are finite by the store contract, hence `x <= y` and
@@ -138,7 +149,6 @@ pub(crate) fn block_masks(
     cols: &[f64],
     stride: usize,
     base: usize,
-    width: usize,
     lanes: u64,
     target: &[f64],
 ) -> (u64, u64) {
@@ -147,9 +157,9 @@ pub(crate) fn block_masks(
         // SAFETY: `block_masks_avx2` requires only that the running CPU
         // supports AVX2, which `is_x86_feature_detected!("avx2")` has
         // just confirmed.
-        return unsafe { block_masks_avx2(cols, stride, base, width, lanes, target) };
+        return unsafe { block_masks_avx2(cols, stride, base, lanes, target) };
     }
-    block_masks_portable(cols, stride, base, width, lanes, target)
+    block_masks_portable(cols, stride, base, lanes, target)
 }
 
 /// Which compiled copy of the dominance kernel's lane loop runs on this
@@ -176,11 +186,10 @@ pub(crate) unsafe fn block_masks_avx2(
     cols: &[f64],
     stride: usize,
     base: usize,
-    width: usize,
     lanes: u64,
     target: &[f64],
 ) -> (u64, u64) {
-    block_masks_portable(cols, stride, base, width, lanes, target)
+    block_masks_portable(cols, stride, base, lanes, target)
 }
 
 /// The lane loop of [`block_masks`], compiled for the build's baseline
@@ -191,14 +200,16 @@ pub(crate) fn block_masks_portable(
     cols: &[f64],
     stride: usize,
     base: usize,
-    width: usize,
     lanes: u64,
     target: &[f64],
 ) -> (u64, u64) {
     let mut le = lanes;
     let mut lt = 0u64;
     for (d, &y) in target.iter().enumerate() {
-        let col = &cols[d * stride + base..d * stride + base + width];
+        let at = d * stride + base;
+        let col: &[f64; DOM_BLOCK] = cols[at..at + DOM_BLOCK]
+            .try_into()
+            .expect("a block column holds DOM_BLOCK lanes");
         let mut le_d = 0u64;
         let mut lt_d = 0u64;
         for (j, &x) in col.iter().enumerate() {
@@ -206,6 +217,39 @@ pub(crate) fn block_masks_portable(
             lt_d |= u64::from(x < y) << j;
         }
         le &= le_d;
+        lt |= lt_d;
+        if le == 0 {
+            break;
+        }
+    }
+    (le, lt)
+}
+
+/// [`block_masks`] for the block at `base` of a raw column buffer
+/// holding `len` points, whose stride may end inside its last block. A
+/// full block is read in place. A partial one has each dimension's
+/// valid lanes copied into a zero-padded stack column, which runs
+/// through the same dispatch and lane loop one dimension at a time.
+#[inline]
+fn raw_block_masks(
+    cols: &[f64],
+    stride: usize,
+    len: usize,
+    base: usize,
+    lanes: u64,
+    target: &[f64],
+) -> (u64, u64) {
+    let width = len - base;
+    if width >= DOM_BLOCK {
+        return block_masks(cols, stride, base, lanes, target);
+    }
+    let mut col = [0.0; DOM_BLOCK];
+    let mut le = lanes;
+    let mut lt = 0u64;
+    for (d, y) in target.iter().enumerate() {
+        col[..width].copy_from_slice(&cols[d * stride + base..][..width]);
+        let (le_d, lt_d) = block_masks(&col, DOM_BLOCK, 0, le, std::slice::from_ref(y));
+        le = le_d;
         lt |= lt_d;
         if le == 0 {
             break;
@@ -237,7 +281,9 @@ pub(crate) fn scan_geometry(len: usize) -> (usize, u64) {
 /// points, evaluating each block's `le`/`lt` masks dims-major and
 /// branch-free ([`block_masks`]); early exit happens only at block
 /// granularity, after the masks are combined — a block containing a
-/// dominator (`le & lt != 0`) ends the scan.
+/// dominator (`le & lt != 0`) ends the scan. Full blocks are read in
+/// place; a partial last block is copied into a zero-padded stack
+/// column first, since the buffer may end inside it.
 ///
 /// The verdict is bit-identical to the scalar
 /// `points.iter().any(|s| dominates(s, target))` loop: both reduce to
@@ -257,7 +303,7 @@ pub fn dominated_by_any_cols(cols: &[f64], stride: usize, len: usize, target: &[
         };
         scan.blocks += 1;
         scan.points += width as u64;
-        let (le, lt) = block_masks(cols, stride, base, width, lanes, target);
+        let (le, lt) = raw_block_masks(cols, stride, len, base, lanes, target);
         if le & lt != 0 {
             scan.dominated = true;
             return scan;
@@ -302,7 +348,7 @@ pub fn collect_dominators_cols(
         };
         scan.blocks += 1;
         scan.points += width as u64;
-        let (le, lt) = block_masks(cols, stride, base, width, lanes, target);
+        let (le, lt) = raw_block_masks(cols, stride, len, base, lanes, target);
         let mut dom = le & lt;
         if dom != 0 {
             scan.dominated = true;
@@ -328,16 +374,15 @@ pub(crate) mod tests {
         cols: &[f64],
         stride: usize,
         base: usize,
-        width: usize,
         lanes: u64,
         target: &[f64],
     ) -> Vec<(u64, u64)> {
-        let portable = block_masks_portable(cols, stride, base, width, lanes, target);
+        let portable = block_masks_portable(cols, stride, base, lanes, target);
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
             // SAFETY: `is_x86_feature_detected!("avx2")` just confirmed
             // the one requirement of `block_masks_avx2`.
-            let avx2 = unsafe { block_masks_avx2(cols, stride, base, width, lanes, target) };
+            let avx2 = unsafe { block_masks_avx2(cols, stride, base, lanes, target) };
             return vec![portable, avx2];
         }
         vec![portable]
@@ -345,8 +390,11 @@ pub(crate) mod tests {
 
     /// The dominator positions of a full blockwise scan of `len` points
     /// laid out dims-major with `stride`, run once per compiled copy of
-    /// the lane loop. Asserts that every copy yields the same masks on
-    /// every block, then returns the one position list.
+    /// the lane loop. The points are laid out again with a
+    /// block-aligned stride whose lanes past `len` hold `-∞`, so a
+    /// padding lane leaking past the lane mask would dominate every
+    /// target. Asserts that every copy yields the same masks on every
+    /// block, then returns the one position list.
     pub(crate) fn positions_per_copy(
         cols: &[f64],
         stride: usize,
@@ -354,25 +402,25 @@ pub(crate) mod tests {
         target: &[f64],
     ) -> Vec<u32> {
         let (blocks, tail_mask) = scan_geometry(len);
+        let padded = blocks * DOM_BLOCK;
+        let mut buf = vec![f64::NEG_INFINITY; target.len() * padded];
+        for d in 0..target.len() {
+            buf[d * padded..][..len].copy_from_slice(&cols[d * stride..][..len]);
+        }
         let mut out = Vec::new();
         for b in 0..blocks {
             let base = b * DOM_BLOCK;
-            let (width, lanes) = if b + 1 == blocks {
-                (len - base, tail_mask)
-            } else {
-                (DOM_BLOCK, u64::MAX)
-            };
-            let masks = masks_per_copy(cols, stride, base, width, lanes, target);
+            let lanes = if b + 1 == blocks { tail_mask } else { u64::MAX };
+            let masks = masks_per_copy(&buf, padded, base, lanes, target);
             assert!(
                 masks.iter().all(|&m| m == masks[0]),
                 "copies disagree on block {b}: {masks:?}"
             );
-            let dom = masks[0].0 & masks[0].1;
-            out.extend(
-                (0..width)
-                    .filter(|j| dom >> j & 1 == 1)
-                    .map(|j| (base + j) as u32),
-            );
+            let mut dom = masks[0].0 & masks[0].1;
+            while dom != 0 {
+                out.push((base + dom.trailing_zeros() as usize) as u32);
+                dom &= dom - 1;
+            }
         }
         out
     }
@@ -512,15 +560,16 @@ pub(crate) mod tests {
     /// compares, one block at a time: every width 1–64 (so every tail
     /// length, including those that are not a multiple of the 2- or
     /// 4-lane vector width), blocks at a nonzero offset inside a column
-    /// whose stride exceeds the block, duplicate lanes, signed zeros, and
-    /// targets equal to a stored lane.
+    /// whose stride exceeds the block, lanes past the width holding
+    /// stale grid points the lane mask must hide, duplicate lanes,
+    /// signed zeros, and targets equal to a stored lane.
     #[test]
     fn lane_loop_copies_match_scalar_masks() {
         let mut next = uniforms(0xb10c);
         for dims in 1..=5usize {
             for width in 1..=DOM_BLOCK {
                 let base = 5;
-                let stride = base + width + 3;
+                let stride = base + DOM_BLOCK + 3;
                 let cols: Vec<f64> = (0..dims * stride).map(|_| grid_coord(next())).collect();
                 let lanes = if width == DOM_BLOCK {
                     u64::MAX
@@ -540,7 +589,7 @@ pub(crate) mod tests {
                         le_want |= u64::from(dominates_or_equal(&p, &target)) << j;
                         dom_want |= u64::from(dominates(&p, &target)) << j;
                     }
-                    let masks = masks_per_copy(&cols, stride, base, width, lanes, &target);
+                    let masks = masks_per_copy(&cols, stride, base, lanes, &target);
                     for &(le, lt) in &masks {
                         assert_eq!(le, le_want, "dims={dims} width={width} t={target:?}");
                         assert_eq!(le & lt, dom_want, "dims={dims} width={width} t={target:?}");

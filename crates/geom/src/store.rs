@@ -219,6 +219,12 @@ impl PointStore {
 /// reusable scratch: [`ColumnarPoints::clear`] keeps the allocation, so
 /// a warm buffer makes repeated window maintenance allocation-free.
 ///
+/// The capacity `cap` is always a whole number of [`DOM_BLOCK`]-point
+/// blocks, so the scans read every block's lanes in place, the partial
+/// last block's too. The lanes past `len` keep whatever a cleared,
+/// shrunk or re-gathered buffer left there; each scan's lane mask
+/// hides them.
+///
 /// # Zone maps
 ///
 /// Alongside the coordinates, the buffer maintains a *zone map* per
@@ -434,7 +440,7 @@ impl ColumnarPoints {
             };
             scan.blocks += 1;
             scan.points += width as u64;
-            let (le, lt) = block_masks(&self.buf, self.cap, base, width, lanes, target);
+            let (le, lt) = block_masks(&self.buf, self.cap, base, lanes, target);
             if le & lt != 0 {
                 scan.dominated = true;
                 return scan;
@@ -467,7 +473,7 @@ impl ColumnarPoints {
             };
             scan.blocks += 1;
             scan.points += width as u64;
-            let (le, lt) = block_masks(&self.buf, self.cap, base, width, lanes, target);
+            let (le, lt) = block_masks(&self.buf, self.cap, base, lanes, target);
             let mut dom = le & lt;
             if dom != 0 {
                 scan.dominated = true;
@@ -488,6 +494,9 @@ impl ColumnarPoints {
 
     fn reserve_exact_cap(&mut self, new_cap: usize) {
         debug_assert!(new_cap >= self.len);
+        // The scans read every block's DOM_BLOCK lanes in place, the
+        // last block's included.
+        assert_eq!(new_cap % DOM_BLOCK, 0, "capacity must be whole blocks");
         let mut new_buf = vec![0.0; self.dims * new_cap];
         for d in 0..self.dims {
             let src = &self.buf[d * self.cap..d * self.cap + self.len];
@@ -733,5 +742,62 @@ mod tests {
         // probe a target each stored point relates to differently.
         assert!(cols.dominated_by_any(&[5.5, 200.5]).dominated);
         assert!(!cols.dominated_by_any(&[0.0, 0.0]).dominated);
+    }
+
+    /// The scans read whole blocks in place, so lanes past `len` hold
+    /// points of an earlier generation. Fill 128 points that dominate
+    /// the target, shrink the buffer to 3 that do not (by `clear` and
+    /// pushes, by `swap_remove`, and by `gather`), and every scan must
+    /// still see only the 3: no dominator, and the counts of a scalar
+    /// pass over them (one scanned block of 3 points, since their zone
+    /// map admits the target).
+    #[test]
+    fn stale_lanes_never_leak_into_a_block_read() {
+        use crate::dominance::{dominates, ColScan};
+        let target = [0.5, 0.5, 0.5];
+        let dominators: Vec<[f64; 3]> = (0..128)
+            .map(|i| [0.01 * (i % 7) as f64, 0.1, 0.02 * (i % 5) as f64])
+            .collect();
+        let others = [[0.1, 0.9, 0.9], [0.9, 0.1, 0.9], [0.9, 0.9, 0.1]];
+        assert!(dominators.iter().all(|p| dominates(p, &target)));
+        assert!(!others.iter().any(|p| dominates(p, &target)));
+        let oracle = ColScan {
+            dominated: false,
+            points: others.len() as u64,
+            blocks: 1,
+            skipped: 0,
+        };
+        let check = |cols: &ColumnarPoints, how: &str| {
+            assert_eq!(cols.len(), 3, "{how}");
+            assert_eq!(cols.dominated_by_any(&target), oracle, "{how}");
+            let mut out = Vec::new();
+            assert_eq!(cols.collect_dominators(&target, &mut out), oracle, "{how}");
+            assert!(out.is_empty(), "{how}: {out:?}");
+        };
+
+        let mut cols = ColumnarPoints::new(3);
+        for p in &dominators {
+            cols.push(p);
+        }
+        cols.clear();
+        for p in &others {
+            cols.push(p);
+        }
+        check(&cols, "clear then push");
+
+        let mut cols = ColumnarPoints::new(3);
+        for p in others.iter().chain(&dominators) {
+            cols.push(p);
+        }
+        while cols.len() > others.len() {
+            cols.swap_remove(cols.len() - 1);
+        }
+        check(&cols, "swap_remove");
+
+        let store = PointStore::from_rows(3, dominators.iter().chain(&others));
+        let mut cols = ColumnarPoints::new(3);
+        cols.gather(&store, &store.ids().take(128).collect::<Vec<_>>());
+        cols.gather(&store, &store.ids().skip(128).collect::<Vec<_>>());
+        check(&cols, "gather");
     }
 }

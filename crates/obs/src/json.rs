@@ -214,11 +214,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts (and
+/// `skyup`'s TOML reader too). Both parsers recurse once per level, so
+/// without a cap one short line of `[`s overflows the reading thread's
+/// stack; a request needs 3 levels.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a complete JSON document (surrounding whitespace allowed).
+/// Arrays and objects nested more than [`MAX_NESTING`] deep are an
+/// error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -232,6 +241,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -272,8 +283,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -281,6 +292,21 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -433,6 +459,24 @@ mod tests {
         ] {
             assert_eq!(parse(text).unwrap(), value, "{text}");
             assert_eq!(parse(&value.render()).unwrap(), value);
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth);
+        assert!(parse(&arrays(MAX_NESTING)).is_ok());
+        assert!(parse(&objects(MAX_NESTING)).is_ok());
+        for deep in [
+            arrays(MAX_NESTING + 1),
+            objects(MAX_NESTING + 1),
+            // Far past the depth whose recursion overflowed a thread
+            // stack before the cap.
+            arrays(100_000),
+        ] {
+            let err = parse(&deep).unwrap_err();
+            assert_eq!(err.msg, format!("nesting deeper than {MAX_NESTING} levels"));
         }
     }
 

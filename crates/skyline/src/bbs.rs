@@ -11,43 +11,45 @@ use crate::{PointId, PointStore};
 use skyup_geom::point::coord_sum;
 use skyup_geom::{ColumnarPoints, OrderedF64};
 use skyup_obs::{Counter, NullRecorder, Recorder};
-use skyup_rtree::{EntryRef, RTree};
+use skyup_rtree::{EntryRef, NodeId, RTree};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A heap item ordered by mindist key, tie-broken deterministically by
-/// entry identity so the heap order is total.
-#[derive(PartialEq, Eq)]
-pub(crate) struct HeapItem {
-    pub key: OrderedF64,
-    pub rank: (u8, u32),
+/// A BBS heap entry packed into one integer key: the high 64 bits are
+/// the mindist key (the entry's coordinate sum) mapped so that unsigned
+/// order is [`f64::total_cmp`] order, the low 64 bits are
+/// `(kind << 32) | id` with kind 0 for a node and 1 for a point. So
+/// keys order by `(total_cmp(sum), kind, id)`, a total order, and the
+/// entry decodes back from the key ([`heap_entry`]); a min-heap of keys
+/// pops entries in the order a heap of `(sum, kind, id)` tuples would.
+///
+/// # Panics
+/// Panics if `sum` is NaN.
+#[inline]
+pub(crate) fn heap_key(sum: f64, entry: EntryRef) -> u128 {
+    let bits = OrderedF64::new(sum).get().to_bits();
+    // Negative values reverse their magnitude order; every non-negative
+    // value sorts above every negative one.
+    let ordered = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    let (kind, id) = match entry {
+        EntryRef::Node(n) => (0u64, n.0),
+        EntryRef::Point(p) => (1, p.0),
+    };
+    u128::from(ordered) << 64 | u128::from(kind << 32 | u64::from(id))
 }
 
-impl HeapItem {
-    pub(crate) fn new(key: f64, entry: EntryRef) -> (Self, EntryRef) {
-        let rank = match entry {
-            EntryRef::Node(n) => (0, n.0),
-            EntryRef::Point(p) => (1, p.0),
-        };
-        (
-            HeapItem {
-                key: OrderedF64::new(key),
-                rank,
-            },
-            entry,
-        )
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key).then(self.rank.cmp(&other.rank))
+/// The entry a [`heap_key`] was built from.
+#[inline]
+pub(crate) fn heap_entry(key: u128) -> EntryRef {
+    let id = key as u32;
+    if key >> 32 & 1 == 0 {
+        EntryRef::Node(NodeId(id))
+    } else {
+        EntryRef::Point(PointId(id))
     }
 }
 
@@ -89,16 +91,17 @@ pub fn skyline_bbs_rec<R: Recorder + ?Sized>(
     // re-check runs through the blockwise kernel.
     let mut cols = ColumnarPoints::new(store.dims());
 
-    let mut heap: BinaryHeap<Reverse<(HeapItem, EntryRef)>> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Reverse<u128>> = BinaryHeap::new();
     let root = EntryRef::Node(tree.root_id());
-    heap.push(Reverse(HeapItem::new(
+    heap.push(Reverse(heap_key(
         coord_sum(tree.entry_lo(store, root)),
         root,
     )));
     rec.bump(Counter::HeapPushes);
 
-    while let Some(Reverse((_, entry))) = heap.pop() {
+    while let Some(Reverse(key)) = heap.pop() {
         rec.bump(Counter::HeapPops);
+        let entry = heap_entry(key);
         // Lazy re-check: the skyline may have grown since this entry was
         // pushed (Algorithm 3 line 9 does the same re-check).
         let lo = tree.entry_lo(store, entry);
@@ -116,7 +119,7 @@ pub fn skyline_bbs_rec<R: Recorder + ?Sized>(
                     rec.bump(Counter::RtreeEntryAccesses);
                     let child_lo = tree.entry_lo(store, child);
                     if !dominated_by_any(&cols, child_lo, rec) {
-                        heap.push(Reverse(HeapItem::new(coord_sum(child_lo), child)));
+                        heap.push(Reverse(heap_key(coord_sum(child_lo), child)));
                         rec.bump(Counter::HeapPushes);
                     }
                 }
@@ -185,6 +188,76 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
+    }
+
+    /// The packed key orders exactly like `(f64::total_cmp(sum), kind,
+    /// id)` — over negative sums, both signed zeros, both infinities,
+    /// subnormals and arbitrary bit patterns — and decodes back to its
+    /// entry.
+    #[test]
+    fn packed_keys_order_like_sum_kind_id_and_decode() {
+        use skyup_rtree::NodeId;
+        let mut sums = vec![
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.5,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE / 4.0,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 4.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut state = 0x6b65_7973_u64;
+        while sums.len() < 48 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let x = f64::from_bits(state);
+            if !x.is_nan() {
+                sums.push(x);
+            }
+        }
+        let entries = [
+            EntryRef::Node(NodeId(0)),
+            EntryRef::Node(NodeId(7)),
+            EntryRef::Node(NodeId(u32::MAX)),
+            EntryRef::Point(PointId(0)),
+            EntryRef::Point(PointId(7)),
+            EntryRef::Point(PointId(u32::MAX)),
+        ];
+        let rank = |e: EntryRef| match e {
+            EntryRef::Node(n) => (0u8, n.0),
+            EntryRef::Point(p) => (1, p.0),
+        };
+        let items: Vec<(f64, EntryRef)> = sums
+            .iter()
+            .flat_map(|&s| entries.iter().map(move |&e| (s, e)))
+            .collect();
+        for &(s, e) in &items {
+            assert_eq!(heap_entry(heap_key(s, e)), e, "sum {s:e}");
+            for &(t, f) in &items {
+                let want = s.total_cmp(&t).then(rank(e).cmp(&rank(f)));
+                assert_eq!(
+                    heap_key(s, e).cmp(&heap_key(t, f)),
+                    want,
+                    "({s:e}, {e:?}) vs ({t:e}, {f:?})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn nan_heap_keys_panic() {
+        let _ = heap_key(f64::NAN, EntryRef::Point(PointId(0)));
     }
 
     #[test]

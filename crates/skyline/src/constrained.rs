@@ -7,7 +7,7 @@
 //! (paper Figure 2 shows the node-level savings over a plain range
 //! query).
 
-use crate::bbs::{dominated_by_any, HeapItem};
+use crate::bbs::{dominated_by_any, heap_entry, heap_key};
 use crate::{PointId, PointStore};
 use skyup_geom::adr::rect_intersects_adr;
 use skyup_geom::dominance::dominates;
@@ -24,7 +24,7 @@ use std::collections::BinaryHeap;
 /// one scratch per worker performs no per-product heap allocations once
 /// the buffers have grown to the workload's high-water mark.
 pub struct SkylineScratch {
-    heap: BinaryHeap<Reverse<(HeapItem, EntryRef)>>,
+    heap: BinaryHeap<Reverse<u128>>,
     cols: ColumnarPoints,
     skyline: Vec<PointId>,
 }
@@ -227,13 +227,14 @@ pub fn dominating_skyline_from_into<R: Recorder + ?Sized>(
             if admit {
                 guard.heap_push()?;
                 let lo = tree.entry_lo(store, seed);
-                heap.push(Reverse(HeapItem::new(coord_sum(lo), seed)));
+                heap.push(Reverse(heap_key(coord_sum(lo), seed)));
                 rec.bump(Counter::HeapPushes);
             }
         }
 
-        while let Some(Reverse((_, entry))) = heap.pop() {
+        while let Some(Reverse(key)) = heap.pop() {
             rec.bump(Counter::HeapPops);
+            let entry = heap_entry(key);
             // Line 9: re-check dominance against the grown skyline.
             let lo = tree.entry_lo(store, entry);
             if dominated_by_any(cols, lo, rec) {
@@ -264,7 +265,7 @@ pub fn dominating_skyline_from_into<R: Recorder + ?Sized>(
                         };
                         if overlaps && !dominated_by_any(cols, child_lo, rec) {
                             guard.heap_push()?;
-                            heap.push(Reverse(HeapItem::new(coord_sum(child_lo), child)));
+                            heap.push(Reverse(heap_key(coord_sum(child_lo), child)));
                             rec.bump(Counter::HeapPushes);
                         }
                     }

@@ -29,7 +29,8 @@
 # already runs every unit, integration (chaos, CLI contract, serve
 # smoke, serve property suites), and doc test in the workspace, so no
 # test binary is invoked twice in the same profile (the geom kernel
-# tests run once more in release, where the kernel is vectorized). The
+# tests and the traversal count pins run once more in release, where
+# the kernel is vectorized). The
 # kernel, probe-scheduler and serve benches also run at a tiny scale
 # before the bench gate: their self-asserts (bit-identity against an
 # oracle) are machine-independent, so they still run when the timing
@@ -123,9 +124,13 @@ step "tier-1 + workspace tests (unit, chaos, CLI contract, serve smoke, property
 # dominance kernel's lane loop (portable, AVX2) is vectorized. The
 # kernel's property tests run again in the build that ships, which on a
 # CPU with AVX2 compares both copies against each other and the scalar
-# oracle.
-step "geom kernel tests in release (the vectorized copies)" \
-    timeout "$TEST_TIMEOUT" cargo test --release --offline -q -p skyup-geom
+# oracle. So do the tier-1 traversal count pins, so that the exact work
+# counts and answers of the join, Algorithm 3, BBS and bound-sorted
+# probing are checked against the vectorized fixed-width lane loop too.
+step "geom kernel tests + traversal count pins in release (the vectorized copies)" \
+    timeout "$TEST_TIMEOUT" bash -c \
+    'cargo test --release --offline -q -p skyup-geom &&
+     cargo test --release --offline -q --test traversal_pins'
 
 # The ledger is a separate cargo workspace with path dependencies on
 # crates/*; building it here catches API drift the workspace sweep

@@ -18,15 +18,18 @@
 //! Not supported (and rejected with a line-numbered error): dotted
 //! keys, dates, multi-line strings, and key reassignment.
 
-use skyup_obs::json::Json;
+use skyup_obs::json::{Json, MAX_NESTING};
 
 /// Parses the subset into a [`Json::Obj`]. Errors carry the 1-based
-/// line number.
+/// line number. Arrays and inline tables nested more than
+/// [`MAX_NESTING`] deep, and table headers with more segments, are
+/// errors.
 pub fn parse_toml(input: &str) -> Result<Json, String> {
     Parser {
         bytes: input.as_bytes(),
         pos: 0,
         line: 1,
+        depth: 0,
     }
     .parse_document()
 }
@@ -43,6 +46,8 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: u64,
+    /// Arrays and inline tables open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -157,6 +162,11 @@ impl<'a> Parser<'a> {
                     self.bump();
                     self.skip_inline_ws();
                     keys.push(self.parse_key()?);
+                    if keys.len() > MAX_NESTING {
+                        return Err(self.err(format!(
+                            "table header nests deeper than {MAX_NESTING} levels"
+                        )));
+                    }
                 }
                 Some(b']') => break,
                 other => {
@@ -245,12 +255,24 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'"') => self.parse_basic_string().map(Json::Str),
             Some(b'\'') => self.parse_literal_string().map(Json::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_inline_table(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_inline_table),
             Some(b't') | Some(b'f') => self.parse_bool(),
             Some(_) => self.parse_number(),
             None => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or inline table a level deeper, refusing to go
+    /// past [`MAX_NESTING`]: each level is one recursive call.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_basic_string(&mut self) -> Result<String, String> {
@@ -492,6 +514,35 @@ mod tests {
         ] {
             let err = parse_toml(text).unwrap_err();
             assert!(err.contains(needle), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let arrays = |depth: usize| format!("x = {}{}\n", "[".repeat(depth), "]".repeat(depth));
+        let tables =
+            |depth: usize| format!("x = {}1{}\n", "{ a = ".repeat(depth), " }".repeat(depth));
+        let header = |depth: usize| format!("[{}]\n", vec!["t"; depth].join("."));
+        for ok in [
+            arrays(MAX_NESTING),
+            tables(MAX_NESTING),
+            header(MAX_NESTING),
+        ] {
+            assert!(parse_toml(&ok).is_ok(), "{ok}");
+        }
+        let deep = format!("line 1: nesting deeper than {MAX_NESTING} levels");
+        for (text, want) in [
+            (arrays(MAX_NESTING + 1), deep.clone()),
+            (tables(MAX_NESTING + 1), deep.clone()),
+            // Far past the depth whose recursion overflowed a thread
+            // stack before the cap.
+            (arrays(100_000), deep),
+            (
+                header(MAX_NESTING + 1),
+                format!("line 1: table header nests deeper than {MAX_NESTING} levels"),
+            ),
+        ] {
+            assert_eq!(parse_toml(&text).unwrap_err(), want);
         }
     }
 }

@@ -257,3 +257,41 @@ fn ingest_profile_succeeds_on_clean_data() {
     assert!(stdout.contains("ingested 3 rows x 2 columns"), "{stdout}");
     assert!(stdout.contains("max (negated)"), "{stdout}");
 }
+
+// ---------------------------------------------------------------------
+// Hostile nesting: a document nested 100,000 deep is a parse error
+// (exit 1), never a stack overflow that aborts the process.
+// ---------------------------------------------------------------------
+
+/// `depth` nested empty arrays: `[[…]]`.
+fn nested_arrays(depth: usize) -> String {
+    "[".repeat(depth) + &"]".repeat(depth)
+}
+
+#[test]
+fn ingest_deeply_nested_ndjson_line_exits_one() {
+    let contents = format!("[0.5, 0.5]\n{}\n", nested_arrays(100_000));
+    let out = run_ingest("deep-ndjson", "deep.ndjson", &contents, &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("line 2"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than 64 levels"), "{stderr}");
+}
+
+#[test]
+fn suite_with_a_deeply_nested_toml_array_exits_one() {
+    let dir = std::env::temp_dir().join("skyup-cli-contract-deep-toml");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let toml = format!("[dataset]\ncompetitors = {}\n", nested_arrays(100_000));
+    std::fs::write(dir.join("deep.toml"), toml).unwrap();
+    let out = bin()
+        .args(["test", "--suite"])
+        .arg(&dir)
+        .output()
+        .expect("failed to spawn the skyup binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("FAIL deep.toml"), "{stdout}");
+    assert!(stdout.contains("nesting deeper than 64 levels"), "{stdout}");
+}

@@ -586,6 +586,37 @@ fn query_client_exit_codes_and_warm_start() {
     assert_eq!(warm.wait().unwrap().code(), Some(0));
 }
 
+/// A 20 KB query line nested 10,000 arrays deep once overflowed the
+/// connection thread's stack and aborted the whole server. The parser
+/// caps nesting, so the line gets a structured `ok:false` and the same
+/// server keeps answering, on that connection and on a new one.
+#[test]
+fn deeply_nested_request_line_is_an_error_not_an_abort() {
+    let comp = fixture("deep-line");
+    let (mut child, addr) = spawn_server(&comp, &[]);
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let line = format!(
+        "{{\"op\":\"query\",\"products\":{}{}}}",
+        "[".repeat(10_000),
+        "]".repeat(10_000)
+    );
+    let resp = round_trip(&mut stream, &line);
+    assert!(resp.contains("\"ok\":false"), "{resp}");
+    assert!(resp.contains("nesting deeper than 64 levels"), "{resp}");
+    let resp = round_trip(&mut stream, "{\"op\":\"health\"}");
+    assert!(resp.contains("\"ok\":true"), "{resp}");
+    let mut fresh = TcpStream::connect(&addr).expect("connect again");
+    let resp = round_trip(&mut fresh, "{\"op\":\"health\"}");
+    assert!(resp.contains("\"ok\":true"), "{resp}");
+
+    let out = bin()
+        .args(["query", "--connect", &addr, "--shutdown"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(child.wait().unwrap().code(), Some(0));
+}
+
 /// `{"op":"health"}` answers on every server and reflects durability
 /// state: a plain server reports `wal:false`, a `--wal` server reports
 /// its WAL sequence number advancing with each acked mutation plus a
