@@ -21,13 +21,25 @@
 //! `available_parallelism`, which decides how many threads the join
 //! resolves on.
 //!
+//! A second join row (path `paper_domain`) runs the same join on the
+//! paper's own domain: `P` from `paper_competitors` and `T` from
+//! `paper_products` on `(1, 2]³`, where every product is dominated by
+//! all of `skyline(P)` and a top-k query resolves about k products. It
+//! records the time to the first result and to the k-th, with the
+//! look-ahead and one product at a time, and asserts the same equality.
+//! Its timings are reported, not gated; its counts are pinned.
+//!
+//! `index_build_us` is the median time of the bench's own `R_P` plus
+//! `R_T` bulk loads and of one 100k-point anti-correlated tree
+//! (reported, not gated).
+//!
 //! Wall-clock is the machine-dependent half of the output; the counter
 //! snapshot (`ProductsEvaluated`, `ThresholdPrunes`, `StealEvents`, …)
 //! is the machine-independent half, so scheduler regressions show up as
 //! diffs of `bench_results/BENCH_probing.json` even when timings drift.
 //! Set `SKYUP_BENCH_OUT` to redirect the report (CI smoke runs do).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use skyup_bench::runner::build_trees;
 use skyup_bench::{fmt_duration, parse_args, time};
@@ -36,16 +48,22 @@ use skyup_core::{
     improved_probing_topk, improved_probing_topk_scheduled_rec, BoundMode, ExecutionLimits,
     JoinUpgrader, LowerBound, ProbeStrategy, UpgradeConfig, UpgradeResult,
 };
-use skyup_data::synthetic::{generate, Distribution, SyntheticConfig};
+use skyup_data::synthetic::{
+    generate, paper_competitors, paper_products, Distribution, SyntheticConfig,
+};
 use skyup_geom::kernel_isa;
 use skyup_obs::json::Json;
 use skyup_obs::{Counter, QueryMetrics};
+use skyup_rtree::{RTree, RTreeParams};
 
 /// Timing samples per configuration; the median is reported.
 const SAMPLES: usize = 5;
 /// Top-k size — small enough that the threshold tightens early.
 const K: usize = 10;
 const DIMS: usize = 3;
+/// Points in the anti-correlated tree `index_build_us` times, at every
+/// scale.
+const INDEX_BUILD_POINTS: usize = 100_000;
 
 fn linear_cost(dims: usize) -> SumCost {
     SumCost::new(
@@ -78,10 +96,32 @@ fn bit_identical(a: &[UpgradeResult], b: &[UpgradeResult]) -> bool {
         })
 }
 
-fn median_wall(mut f: impl FnMut()) -> Duration {
-    let mut samples: Vec<Duration> = (0..SAMPLES).map(|_| time(&mut f).0).collect();
+/// Same emissions bit for bit, and every counter equal but
+/// `guarded_node_visits`, which only armed limits charge.
+fn same_join(
+    a: &[UpgradeResult],
+    a_metrics: &QueryMetrics,
+    b: &[UpgradeResult],
+    b_metrics: &QueryMetrics,
+) -> bool {
+    bit_identical(a, b)
+        && Counter::ALL
+            .iter()
+            .filter(|&&c| c != Counter::GuardedNodeVisits)
+            .all(|&c| a_metrics.get(c) == b_metrics.get(c))
+}
+
+fn median(mut samples: Vec<Duration>) -> Duration {
     samples.sort_unstable();
     samples[samples.len() / 2]
+}
+
+fn median_wall(mut f: impl FnMut()) -> Duration {
+    median((0..SAMPLES).map(|_| time(&mut f).0).collect())
+}
+
+fn micros(d: Duration) -> Json {
+    Json::Num(d.as_micros() as f64)
 }
 
 fn main() {
@@ -89,10 +129,7 @@ fn main() {
     let p_size = args.scaled(100_000);
     let t_size = args.scaled(20_000);
 
-    let p = generate(
-        p_size,
-        &SyntheticConfig::unit(DIMS, Distribution::AntiCorrelated, args.seed),
-    );
+    let p = paper_competitors(p_size, DIMS, Distribution::AntiCorrelated, args.seed);
     let t = generate(
         t_size,
         &SyntheticConfig {
@@ -199,11 +236,7 @@ fn main() {
     let unhit = ExecutionLimits::none().with_max_node_visits(u64::MAX);
     let (joined, join_metrics) = join(None);
     let (one_at_a_time, guarded_metrics) = join(Some(&unhit));
-    let join_identical = bit_identical(&joined, &one_at_a_time)
-        && Counter::ALL
-            .iter()
-            .filter(|&&c| c != Counter::GuardedNodeVisits)
-            .all(|&c| join_metrics.get(c) == guarded_metrics.get(c));
+    let join_identical = same_join(&joined, &join_metrics, &one_at_a_time, &guarded_metrics);
     let join_wall = median_wall(|| {
         std::hint::black_box(join(None));
     });
@@ -217,20 +250,100 @@ fn main() {
         join_metrics.get(Counter::ExactUpgrades),
         if join_identical { "" } else { "  MISMATCH" },
     );
+
+    // The same join on the paper's own domain, timed to its first and
+    // to its K-th result (the progressiveness figures' measurement).
+    let paper_t = paper_products(t_size, DIMS, Distribution::Independent, args.seed ^ 0x5eed);
+    let paper_rt = RTree::bulk_load(&paper_t, RTreeParams::default());
+    let progressive = |limits: Option<&ExecutionLimits>| {
+        let start = Instant::now();
+        let mut join = JoinUpgrader::new(
+            &p,
+            &rp,
+            &paper_t,
+            &paper_rt,
+            &cost,
+            cfg,
+            LowerBound::Conservative,
+        )
+        .with_bound_mode(BoundMode::Paper);
+        if let Some(limits) = limits {
+            join = join.with_limits(limits);
+        }
+        let mut results: Vec<UpgradeResult> = join.next().into_iter().collect();
+        let first = start.elapsed();
+        results.extend(join.by_ref().take(K - 1));
+        let top_k = start.elapsed();
+        ((first, top_k), results, join.metrics().clone())
+    };
+    let median_progress = |limits: Option<&ExecutionLimits>| {
+        let (firsts, top_ks) = (0..SAMPLES).map(|_| progressive(limits).0).unzip();
+        (median(firsts), median(top_ks))
+    };
+    let (_, paper_joined, paper_metrics) = progressive(None);
+    let (_, paper_one_at_a_time, paper_guarded) = progressive(Some(&unhit));
+    let paper_identical = same_join(
+        &paper_joined,
+        &paper_metrics,
+        &paper_one_at_a_time,
+        &paper_guarded,
+    );
+    let (paper_first, paper_top_k) = median_progress(None);
+    let (paper_first_1, paper_top_k_1) = median_progress(Some(&unhit));
+    println!(
+        "  paper join on (1, 2]^{DIMS}: first result {} / top-{K} {} \
+         (one product at a time: {} / {})  exact_upgrades={}{}",
+        fmt_duration(paper_first),
+        fmt_duration(paper_top_k),
+        fmt_duration(paper_first_1),
+        fmt_duration(paper_top_k_1),
+        paper_metrics.get(Counter::ExactUpgrades),
+        if paper_identical { "" } else { "  MISMATCH" },
+    );
+
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let join_runs = vec![Json::obj(vec![
-        ("path", Json::Str("paper".into())),
-        ("bound", Json::Str("conservative".into())),
-        ("bound_mode", Json::Str("paper".into())),
-        ("available_parallelism", Json::Num(parallelism as f64)),
-        ("wall_us", Json::Num(join_wall.as_micros() as f64)),
-        (
-            "one_at_a_time_wall_us",
-            Json::Num(one_at_a_time_wall.as_micros() as f64),
-        ),
-        ("identical_to_one_at_a_time", Json::Bool(join_identical)),
-        ("counters", counters_json(&join_metrics)),
-    ])];
+    let join_runs = vec![
+        Json::obj(vec![
+            ("path", Json::Str("paper".into())),
+            ("bound", Json::Str("conservative".into())),
+            ("bound_mode", Json::Str("paper".into())),
+            ("available_parallelism", Json::Num(parallelism as f64)),
+            ("wall_us", micros(join_wall)),
+            ("one_at_a_time_wall_us", micros(one_at_a_time_wall)),
+            ("identical_to_one_at_a_time", Json::Bool(join_identical)),
+            ("counters", counters_json(&join_metrics)),
+        ]),
+        Json::obj(vec![
+            ("path", Json::Str("paper_domain".into())),
+            ("t_domain", Json::Str("independent (1, 2]".into())),
+            ("bound", Json::Str("conservative".into())),
+            ("bound_mode", Json::Str("paper".into())),
+            ("available_parallelism", Json::Num(parallelism as f64)),
+            ("first_result_us", micros(paper_first)),
+            ("top_k_us", micros(paper_top_k)),
+            ("one_at_a_time_first_result_us", micros(paper_first_1)),
+            ("one_at_a_time_top_k_us", micros(paper_top_k_1)),
+            ("identical_to_one_at_a_time", Json::Bool(paper_identical)),
+            ("counters", counters_json(&paper_metrics)),
+        ]),
+    ];
+
+    // Index build: this bench's own R_P and R_T, and one large tree.
+    let big = generate(
+        INDEX_BUILD_POINTS,
+        &SyntheticConfig::unit(DIMS, Distribution::AntiCorrelated, args.seed ^ 0xb0_1d),
+    );
+    let build_p_t = median_wall(|| {
+        std::hint::black_box(build_trees(&p, &t));
+    });
+    let build_big = median_wall(|| {
+        std::hint::black_box(RTree::bulk_load(&big, RTreeParams::default()));
+    });
+    println!(
+        "  index build: R_P + R_T {}, {INDEX_BUILD_POINTS} anti-correlated points {}",
+        fmt_duration(build_p_t),
+        fmt_duration(build_big),
+    );
 
     // Acceptance: at 4 threads the bound-sorted prober must beat plain
     // work stealing on both wall-clock and products evaluated.
@@ -267,6 +380,13 @@ fn main() {
         ("available_parallelism", Json::Num(parallelism as f64)),
         ("samples_per_config", Json::Num(SAMPLES as f64)),
         ("sequential_wall_us", Json::Num(seq_wall.as_micros() as f64)),
+        (
+            "index_build_us",
+            Json::obj(vec![
+                ("r_p_and_r_t", micros(build_p_t)),
+                ("anti_correlated_100k", micros(build_big)),
+            ]),
+        ),
         ("runs", Json::Arr(runs)),
         ("join_runs", Json::Arr(join_runs)),
         (
@@ -308,5 +428,9 @@ fn main() {
     assert!(
         join_identical,
         "the join's look-ahead diverged from resolving one product at a time"
+    );
+    assert!(
+        paper_identical,
+        "on the paper's domain the join's look-ahead diverged from resolving one product at a time"
     );
 }

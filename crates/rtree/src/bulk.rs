@@ -6,10 +6,23 @@
 //! nearly 100%-full trees and is the standard way to index a static data
 //! set — which is exactly how the paper uses its R-trees (both `P` and
 //! `T` are loaded into memory before the algorithms run).
+//!
+//! Each level sorts one flat buffer of `(key, index)` pairs, where the
+//! index names a point (leaves) or a node of the level below, and the
+//! key is refreshed to a slab's dimension just before the slab is
+//! sorted: read from the store's coordinates for leaves, or from one
+//! flat buffer of the level's node centers above them. The tiles come
+//! back as index ranges of that buffer, and every node is built once
+//! from its range. The trees must stay bit-identical to those of the
+//! classic formulation, which sorted whole coordinate vectors: the
+//! paper's traversals, their pinned work counts and the figures all
+//! read the tree's shape (DESIGN.md §11, "STR bulk load").
+
+use std::ops::Range;
 
 use crate::node::{Node, NodeId};
 use crate::tree::{RTree, RTreeParams};
-use crate::{PointStore, Rect};
+use crate::{PointId, PointStore, Rect};
 
 impl RTree {
     /// Builds an R-tree over every point of `store` using STR packing.
@@ -19,98 +32,121 @@ impl RTree {
         if store.is_empty() {
             return tree;
         }
+        let cap = params.max_entries;
 
         // Level 0: pack points into leaves.
-        let mut items: Vec<(Vec<f64>, u32)> = store
-            .iter()
-            .map(|(id, coords)| (coords.to_vec(), id.0))
-            .collect();
-        let groups = str_partition(&mut items, dims, params.max_entries);
-        let mut level_nodes: Vec<NodeId> = Vec::with_capacity(groups.len());
-        for group in groups {
-            let mut node = Node::new_leaf(dims);
+        let mut pairs: Vec<(f64, u32)> = (0..store.len() as u32).map(|i| (0.0, i)).collect();
+        let mut tiles = Vec::with_capacity(pairs.len().div_ceil(cap));
+        let coords = store.raw();
+        Tiler { coords, dims, cap }.tile(&mut pairs, 0, 0, &mut tiles);
+        let start = tree.nodes.len();
+        for tile in &tiles {
+            let entries = &pairs[tile.clone()];
             let mut mbr = Rect::empty(dims);
-            for (coords, raw) in group {
-                mbr.expand_point(&coords);
-                node.points.push(skyup_geom::PointId(raw));
+            for &(_, i) in entries {
+                mbr.expand_point(store.point(PointId(i)));
             }
-            node.mbr = mbr;
-            level_nodes.push(tree.alloc(node));
+            tree.alloc(Node {
+                mbr,
+                level: 0,
+                children: Vec::new(),
+                points: entries.iter().map(|&(_, i)| PointId(i)).collect(),
+            });
         }
+        let mut level = start..tree.nodes.len();
 
         // Upper levels: pack node MBR centers until one root remains.
-        let mut level = 1u32;
-        while level_nodes.len() > 1 {
-            let mut items: Vec<(Vec<f64>, u32)> = level_nodes
-                .iter()
-                .map(|&id| (tree.node(id).mbr.center(), id.0))
-                .collect();
-            let groups = str_partition(&mut items, dims, params.max_entries);
-            let mut next: Vec<NodeId> = Vec::with_capacity(groups.len());
-            for group in groups {
-                let mut node = Node::new_internal(dims, level);
-                let mut mbr = Rect::empty(dims);
-                for (_, raw) in group {
-                    let child = NodeId(raw);
-                    mbr.expand(&tree.node(child).mbr);
-                    node.children.push(child);
-                }
-                node.mbr = mbr;
-                next.push(tree.alloc(node));
+        // A level's nodes are contiguous in the arena, so pair `i` of a
+        // level names node `level.start + i`.
+        let mut centers = Vec::with_capacity(tiles.len() * dims);
+        let mut height = 1u32;
+        while level.len() > 1 {
+            centers.clear();
+            for node in &tree.nodes[level.clone()] {
+                let (lo, hi) = (node.mbr.lo(), node.mbr.hi());
+                centers.extend(lo.iter().zip(hi).map(|(&l, &h)| 0.5 * (l + h)));
             }
-            level_nodes = next;
-            level += 1;
+            pairs.clear();
+            pairs.extend((0..level.len() as u32).map(|i| (0.0, i)));
+            tiles.clear();
+            let coords = &centers[..];
+            Tiler { coords, dims, cap }.tile(&mut pairs, 0, 0, &mut tiles);
+            let base = level.start as u32;
+            let start = tree.nodes.len();
+            for tile in &tiles {
+                let entries = &pairs[tile.clone()];
+                let mut mbr = Rect::empty(dims);
+                for &(_, i) in entries {
+                    mbr.expand(&tree.nodes[(base + i) as usize].mbr);
+                }
+                tree.alloc(Node {
+                    mbr,
+                    level: height,
+                    children: entries.iter().map(|&(_, i)| NodeId(base + i)).collect(),
+                    points: Vec::new(),
+                });
+            }
+            level = start..tree.nodes.len();
+            height += 1;
         }
 
-        tree.root = level_nodes[0];
+        tree.root = NodeId(level.start as u32);
         tree.num_points = store.len();
         tree
     }
 }
 
-/// Recursively sort-tile the items into groups of at most `cap`, keyed by
-/// the first element (a coordinate vector used for ordering).
-fn str_partition(
-    items: &mut [(Vec<f64>, u32)],
+/// Sort-tile-recursive partitioning of `(key, index)` pairs whose keys
+/// live in `coords`, `dims` values per index: it reorders the pairs
+/// into tiles of at most `cap` and appends each tile's range of the
+/// buffer to `tiles`, in STR order.
+struct Tiler<'a> {
+    coords: &'a [f64],
     dims: usize,
     cap: usize,
-) -> Vec<Vec<(Vec<f64>, u32)>> {
-    let mut out = Vec::with_capacity(items.len().div_ceil(cap));
-    str_rec(items, 0, dims, cap, &mut out);
-    out
 }
 
-fn str_rec(
-    items: &mut [(Vec<f64>, u32)],
-    dim: usize,
-    dims: usize,
-    cap: usize,
-    out: &mut Vec<Vec<(Vec<f64>, u32)>>,
-) {
-    if items.len() <= cap {
-        out.push(items.to_vec());
-        return;
-    }
-    items.sort_unstable_by(|a, b| a.0[dim].total_cmp(&b.0[dim]));
-    if dim + 1 == dims {
-        for chunk in items.chunks(cap) {
-            out.push(chunk.to_vec());
+impl Tiler<'_> {
+    /// Tiles `slab`, which starts at `offset` of the whole buffer, from
+    /// dimension `dim` on. The sort is the only one STR has, and it
+    /// must stay `sort_unstable_by` over 16-byte pairs: tied keys land
+    /// wherever that sort puts them, and the trees are pinned
+    /// (`tests/str_tree_pins.rs`).
+    fn tile(
+        &self,
+        slab: &mut [(f64, u32)],
+        offset: usize,
+        dim: usize,
+        tiles: &mut Vec<Range<usize>>,
+    ) {
+        let cap = self.cap;
+        if slab.len() <= cap {
+            tiles.push(offset..offset + slab.len());
+            return;
         }
-        return;
-    }
-    let pages = items.len().div_ceil(cap);
-    let remaining = (dims - dim) as f64;
-    let slabs = (pages as f64).powf(1.0 / remaining).ceil() as usize;
-    let slab_size = items.len().div_ceil(slabs.max(1));
-    for chunk in items.chunks_mut(slab_size.max(cap)) {
-        str_rec(chunk, dim + 1, dims, cap, out);
+        for pair in slab.iter_mut() {
+            pair.0 = self.coords[pair.1 as usize * self.dims + dim];
+        }
+        slab.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        if dim + 1 == self.dims {
+            for start in (0..slab.len()).step_by(cap) {
+                tiles.push(offset + start..offset + (start + cap).min(slab.len()));
+            }
+            return;
+        }
+        let pages = slab.len().div_ceil(cap);
+        let remaining = (self.dims - dim) as f64;
+        let slabs = (pages as f64).powf(1.0 / remaining).ceil() as usize;
+        let slab_size = slab.len().div_ceil(slabs.max(1)).max(cap);
+        for (i, chunk) in slab.chunks_mut(slab_size).enumerate() {
+            self.tile(chunk, offset + i * slab_size, dim + 1, tiles);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyup_geom::PointId;
 
     fn grid_store(side: usize) -> PointStore {
         let mut s = PointStore::new(2);
