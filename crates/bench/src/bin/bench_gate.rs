@@ -12,7 +12,8 @@
 //!
 //! * **Machine-independent invariants** are exact. Bit-identity flags,
 //!   cache hit/miss counts, the 1-thread serve pass's memo and kernel
-//!   counts, and evaluated-product counts are pure functions of the
+//!   counts, evaluated-product counts, and the probe scheduler's
+//!   skyline-pass and bound counts are pure functions of the
 //!   committed workload — any drift is a behavior change, not noise, so
 //!   the tolerance is zero. Quantities that are genuinely
 //!   timing-dependent (which products four serve workers memoize, what
@@ -561,7 +562,7 @@ fn gate_serve_scatter(gate: &mut Gate, fresh: &Json, baseline: &Json) {
 }
 
 /// Gate for `probe_sched` reports (`BENCH_probing.json`). Probing rows
-/// are keyed by `(strategy, threads)`, join rows by `path`.
+/// are keyed by `(domain, strategy, threads)`, join rows by `path`.
 fn gate_probing(gate: &mut Gate, fresh: &Json, baseline: &Json) {
     for (f, b) in [
         (fresh.get("schema"), baseline.get("schema")),
@@ -588,18 +589,22 @@ fn gate_probing(gate: &mut Gate, fresh: &Json, baseline: &Json) {
         .get("workload")
         .and_then(|w| num(w, "t_size"))
         .unwrap_or(0.0);
+    let text = |row: &Json, key: &str| {
+        row.get(key)
+            .and_then(|v| v.as_str())
+            .unwrap_or("?")
+            .to_string()
+    };
     let key = |row: &Json| {
         (
-            row.get("strategy")
-                .and_then(|v| v.as_str())
-                .unwrap_or("?")
-                .to_string(),
+            text(row, "domain"),
+            text(row, "strategy"),
             num(row, "threads").unwrap_or(-1.0) as i64,
         )
     };
     for brow in base_rows {
-        let (strategy, threads) = key(brow);
-        let what = format!("probing row {strategy}/{threads}t");
+        let (domain, strategy, threads) = key(brow);
+        let what = format!("probing row {domain}/{strategy}/{threads}t");
         let Some(frow) = fresh_rows.iter().find(|r| key(r) == key(brow)) else {
             gate.fail(format!("{what}: missing from fresh report"));
             continue;
@@ -607,11 +612,12 @@ fn gate_probing(gate: &mut Gate, fresh: &Json, baseline: &Json) {
         gate.check(is_true(frow, "bit_identical_to_sequential"), || {
             format!("{what}: scheduled results diverged from the sequential oracle")
         });
-        // Static-chunk and work-stealing evaluate every product; their
-        // counts are deterministic. Bound-sorted pruning races on the
-        // shared threshold above one thread, so there only the
-        // conservation law evaluated + pruned == t_size is exact.
-        if strategy != "bound_sorted" || threads == 1 {
+        // Work stealing evaluates every product; its counts are
+        // deterministic. Bound-sorted pruning races on the shared
+        // threshold above one thread, so there only the conservation
+        // law evaluated + pruned == t_size is exact.
+        let deterministic = strategy != "bound_sorted" || threads == 1;
+        if deterministic {
             gate.exact(&what, "evaluated", frow, brow);
             gate.exact(&what, "pruned", frow, brow);
         } else {
@@ -625,7 +631,21 @@ fn gate_probing(gate: &mut Gate, fresh: &Json, baseline: &Json) {
             });
         }
         if let (Some(fc), Some(bc)) = (frow.get("counters"), brow.get("counters")) {
-            gate.exact(&what, "results_emitted", fc, bc);
+            // Every row walks R_P once, for skyline(P), and bound-sorted
+            // rows pay one bound per product, however the claims race;
+            // the point work is exact wherever the evaluated set is.
+            for key in [
+                "rtree_node_accesses",
+                "heap_pushes",
+                "heap_pops",
+                "lower_bound_evals",
+                "results_emitted",
+            ] {
+                gate.exact(&what, key, fc, bc);
+            }
+            if deterministic {
+                gate.exact(&what, "dominance_tests", fc, bc);
+            }
             let panics = num(fc, "worker_panics").unwrap_or(-1.0);
             gate.check(panics == 0.0, || format!("{what}: {panics} worker panics"));
         } else {

@@ -29,6 +29,13 @@
 //! look-ahead and one product at a time, and asserts the same equality.
 //! Its timings are reported, not gated; its counts are pinned.
 //!
+//! The `runs` rows carry a `domain`: `interleaved` for the strategy ×
+//! thread grid above, and one `paper` row running 2-thread bound-sorted
+//! probing on that same `(1, 2]³` instance, as the ledger's
+//! `paper_topk` runs the scheduler, checked bit for bit against
+//! sequential `improved_probing_topk` like every other row. Its
+//! `sequential_wall_us` times that oracle on the paper's domain.
+//!
 //! `index_build_us` is the median time of the bench's own `R_P` plus
 //! `R_T` bulk loads and of one 100k-point anti-correlated tree
 //! (reported, not gated).
@@ -53,17 +60,25 @@ use skyup_data::synthetic::{
 };
 use skyup_geom::kernel_isa;
 use skyup_obs::json::Json;
-use skyup_obs::{Counter, QueryMetrics};
+use skyup_obs::{Counter, QueryMetrics, Recorder};
 use skyup_rtree::{RTree, RTreeParams};
 
-/// Timing samples per configuration; the median is reported.
+/// Timed calls per configuration, at least; the median is reported.
 const SAMPLES: usize = 5;
+/// Calls continue until this much time is timed, so a configuration
+/// that runs in a few milliseconds reports the median of dozens of
+/// calls: on a shared 2-vCPU host about one multi-threaded call in ten
+/// waits milliseconds for a worker to be scheduled.
+const MIN_TIMED: Duration = Duration::from_millis(100);
 /// Top-k size — small enough that the threshold tightens early.
 const K: usize = 10;
 const DIMS: usize = 3;
 /// Points in the anti-correlated tree `index_build_us` times, at every
 /// scale.
 const INDEX_BUILD_POINTS: usize = 100_000;
+/// Threads of the paper-domain probing row, as the ledger's
+/// `paper_topk` runs the scheduler.
+const PAPER_THREADS: usize = 2;
 
 fn linear_cost(dims: usize) -> SumCost {
     SumCost::new(
@@ -116,8 +131,15 @@ fn median(mut samples: Vec<Duration>) -> Duration {
     samples[samples.len() / 2]
 }
 
+/// The median time of one call of `f`, over at least [`SAMPLES`] calls
+/// and [`MIN_TIMED`] of calls.
 fn median_wall(mut f: impl FnMut()) -> Duration {
-    median((0..SAMPLES).map(|_| time(&mut f).0).collect())
+    let start = Instant::now();
+    let mut calls = Vec::new();
+    while calls.len() < SAMPLES || start.elapsed() < MIN_TIMED {
+        calls.push(time(&mut f).0);
+    }
+    median(calls)
 }
 
 fn micros(d: Duration) -> Json {
@@ -207,6 +229,7 @@ fn main() {
                 at4.push((strategy.name(), wall, stats.evaluated));
             }
             runs.push(Json::obj(vec![
+                ("domain", Json::Str("interleaved".into())),
                 ("strategy", Json::Str(strategy.name().into())),
                 ("threads", Json::Num(threads as f64)),
                 ("wall_us", Json::Num(wall.as_micros() as f64)),
@@ -255,6 +278,64 @@ fn main() {
     // to its K-th result (the progressiveness figures' measurement).
     let paper_t = paper_products(t_size, DIMS, Distribution::Independent, args.seed ^ 0x5eed);
     let paper_rt = RTree::bulk_load(&paper_t, RTreeParams::default());
+
+    // 2-thread bound-sorted probing on the paper's own domain, where
+    // Algorithm 3 returns the whole of skyline(P) for every product.
+    let paper_probe = |rec: &mut dyn Recorder| {
+        improved_probing_topk_scheduled_rec(
+            &p,
+            &rp,
+            &paper_t,
+            K,
+            &cost,
+            &cfg,
+            PAPER_THREADS,
+            ProbeStrategy::BoundSorted,
+            rec,
+        )
+    };
+    let paper_reference = improved_probing_topk(&p, &rp, &paper_t, K, &cost, &cfg);
+    let mut paper_probe_metrics = QueryMetrics::default();
+    let (paper_probed, paper_stats) = paper_probe(&mut paper_probe_metrics);
+    let paper_probe_identical = bit_identical(&paper_probed, &paper_reference);
+    all_identical &= paper_probe_identical;
+    let paper_seq_wall = median_wall(|| {
+        std::hint::black_box(improved_probing_topk(&p, &rp, &paper_t, K, &cost, &cfg));
+    });
+    let paper_probe_wall = median_wall(|| {
+        std::hint::black_box(paper_probe(&mut skyup_obs::NullRecorder));
+    });
+    println!(
+        "  bound_sorted on (1, 2]^{DIMS} threads={PAPER_THREADS}: {} (sequential {})  \
+         evaluated={} pruned={}{}",
+        fmt_duration(paper_probe_wall),
+        fmt_duration(paper_seq_wall),
+        paper_stats.evaluated,
+        paper_stats.pruned,
+        if paper_probe_identical {
+            ""
+        } else {
+            "  MISMATCH"
+        },
+    );
+    runs.push(Json::obj(vec![
+        ("domain", Json::Str("paper".into())),
+        ("t_domain", Json::Str("independent (1, 2]".into())),
+        (
+            "strategy",
+            Json::Str(ProbeStrategy::BoundSorted.name().into()),
+        ),
+        ("threads", Json::Num(PAPER_THREADS as f64)),
+        ("wall_us", micros(paper_probe_wall)),
+        ("sequential_wall_us", micros(paper_seq_wall)),
+        (
+            "bit_identical_to_sequential",
+            Json::Bool(paper_probe_identical),
+        ),
+        ("evaluated", Json::Num(paper_stats.evaluated as f64)),
+        ("pruned", Json::Num(paper_stats.pruned as f64)),
+        ("counters", counters_json(&paper_probe_metrics)),
+    ]));
     let progressive = |limits: Option<&ExecutionLimits>| {
         let start = Instant::now();
         let mut join = JoinUpgrader::new(

@@ -1,14 +1,32 @@
 //! Work-stealing probe scheduler with an optional bound-sorted probe
 //! order and a shared admission threshold.
 //!
-//! Dominator-skyline cost varies wildly across products, so a fixed
-//! partition of `T` (one contiguous slice per worker) balances poorly:
-//! one unlucky slice can hold the whole query back. Workers instead
-//! *claim* products one at a time from a shared atomic counter — idle
-//! workers steal whatever is left, so the makespan tracks the slowest
-//! single product rather than the slowest slice.
+//! # One skyline view per call
 //!
-//! Two strategies share one loop:
+//! Improved probing runs `getDominatingSky` (Algorithm 3) over `R_P`
+//! once per product. The skyline of `t`'s dominators is
+//! `skyline(P) ∩ D(t)`, so the scheduler walks `R_P` once per call
+//! instead: Algorithm 3 for a product every point dominates
+//! (`t = [+∞; d]`) returns `skyline(P)` in BBS emission order, and one
+//! memo-less [`SkylineView`] over that list answers every product with
+//! a kernel scan plus Algorithm 1 over hoisted sorts. A best-first
+//! traversal pops any two points in the same relative order whatever
+//! else it prunes (the order is fixed by the keys on their root paths),
+//! so the view's dominator list for `t` is the list Algorithm 3 hands
+//! Algorithm 1 for `t`, in the same order, ties included: answers equal
+//! sequential [`crate::improved_probing_topk`] bit for bit by
+//! construction. The view has no dominator memo, because memo hits
+//! depend on claim order and would make the counters depend on the
+//! thread count.
+//!
+//! # Strategies
+//!
+//! Per-product cost varies across products, so a fixed partition of `T`
+//! (one contiguous slice per worker) balances poorly: one unlucky slice
+//! can hold the whole query back. Workers instead *claim* products one
+//! at a time from a shared atomic counter — idle workers steal whatever
+//! is left, so the makespan tracks the slowest single product rather
+//! than the slowest slice. Two strategies share one loop:
 //!
 //! * [`ProbeStrategy::WorkStealing`] — atomic-counter claims in product
 //!   id order; per-worker top-k, no pruning. Merged counters are fully
@@ -22,7 +40,9 @@
 //!   threshold proves every *remaining* claim is also prunable: the
 //!   worker drains the counter (`swap(n)`) and accounts the whole tail
 //!   as `ThresholdPrunes` in one step. At one thread this is the
-//!   classic screened sequential prober.
+//!   classic screened sequential prober. The same workers compute the
+//!   bounds first, claiming blocks of `T` off a shared counter, and the
+//!   caller sorts them.
 //!
 //! # Why the pruned answer is still exact
 //!
@@ -42,7 +62,9 @@
 //!
 //! Results are bit-identical for both strategies and every thread
 //! count. Merged counters are deterministic for `WorkStealing`
-//! (`StealEvents == |T|`); under `BoundSorted` only the invariant
+//! (`StealEvents == |T|`): node accesses and heap traffic are the one
+//! skyline pass's, and `DominanceTests` is that pass's plus one view
+//! scan per product. Under `BoundSorted` only the invariant
 //! `ProductsEvaluated + ThresholdPrunes == |T|` is guaranteed for
 //! unlimited runs — *which* products get pruned depends on timing (more
 //! threads publish the threshold sooner), and `SharedThresholdUpdates`
@@ -51,33 +73,34 @@
 //!
 //! # Guardrails
 //!
-//! The guard is armed before the bound sort, so a deadline counts the
-//! sort's time and a cancelled token stops it: the sort checks the
-//! guard once per product, and a trip there returns `Partial` with no
-//! results. During the probe loop each worker checks a forked guard
-//! between products and charges it inside every traversal.
+//! The guard is armed before the skyline pass, which charges it at
+//! every node and heap push; the bound sort then checks it once per
+//! product. A trip in either returns `Partial` with no results, and a
+//! panic in either, like one in the probe loop, returns
+//! [`SkyupError::WorkerPanicked`]. During the probe loop each worker
+//! checks a forked guard between products; a view scan visits no node.
 //!
-//! Each worker owns a [`SkylineScratch`] and an [`UpgradeScratch`], so
-//! after warmup the probe loop performs no per-product heap allocation
-//! (results are only materialized for products that pass the
-//! [`TopK::admits`] gate).
+//! Each worker owns a [`ViewScratch`], so after warmup the probe loop
+//! performs no per-product heap allocation (results are only
+//! materialized for products that pass the [`TopK::admits`] gate).
 
 use crate::config::UpgradeConfig;
 use crate::cost::CostFunction;
 use crate::error::{panic_message, validate_query, SkyupError};
 use crate::join::{list_bound, BoundMode, LowerBound};
 use crate::probing::record_guard;
+use crate::probing::view::{SkylineView, ViewScratch};
 use crate::result::{AnytimeTopK, UpgradeResult};
 use crate::topk::{SharedThreshold, TopK};
-use crate::upgrade::{upgrade_single_into, UpgradeScratch};
 use skyup_geom::{PointId, PointStore};
 use skyup_obs::{
-    timed, Completion, Counter, ExecGuard, ExecutionLimits, NullRecorder, Phase, QueryMetrics,
-    Recorder,
+    timed, Completion, Counter, ExecGuard, ExecutionLimits, Interrupt, NullRecorder, Phase,
+    QueryMetrics, Recorder,
 };
 use skyup_rtree::{EntryRef, RTree};
-use skyup_skyline::{dominating_skyline_into, SkylineScratch};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use skyup_skyline::dominating_skyline_lim;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// How the probe loop distributes the products of `T` across workers.
@@ -105,10 +128,28 @@ impl ProbeStrategy {
 /// `ProductsEvaluated` / `ThresholdPrunes` counters the run records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PruningStats {
-    /// Products fully evaluated (skyline + Algorithm 1).
+    /// Products fully evaluated (dominators + Algorithm 1).
     pub evaluated: u64,
     /// Products skipped by the lower-bound screen.
     pub pruned: u64,
+}
+
+/// Products per bound-sort claim: enough to amortize the claim, few
+/// enough that a late worker finds work left.
+const BOUND_BLOCK: usize = 32;
+
+/// Why the engine stopped before its probe loop.
+enum Halt {
+    /// A limit fired in the skyline pass or the bound sort.
+    Interrupted(Interrupt),
+    /// Worker `.0` panicked with message `.1`.
+    Panicked(usize, String),
+}
+
+/// Runs `f` behind the unwind barrier: a panic comes back as its
+/// message.
+fn barrier<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(panic_message)
 }
 
 /// What one worker hands back on clean (non-panicking) exit.
@@ -118,7 +159,6 @@ struct WorkerOut {
     evaluated: u64,
     pruned: u64,
     completion: Completion,
-    visits: u64,
 }
 
 /// Everything the engine produced; wrappers decide which parts to
@@ -151,255 +191,58 @@ where
 {
     let n = t_store.len();
     debug_assert!(threads >= 1 && n > 0);
-    let collect = rec.is_enabled();
-    let dims = p_store.dims();
-
-    // Probe order. BoundSorted pays one admissible list bound per
-    // product up front (`LowerBoundEvals` += |T|, under `BoundSort`)
-    // and sorts ascending by `(bound, id)`; WorkStealing walks id order.
-    let (order, bounds): (Vec<u32>, Vec<f64>) = if strategy == ProbeStrategy::BoundSorted {
-        let sorted = timed(rec, Phase::BoundSort, |rec| {
-            let frontier = screen_frontier(p_tree);
-            let mut bounds = vec![0.0f64; n];
-            if !frontier.is_empty() {
-                let mut screened: Vec<EntryRef> = Vec::with_capacity(frontier.len());
-                for (i, (_tid, t)) in t_store.iter().enumerate() {
-                    guard.checkpoint()?;
-                    screened.clear();
-                    screened.extend(frontier.iter().copied().filter(|&e| {
-                        p_tree
-                            .entry_lo(p_store, e)
-                            .iter()
-                            .zip(t)
-                            .all(|(&l, &y)| l <= y)
-                    }));
-                    bounds[i] = list_bound(
-                        t,
-                        &screened,
-                        p_store,
-                        p_tree,
-                        cost_fn,
-                        LowerBound::Aggressive,
-                        BoundMode::Admissible,
-                    );
-                    rec.bump(Counter::LowerBoundEvals);
-                }
-            }
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            order.sort_by(|&a, &b| {
-                bounds[a as usize]
-                    .total_cmp(&bounds[b as usize])
-                    .then(a.cmp(&b))
-            });
-            Ok((order, bounds))
-        });
-        match sorted {
-            Ok(sorted) => sorted,
-            Err(i) => {
-                return Ok(EngineOut {
-                    results: Vec::new(),
-                    stats: PruningStats::default(),
-                    completion: Completion::Partial(i),
-                    visits: 0,
-                })
-            }
+    let workers = threads.min(n);
+    let prepared = prepare(
+        p_store, p_tree, t_store, cost_fn, workers, strategy, &mut guard, rec,
+    );
+    // Only the skyline pass visits R-tree nodes, on this guard.
+    let visits = guard.node_visits();
+    let (skyline, view, order, bounds) = match prepared {
+        Ok(prepared) => prepared,
+        Err(Halt::Interrupted(i)) => {
+            return Ok(EngineOut {
+                results: Vec::new(),
+                stats: PruningStats::default(),
+                completion: Completion::Partial(i),
+                visits,
+            })
         }
-    } else {
-        ((0..n as u32).collect(), Vec::new())
+        Err(Halt::Panicked(worker, message)) => return Err(panicked(rec, worker, message)),
     };
 
-    let workers = threads.min(n);
-    let per_worker_topk = strategy != ProbeStrategy::BoundSorted;
-
-    // Shared scheduler state: the claim counter, the threshold cache,
-    // and (BoundSorted only) the single global top-k.
-    let next = AtomicUsize::new(0);
-    let threshold = SharedThreshold::new();
-    let shared = Mutex::new(TopK::new(k));
-
-    let outcomes: Vec<(usize, Result<WorkerOut, String>)> = timed(rec, Phase::ProbeLoop, |_| {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let mut wguard = guard.clone();
-                let (next, threshold, shared) = (&next, &threshold, &shared);
-                let (order, bounds) = (order.as_slice(), bounds.as_slice());
-                handles.push(scope.spawn(move || {
-                    let canceller = wguard.clone();
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut local = collect.then(QueryMetrics::new);
-                        let mut topk = per_worker_topk.then(|| TopK::new(k));
-                        let mut sky = SkylineScratch::new(dims);
-                        let mut upg = UpgradeScratch::new();
-                        let mut completion = Completion::Exact;
-                        let mut evaluated = 0u64;
-                        let mut pruned = 0u64;
-                        loop {
-                            if let Err(i) = wguard.checkpoint() {
-                                completion = Completion::Partial(i);
-                                break;
-                            }
-                            let pos = next.fetch_add(1, Ordering::Relaxed);
-                            if pos >= n {
-                                break;
-                            }
-                            if let Some(m) = &mut local {
-                                m.bump(Counter::StealEvents);
-                            }
-                            let idx = order[pos] as usize;
-                            if strategy == ProbeStrategy::BoundSorted
-                                && bounds[idx] > threshold.get()
-                            {
-                                // The stream is sorted by an admissible
-                                // bound and the cell only tightens:
-                                // every unclaimed position is prunable
-                                // too. Drain the counter and account the
-                                // whole tail at once.
-                                let drained = next.swap(n, Ordering::Relaxed).min(n);
-                                let tail = (n - drained) as u64;
-                                pruned += 1 + tail;
-                                if let Some(m) = &mut local {
-                                    m.incr(Counter::ThresholdPrunes, 1 + tail);
-                                }
-                                break;
-                            }
-                            let tid = PointId(idx as u32);
-                            let t = t_store.point(tid);
-                            let sky_res = match &mut local {
-                                Some(m) => timed(m, Phase::DominatingSky, |m| {
-                                    dominating_skyline_into(
-                                        p_store,
-                                        p_tree,
-                                        t,
-                                        m,
-                                        &mut wguard,
-                                        &mut sky,
-                                    )
-                                }),
-                                None => dominating_skyline_into(
-                                    p_store,
-                                    p_tree,
-                                    t,
-                                    &mut NullRecorder,
-                                    &mut wguard,
-                                    &mut sky,
-                                ),
-                            };
-                            if let Err(i) = sky_res {
-                                completion = Completion::Partial(i);
-                                break;
-                            }
-                            let cost = match &mut local {
-                                Some(m) => timed(m, Phase::Upgrade, |_| {
-                                    upgrade_single_into(
-                                        p_store,
-                                        sky.skyline(),
-                                        t,
-                                        cost_fn,
-                                        cfg,
-                                        &mut upg,
-                                    )
-                                }),
-                                None => upgrade_single_into(
-                                    p_store,
-                                    sky.skyline(),
-                                    t,
-                                    cost_fn,
-                                    cfg,
-                                    &mut upg,
-                                ),
-                            };
-                            if let Some(m) = &mut local {
-                                m.bump(Counter::ProductsEvaluated);
-                            }
-                            evaluated += 1;
-                            match &mut topk {
-                                Some(tk) => {
-                                    // Build the (allocating) result only
-                                    // when it will actually be kept.
-                                    if tk.admits(cost, idx as u32) {
-                                        tk.offer(UpgradeResult {
-                                            product: tid,
-                                            original: t.to_vec(),
-                                            upgraded: upg.upgraded().to_vec(),
-                                            cost,
-                                        });
-                                    }
-                                }
-                                None => {
-                                    // Cheap pre-gate on the cached
-                                    // threshold (conservative: the cell
-                                    // never under-estimates), then take
-                                    // the lock only for plausible offers.
-                                    if cost <= threshold.get() {
-                                        let mut tk = shared.lock().expect("top-k mutex poisoned");
-                                        if tk.admits(cost, idx as u32) {
-                                            tk.offer(UpgradeResult {
-                                                product: tid,
-                                                original: t.to_vec(),
-                                                upgraded: upg.upgraded().to_vec(),
-                                                cost,
-                                            });
-                                        }
-                                        let th = tk.threshold();
-                                        drop(tk);
-                                        if threshold.tighten(th) {
-                                            if let Some(m) = &mut local {
-                                                m.bump(Counter::SharedThresholdUpdates);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        WorkerOut {
-                            part: topk.map(TopK::into_sorted).unwrap_or_default(),
-                            metrics: local,
-                            evaluated,
-                            pruned,
-                            completion,
-                            visits: wguard.node_visits(),
-                        }
-                    }));
-                    match out {
-                        Ok(o) => (w, Ok(o)),
-                        Err(payload) => {
-                            // Stop the sibling workers at their next
-                            // checkpoint; their output is dropped anyway.
-                            canceller.cancel();
-                            (w, Err(panic_message(payload)))
-                        }
-                    }
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .expect("scheduled probing worker escaped its unwind barrier")
-                })
-                .collect()
-        })
+    let probe = ProbeLoop {
+        p_store,
+        t_store,
+        skyline: &skyline,
+        view: &view,
+        cost_fn,
+        cfg,
+        k,
+        strategy,
+        collect: rec.is_enabled(),
+        order: &order,
+        bounds: &bounds,
+        next: AtomicUsize::new(0),
+        threshold: SharedThreshold::new(),
+        shared: Mutex::new(TopK::new(k)),
+    };
+    let outcomes: Vec<Result<WorkerOut, String>> = timed(rec, Phase::ProbeLoop, |_| {
+        on_workers(workers, &guard, |_, wguard| probe.run(wguard))
     });
 
     // A panic anywhere poisons the whole answer: report it before
     // absorbing any worker's output.
-    for (w, out) in &outcomes {
-        if let Err(message) = out {
-            rec.bump(Counter::WorkerPanics);
-            return Err(SkyupError::WorkerPanicked {
-                worker: *w,
-                message: message.clone(),
-            });
-        }
-    }
+    let outs: Vec<WorkerOut> = outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(w, out)| out.map_err(|message| (w, message)))
+        .collect::<Result<_, _>>()
+        .map_err(|(w, message)| panicked(rec, w, message))?;
 
     let mut merged = TopK::new(k);
     let mut completion = Completion::Exact;
     let mut stats = PruningStats::default();
-    let mut visits = 0u64;
-    for (_, out) in outcomes {
-        let o = out.expect("panics were handled above");
+    for o in outs {
         if let Some(m) = o.metrics {
             rec.absorb(&m);
         }
@@ -408,18 +251,18 @@ where
         }
         stats.evaluated += o.evaluated;
         stats.pruned += o.pruned;
-        visits += o.visits;
         for r in o.part {
             merged.offer(r);
         }
     }
-    let results = if per_worker_topk {
-        merged.into_sorted()
-    } else {
-        shared
+    let results = if strategy == ProbeStrategy::BoundSorted {
+        probe
+            .shared
             .into_inner()
             .expect("top-k mutex poisoned")
             .into_sorted()
+    } else {
+        merged.into_sorted()
     };
     Ok(EngineOut {
         results,
@@ -427,6 +270,289 @@ where
         completion,
         visits,
     })
+}
+
+fn panicked<R: Recorder + ?Sized>(rec: &mut R, worker: usize, message: String) -> SkyupError {
+    rec.bump(Counter::WorkerPanics);
+    SkyupError::WorkerPanicked { worker, message }
+}
+
+/// Runs `f(w, guard)` for every worker `w < workers`, each with its own
+/// fork of `guard`: worker 0 on the calling thread, the others on
+/// scoped threads. A worker whose `f` returns `Err` (a contained panic)
+/// cancels the shared token, so its siblings stop at their next
+/// checkpoint. Returns the outcomes in worker order.
+fn on_workers<T: Send>(
+    workers: usize,
+    guard: &ExecGuard,
+    f: impl Fn(usize, ExecGuard) -> Result<T, String> + Sync,
+) -> Vec<Result<T, String>> {
+    let run = |w: usize, g: ExecGuard| {
+        let canceller = g.clone();
+        f(w, g).inspect_err(|_| canceller.cancel())
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|w| {
+                let (run, g) = (&run, guard.clone());
+                scope.spawn(move || run(w, g))
+            })
+            .collect();
+        let mut out = vec![run(0, guard.clone())];
+        out.extend(helpers.into_iter().map(|h| {
+            h.join()
+                .expect("scheduled probing worker escaped its unwind barrier")
+        }));
+        out
+    })
+}
+
+/// Everything the probe loop needs before its first claim: `skyline(P)`
+/// in BBS emission order, the view over it, and the probe order with
+/// its bounds (BoundSorted; empty bounds for WorkStealing).
+type Prepared = (Vec<PointId>, SkylineView, Vec<u32>, Vec<f64>);
+
+/// The skyline pass and the bound sort, both under the guard and behind
+/// the unwind barrier.
+///
+/// The pass is `getDominatingSky` (Algorithm 3) for a product every
+/// point dominates, so it returns `skyline(P)` in BBS emission order
+/// (timed as one `DominatingSky` call). BoundSorted then pays one
+/// admissible list bound per product (`LowerBoundEvals` += |T|, under
+/// `BoundSort`) on `workers` workers, and sorts ascending by
+/// `(bound, id)`; WorkStealing walks id order.
+#[allow(clippy::too_many_arguments)]
+fn prepare<C, R>(
+    p_store: &PointStore,
+    p_tree: &RTree,
+    t_store: &PointStore,
+    cost_fn: &C,
+    workers: usize,
+    strategy: ProbeStrategy,
+    guard: &mut ExecGuard,
+    rec: &mut R,
+) -> Result<Prepared, Halt>
+where
+    C: CostFunction + Sync + ?Sized,
+    R: Recorder + ?Sized,
+{
+    let n = t_store.len();
+    let top = vec![f64::INFINITY; p_store.dims()];
+    let pass = timed(rec, Phase::DominatingSky, |rec| {
+        barrier(|| dominating_skyline_lim(p_store, p_tree, &top, rec, guard))
+    });
+    let skyline = pass
+        .map_err(|message| Halt::Panicked(0, message))?
+        .map_err(Halt::Interrupted)?;
+    let view = SkylineView::without_memo(p_store, &skyline);
+
+    if strategy != ProbeStrategy::BoundSorted {
+        return Ok((skyline, view, (0..n as u32).collect(), Vec::new()));
+    }
+    timed(rec, Phase::BoundSort, |rec| {
+        let frontier = screen_frontier(p_tree);
+        let bounds: Vec<f64> = if frontier.is_empty() {
+            vec![0.0; n]
+        } else {
+            // Workers claim blocks of products off one counter, so a
+            // helper the OS starts late leaves its share to the others.
+            // Relaxed is enough: the claims publish nothing, and the
+            // cells are read only after the scope has joined every
+            // worker.
+            let next = AtomicUsize::new(0);
+            let cells: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            let outcomes = on_workers(workers, guard, |_, mut wguard| {
+                barrier(|| {
+                    // Returns the bounds computed before any trip.
+                    let mut screened: Vec<EntryRef> = Vec::with_capacity(frontier.len());
+                    let mut done = 0;
+                    loop {
+                        let start = next.fetch_add(BOUND_BLOCK, Ordering::Relaxed);
+                        if start >= n {
+                            return (done, None);
+                        }
+                        let end = n.min(start + BOUND_BLOCK);
+                        for (i, cell) in (start..end).zip(&cells[start..end]) {
+                            if let Err(trip) = wguard.checkpoint() {
+                                return (done, Some(trip));
+                            }
+                            let t = t_store.point(PointId(i as u32));
+                            screened.clear();
+                            screened.extend(frontier.iter().copied().filter(|&e| {
+                                p_tree
+                                    .entry_lo(p_store, e)
+                                    .iter()
+                                    .zip(t)
+                                    .all(|(&l, &y)| l <= y)
+                            }));
+                            let bound = list_bound(
+                                t,
+                                &screened,
+                                p_store,
+                                p_tree,
+                                cost_fn,
+                                LowerBound::Aggressive,
+                                BoundMode::Admissible,
+                            );
+                            cell.store(bound.to_bits(), Ordering::Relaxed);
+                            done += 1;
+                        }
+                    }
+                })
+            });
+            let mut trip = None;
+            for (w, out) in outcomes.into_iter().enumerate() {
+                let (done, tripped) = out.map_err(|message| Halt::Panicked(w, message))?;
+                rec.incr(Counter::LowerBoundEvals, done);
+                trip = trip.or(tripped);
+            }
+            if let Some(i) = trip {
+                return Err(Halt::Interrupted(i));
+            }
+            cells
+                .into_iter()
+                .map(|c| f64::from_bits(c.into_inner()))
+                .collect()
+        };
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by(|&a, &b| {
+            bounds[a as usize]
+                .total_cmp(&bounds[b as usize])
+                .then(a.cmp(&b))
+        });
+        Ok((skyline, view, order, bounds))
+    })
+}
+
+/// The probe loop's shared state: the view every worker answers
+/// through, the probe order, the claim counter, the threshold cache,
+/// and (BoundSorted only) the single global top-k.
+struct ProbeLoop<'a, C: ?Sized> {
+    p_store: &'a PointStore,
+    t_store: &'a PointStore,
+    skyline: &'a [PointId],
+    view: &'a SkylineView,
+    cost_fn: &'a C,
+    cfg: &'a UpgradeConfig,
+    k: usize,
+    strategy: ProbeStrategy,
+    collect: bool,
+    order: &'a [u32],
+    bounds: &'a [f64],
+    next: AtomicUsize,
+    threshold: SharedThreshold,
+    shared: Mutex<TopK>,
+}
+
+impl<C: CostFunction + Sync + ?Sized> ProbeLoop<'_, C> {
+    /// One worker: claims products until the order runs out, the bound
+    /// stream crosses the threshold, or the guard trips.
+    fn run(&self, mut guard: ExecGuard) -> Result<WorkerOut, String> {
+        barrier(|| {
+            let n = self.order.len();
+            let sorted = self.strategy == ProbeStrategy::BoundSorted;
+            let mut local = self.collect.then(QueryMetrics::new);
+            let mut topk = (!sorted).then(|| TopK::new(self.k));
+            let mut scratch = ViewScratch::new();
+            let mut completion = Completion::Exact;
+            let mut evaluated = 0u64;
+            let mut pruned = 0u64;
+            loop {
+                if let Err(i) = guard.checkpoint() {
+                    completion = Completion::Partial(i);
+                    break;
+                }
+                let pos = self.next.fetch_add(1, Ordering::Relaxed);
+                if pos >= n {
+                    break;
+                }
+                if let Some(m) = &mut local {
+                    m.bump(Counter::StealEvents);
+                }
+                let idx = self.order[pos] as usize;
+                if sorted && self.bounds[idx] > self.threshold.get() {
+                    // The stream is sorted by an admissible bound and the
+                    // cell only tightens: every unclaimed position is
+                    // prunable too. Drain the counter and account the
+                    // whole tail at once.
+                    let drained = self.next.swap(n, Ordering::Relaxed).min(n);
+                    let tail = (n - drained) as u64;
+                    pruned += 1 + tail;
+                    if let Some(m) = &mut local {
+                        m.incr(Counter::ThresholdPrunes, 1 + tail);
+                    }
+                    break;
+                }
+                let tid = PointId(idx as u32);
+                let t = self.t_store.point(tid);
+                let cost = match &mut local {
+                    Some(m) => {
+                        timed(m, Phase::DominatingSky, |m| {
+                            self.view.dominators_into(
+                                self.p_store,
+                                self.skyline,
+                                t,
+                                &mut scratch,
+                                m,
+                            )
+                        });
+                        timed(m, Phase::Upgrade, |_| self.upgrade(t, &mut scratch))
+                    }
+                    None => {
+                        let rec = &mut NullRecorder;
+                        self.view
+                            .dominators_into(self.p_store, self.skyline, t, &mut scratch, rec);
+                        self.upgrade(t, &mut scratch)
+                    }
+                };
+                if let Some(m) = &mut local {
+                    m.bump(Counter::ProductsEvaluated);
+                }
+                evaluated += 1;
+                // Build the (allocating) result only when it will
+                // actually be kept.
+                let result = || UpgradeResult {
+                    product: tid,
+                    original: t.to_vec(),
+                    upgraded: scratch.upgraded().to_vec(),
+                    cost,
+                };
+                match &mut topk {
+                    Some(tk) if tk.admits(cost, idx as u32) => tk.offer(result()),
+                    Some(_) => {}
+                    // Cheap pre-gate on the cached threshold
+                    // (conservative: the cell never under-estimates),
+                    // then take the lock only for plausible offers.
+                    None if cost <= self.threshold.get() => {
+                        let mut tk = self.shared.lock().expect("top-k mutex poisoned");
+                        if tk.admits(cost, idx as u32) {
+                            tk.offer(result());
+                        }
+                        let th = tk.threshold();
+                        drop(tk);
+                        if self.threshold.tighten(th) {
+                            if let Some(m) = &mut local {
+                                m.bump(Counter::SharedThresholdUpdates);
+                            }
+                        }
+                    }
+                    None => {}
+                }
+            }
+            WorkerOut {
+                part: topk.map(TopK::into_sorted).unwrap_or_default(),
+                metrics: local,
+                evaluated,
+                pruned,
+                completion,
+            }
+        })
+    }
+
+    fn upgrade(&self, t: &[f64], scratch: &mut ViewScratch) -> f64 {
+        self.view
+            .upgrade_into(self.p_store, t, self.cost_fn, self.cfg, scratch)
+    }
 }
 
 /// Runs improved probing under `strategy` across `threads` workers and
@@ -483,20 +609,22 @@ where
 
 /// Fallible, guarded scheduled probing: input validation as in
 /// [`crate::probing::try_basic_probing_topk`] plus `threads >= 1`, then
-/// each worker claims products under a forked guard sharing the global
-/// budgets. A worker that panics is contained by an unwind barrier: it
-/// cancels the shared token (stopping its siblings at their next
-/// checkpoint), every worker's output is discarded, and the call returns
-/// [`SkyupError::WorkerPanicked`].
+/// the skyline pass, the bound sort and every worker's claims run under
+/// forks of one guard sharing the global budgets. A worker that panics
+/// (the caller counts as worker 0 of all three) is contained by an
+/// unwind barrier: it cancels the shared token (stopping its siblings at
+/// their next checkpoint), every worker's output is discarded, and the
+/// call returns [`SkyupError::WorkerPanicked`].
 ///
 /// On a limit interruption each worker keeps the exact top-k over the
 /// products it fully evaluated, so the merged [`Completion::Partial`]
 /// answer is the exact top-k over the union of the evaluated products
 /// (under [`ProbeStrategy::BoundSorted`] the shared collector has the
 /// same property: the offer gate only skips products provably outside
-/// the top-k of the evaluated set). A limit that fires during the bound
-/// sort ends the call before any product is evaluated. Unlimited runs
-/// are bit-identical to [`improved_probing_topk_scheduled_rec`].
+/// the top-k of the evaluated set). A limit that fires during the
+/// skyline pass or the bound sort ends the call before any product is
+/// evaluated. Unlimited runs are bit-identical to
+/// [`improved_probing_topk_scheduled_rec`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_improved_probing_topk_scheduled<C, R>(
     p_store: &PointStore,
@@ -753,6 +881,23 @@ mod tests {
                         "{what}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The view's dominator order is BBS emission order over whatever
+    /// tree `R_P` is: an insertion-built tree (overlapping MBRs, other
+    /// node ids breaking key ties) must reproduce sequential probing
+    /// over that same tree just as a bulk-loaded one does.
+    #[test]
+    fn insertion_built_tree_matches_sequential_bit_for_bit() {
+        let (p, t, _, cost) = pruning_workload();
+        let rp = RTree::from_insertion(&p, RTreeParams::with_max_entries(8));
+        let seq = improved_probing_topk(&p, &rp, &t, t.len(), &cost, &UpgradeConfig::default());
+        for strategy in [ProbeStrategy::WorkStealing, ProbeStrategy::BoundSorted] {
+            for threads in [1, 3] {
+                let (out, _) = scheduled(&p, &rp, &t, t.len(), &cost, threads, strategy);
+                assert_eq!(out, seq, "{strategy:?} threads={threads}");
             }
         }
     }

@@ -29,8 +29,8 @@
 //! # Why answers are bit-identical
 //!
 //! A per-product answer is a pure function of `(t, skyline, cost_fn)`:
-//! the dominator set is the order-preserving filter of the id-sorted
-//! skyline (`skyline(dominators(t)) = {s ∈ skyline(P) : s ≺ t}`), and
+//! the dominator set is the order-preserving filter of the skyline
+//! (`skyline(dominators(t)) = {s ∈ skyline(P) : s ≺ t}`), and
 //! Algorithm 1 is deterministic given that list. All three dominator
 //! paths produce the *same list in the same order*: the columnar kernel
 //! enumerates dominator positions ascending (= skyline order), an exact
@@ -39,11 +39,17 @@
 //! filter of a superset list is the same subsequence of the skyline as a
 //! full filter (the superset property guarantees no dominator is
 //! missing, and filtering preserves order). [`upgrade_single_presorted_into`]
-//! then returns exactly the bits of [`crate::upgrade_single`]. So every
-//! answer is bit-identical to the sequential
-//! [`crate::dominators_from_skyline`] + [`crate::upgrade_single`] path,
-//! whatever the thread count, the order products arrive in, or the memo
-//! state.
+//! then returns exactly the bits of [`crate::upgrade_single`] over that
+//! list. So every answer is bit-identical to the sequential
+//! [`crate::dominators_from_skyline`] + [`crate::upgrade_single`] path
+//! over the same skyline order, whatever the thread count, the order
+//! products arrive in, or the memo state.
+//!
+//! The skyline may come in any fixed order; dominator lists come back
+//! in that order. Serving passes id-sorted skylines. The probe
+//! scheduler passes `skyline(P)` in BBS emission order, the order in
+//! which `getDominatingSky` (Algorithm 3) emits each product's
+//! dominators, so its answers equal improved probing's bit for bit.
 
 use crate::config::UpgradeConfig;
 use crate::cost::CostFunction;
@@ -171,13 +177,37 @@ impl DominatorMemo {
     }
 }
 
+/// Reusable buffers for [`SkylineView::dominators_into`] and
+/// [`SkylineView::upgrade_into`]: the dominator positions, their ids,
+/// and Algorithm 1's [`UpgradeScratch`]. A worker that keeps one
+/// answers products without allocating once the buffers have grown.
+#[derive(Default)]
+pub(crate) struct ViewScratch {
+    positions: Vec<u32>,
+    dominators: Vec<PointId>,
+    upgrade: UpgradeScratch,
+}
+
+impl ViewScratch {
+    /// Creates an empty scratch; buffers grow on first use.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// The upgraded coordinates left by the last
+    /// [`SkylineView::upgrade_into`] call.
+    pub(crate) fn upgraded(&self) -> &[f64] {
+        self.upgrade.upgraded()
+    }
+}
+
 /// One skyline prepared for answering products against it (see the
 /// module docs). `Sync`: any number of threads may answer through one
 /// view at once.
 ///
 /// A view holds no reference to the store it was built from; every
-/// method takes the same `p_store` and id-sorted `skyline` that were
-/// passed to [`SkylineView::new`].
+/// method takes the same `p_store` and `skyline` (same order) that were
+/// passed to the constructor.
 pub struct SkylineView {
     cols: ColumnarPoints,
     orders: DimOrders,
@@ -194,23 +224,30 @@ impl std::fmt::Debug for SkylineView {
 }
 
 impl SkylineView {
-    /// Prepares `skyline` — the id-sorted skyline of `p_store`'s live
-    /// set, the canonical order every dominator list is a subsequence
-    /// of — for answering products.
+    /// Prepares `skyline` — the skyline of `p_store`'s live set, in the
+    /// fixed order every dominator list comes back in — for answering
+    /// products, with the dominator memo on for skylines of at least
+    /// [`MEMO_MIN_SKYLINE`] points.
     pub fn new(p_store: &PointStore, skyline: &[PointId]) -> Self {
-        debug_assert!(
-            skyline.windows(2).all(|w| w[0] < w[1]),
-            "skyline not id-sorted"
-        );
+        // See MEMO_MIN_SKYLINE: on small skylines a memo probe costs as
+        // much as the kernel scan it replaces.
+        Self::build(p_store, skyline, skyline.len() >= MEMO_MIN_SKYLINE)
+    }
+
+    /// [`SkylineView::new`] without the dominator memo: every product is
+    /// a kernel scan, so the counters an answer records depend on the
+    /// product alone, never on which products were answered before it.
+    pub fn without_memo(p_store: &PointStore, skyline: &[PointId]) -> Self {
+        Self::build(p_store, skyline, false)
+    }
+
+    fn build(p_store: &PointStore, skyline: &[PointId], memo: bool) -> Self {
         let mut cols = ColumnarPoints::new(p_store.dims());
         cols.gather(p_store, skyline);
         SkylineView {
             cols,
             orders: DimOrders::new(p_store, skyline),
-            // See MEMO_MIN_SKYLINE: on small skylines a memo probe costs
-            // as much as the kernel scan it replaces.
-            memo: (skyline.len() >= MEMO_MIN_SKYLINE)
-                .then(|| DominatorMemo::new(p_store.dims(), skyline.len())),
+            memo: memo.then(|| DominatorMemo::new(p_store.dims(), skyline.len())),
         }
     }
 
@@ -227,27 +264,46 @@ impl SkylineView {
         t: &[f64],
         rec: &mut R,
     ) -> Vec<PointId> {
+        let mut scratch = ViewScratch::new();
+        self.dominators_into(p_store, skyline, t, &mut scratch, rec);
+        scratch.dominators
+    }
+
+    /// [`SkylineView::dominators`] into `scratch`; a warm scratch makes
+    /// the call allocation-free on a memo-less view.
+    pub(crate) fn dominators_into<R: Recorder + ?Sized>(
+        &self,
+        p_store: &PointStore,
+        skyline: &[PointId],
+        t: &[f64],
+        scratch: &mut ViewScratch,
+        rec: &mut R,
+    ) {
         debug_assert_eq!(
             skyline.len(),
             self.cols.len(),
             "view built from another skyline"
         );
-        let mut positions = Vec::new();
-        match self.memo.as_ref().map(|m| (m, m.lookup(t, &mut positions))) {
+        let positions = &mut scratch.positions;
+        positions.clear();
+        match self.memo.as_ref().map(|m| (m, m.lookup(t, positions))) {
             Some((_, Some(MemoHit::Exact))) => rec.bump(Counter::DominatorMemoHits),
             Some((memo, Some(MemoHit::Superset))) => {
                 rec.bump(Counter::DominatorMemoHits);
                 rec.incr(Counter::DominanceTests, positions.len() as u64);
                 positions.retain(|&p| dominates(p_store.point(skyline[p as usize]), t));
-                memo.insert(t, &positions);
+                memo.insert(t, positions);
             }
             Some((memo, None)) => {
-                self.scan(t, &mut positions, rec);
-                memo.insert(t, &positions);
+                self.scan(t, positions, rec);
+                memo.insert(t, positions);
             }
-            None => self.scan(t, &mut positions, rec),
+            None => self.scan(t, positions, rec),
         }
-        positions.into_iter().map(|p| skyline[p as usize]).collect()
+        scratch.dominators.clear();
+        scratch
+            .dominators
+            .extend(positions.iter().map(|&p| skyline[p as usize]));
     }
 
     /// A full kernel scan of the skyline for `t`'s dominators, appending
@@ -274,18 +330,33 @@ impl SkylineView {
         cfg: &UpgradeConfig,
         rec: &mut R,
     ) -> (f64, Vec<f64>) {
-        let dominators = self.dominators(p_store, skyline, t, rec);
-        let mut scratch = UpgradeScratch::new();
-        let cost = upgrade_single_presorted_into(
+        let mut scratch = ViewScratch::new();
+        self.dominators_into(p_store, skyline, t, &mut scratch, rec);
+        let cost = self.upgrade_into(p_store, t, cost_fn, cfg, &mut scratch);
+        (cost, scratch.upgraded().to_vec())
+    }
+
+    /// Algorithm 1 for `t` over the dominator list the last
+    /// [`SkylineView::dominators_into`] call left in `scratch`, with the
+    /// view's hoisted sorts. Returns the cost and leaves the upgraded
+    /// coordinates in the scratch ([`ViewScratch::upgraded`]).
+    pub(crate) fn upgrade_into<C: CostFunction + ?Sized>(
+        &self,
+        p_store: &PointStore,
+        t: &[f64],
+        cost_fn: &C,
+        cfg: &UpgradeConfig,
+        scratch: &mut ViewScratch,
+    ) -> f64 {
+        upgrade_single_presorted_into(
             p_store,
             &self.orders,
-            &dominators,
+            &scratch.dominators,
             t,
             cost_fn,
             cfg,
-            &mut scratch,
-        );
-        (cost, scratch.upgraded().to_vec())
+            &mut scratch.upgrade,
+        )
     }
 }
 

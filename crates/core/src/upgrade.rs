@@ -258,8 +258,9 @@ impl DimOrders {
     /// path and this hoisted path must agree on it.
     ///
     /// `skyline` must be in the same relative order as the dominator
-    /// lists later passed to [`upgrade_single_presorted_into`] — in
-    /// practice both are id-sorted.
+    /// lists later passed to [`upgrade_single_presorted_into`]: serving
+    /// keeps both id-sorted, the probe scheduler keeps both in BBS
+    /// emission order.
     pub fn new(p_store: &PointStore, skyline: &[PointId]) -> Self {
         let mut order = skyline.to_vec();
         let per_dim = (0..p_store.dims())
@@ -284,10 +285,10 @@ impl DimOrders {
 /// [`sweep_dimension`] the same sequence, by induction over
 /// dimensions: filtering commutes with a stable sort whenever the two
 /// sort inputs agree on the subset's relative order. They agree at
-/// `k = 0` (both start id-ordered), and each dimension's stable sort
-/// preserves the agreement — [`DimOrders`] chains its sorts exactly
-/// like the per-product path's reused `order` buffer, so even the
-/// history-dependent order of points tied on `D_k` matches.
+/// `k = 0` (both start in the skyline's order), and each dimension's
+/// stable sort preserves the agreement — [`DimOrders`] chains its sorts
+/// exactly like the per-product path's reused `order` buffer, so even
+/// the history-dependent order of points tied on `D_k` matches.
 ///
 /// # Contract
 ///

@@ -1,10 +1,10 @@
 //! Allocation accounting for the probe scheduler: after warmup the hot
-//! loop must not allocate per product. Per-worker scratches
-//! (`SkylineScratch`, `UpgradeScratch`), the hoisted screen buffer, and
-//! the `TopK::admits` gate mean the only per-run allocations left are
-//! O(1) setup (probe order, bounds, worker spawns, scratch growth) plus
-//! the O(k·log) results that are actually kept — so the allocation
-//! *count* must grow far slower than `|T|`.
+//! loop must not allocate per product. Per-worker `ViewScratch`es, the
+//! hoisted screen buffer, and the `TopK::admits` gate mean the only
+//! per-run allocations left are O(1) setup (the skyline pass and its
+//! view, probe order, bounds, worker spawns, scratch growth) plus the
+//! O(k·log) results that are actually kept — so the allocation *count*
+//! must grow far slower than `|T|`.
 //!
 //! This file holds a single test: the counting global allocator sees
 //! every allocation in the process, so concurrent tests would pollute

@@ -271,8 +271,8 @@ fn join_partial_is_exact_prefix_of_unlimited_emission() {
 fn injected_worker_panic_is_contained_and_reported() {
     let (p, rp, t) = setup(1500, 160, 0xdead);
     let cfg = UpgradeConfig::default();
-    // Panic at the 25th global node visit: with 4 workers racing, some
-    // worker trips it early in the run.
+    // Panic at the 25th global node visit: the skyline pass, which the
+    // caller runs as worker 0 before any product is claimed, trips it.
     let limits = ExecutionLimits::none().with_faults(FaultPlan::new().panic_at_visit(25));
     let mut metrics = QueryMetrics::new();
     let err = try_improved_probing_topk_scheduled(

@@ -20,9 +20,10 @@ use std::collections::BinaryHeap;
 
 /// Reusable state for repeated `getDominatingSky` traversals: the BBS
 /// priority queue, the skyline id list, and its columnar mirror (the
-/// layout the blockwise dominance kernel scans). A probe loop that keeps
-/// one scratch per worker performs no per-product heap allocations once
-/// the buffers have grown to the workload's high-water mark.
+/// layout the blockwise dominance kernel scans). The join keeps one
+/// scratch per resolving thread, so its traversals perform no heap
+/// allocations once the buffers have grown to the workload's high-water
+/// mark.
 pub struct SkylineScratch {
     heap: BinaryHeap<Reverse<u128>>,
     cols: ColumnarPoints,
@@ -166,34 +167,6 @@ pub fn dominating_skyline_from_lim<R: Recorder + ?Sized>(
     let mut scratch = SkylineScratch::new(t.len());
     dominating_skyline_from_into(store, tree, seeds, t, rec, guard, &mut scratch)?;
     Ok(std::mem::take(&mut scratch.skyline))
-}
-
-/// Root-seeded [`dominating_skyline_from_into`]: the workhorse of the
-/// probe scheduler's per-worker loop. The dominator skyline is left in
-/// `scratch` ([`SkylineScratch::skyline`]); all traversal state reuses
-/// the scratch's buffers, so a warm scratch makes the call
-/// allocation-free.
-pub fn dominating_skyline_into<R: Recorder + ?Sized>(
-    store: &PointStore,
-    tree: &RTree,
-    t: &[f64],
-    rec: &mut R,
-    guard: &mut ExecGuard,
-    scratch: &mut SkylineScratch,
-) -> Result<(), Interrupt> {
-    if tree.is_empty() {
-        scratch.reset();
-        return Ok(());
-    }
-    dominating_skyline_from_into(
-        store,
-        tree,
-        &[EntryRef::Node(tree.root_id())],
-        t,
-        rec,
-        guard,
-        scratch,
-    )
 }
 
 /// [`dominating_skyline_from_lim`] writing into a caller-provided
@@ -423,22 +396,18 @@ mod tests {
         use skyup_obs::ExecutionLimits;
         let s = pseudo_random_store(500, 3, 0x5c7a);
         let tree = RTree::bulk_load(&s, RTreeParams::with_max_entries(8));
+        let root = [EntryRef::Node(tree.root_id())];
         let mut scratch = SkylineScratch::new(3);
+        let into = |t: &[f64], guard: &mut ExecGuard, scratch: &mut SkylineScratch| {
+            dominating_skyline_from_into(&s, &tree, &root, t, &mut NullRecorder, guard, scratch)
+        };
         for i in 0..20u32 {
             let t = [
                 0.4 + 0.5 * (i % 5) as f64 / 5.0,
                 0.4 + 0.5 * ((i / 5) % 4) as f64 / 4.0,
                 0.9,
             ];
-            dominating_skyline_into(
-                &s,
-                &tree,
-                &t,
-                &mut NullRecorder,
-                &mut ExecGuard::unlimited(),
-                &mut scratch,
-            )
-            .unwrap();
+            into(&t, &mut ExecGuard::unlimited(), &mut scratch).unwrap();
             assert_eq!(
                 scratch.skyline(),
                 dominating_skyline(&s, &tree, &t),
@@ -449,18 +418,10 @@ mod tests {
         // scratch is reusable for the next product.
         let mut g = ExecutionLimits::none().with_max_node_visits(1).start();
         let t = [0.85, 0.85, 0.85];
-        let err = dominating_skyline_into(&s, &tree, &t, &mut NullRecorder, &mut g, &mut scratch);
+        let err = into(&t, &mut g, &mut scratch);
         assert_eq!(err, Err(Interrupt::NodeVisitBudget));
         assert!(scratch.skyline().is_empty());
-        dominating_skyline_into(
-            &s,
-            &tree,
-            &t,
-            &mut NullRecorder,
-            &mut ExecGuard::unlimited(),
-            &mut scratch,
-        )
-        .unwrap();
+        into(&t, &mut ExecGuard::unlimited(), &mut scratch).unwrap();
         assert_eq!(scratch.skyline(), dominating_skyline(&s, &tree, &t));
     }
 

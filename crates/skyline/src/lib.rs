@@ -36,8 +36,8 @@ pub use bbs::{skyline_bbs, skyline_bbs_rec};
 pub use bnl::{skyline_bnl, skyline_bnl_rec};
 pub use constrained::{
     dominating_skyline, dominating_skyline_from, dominating_skyline_from_into,
-    dominating_skyline_from_lim, dominating_skyline_from_rec, dominating_skyline_into,
-    dominating_skyline_lim, dominating_skyline_rec, SkylineScratch,
+    dominating_skyline_from_lim, dominating_skyline_from_rec, dominating_skyline_lim,
+    dominating_skyline_rec, SkylineScratch,
 };
 pub use dnc::skyline_dnc;
 pub use naive::skyline_naive;

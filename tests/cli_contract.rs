@@ -110,6 +110,75 @@ fn exhausted_budget_exits_two_with_partial_answer() {
     }
 }
 
+/// A tie-heavy grid fixture: competitors on the plane
+/// `x + y + z = 1.5` with step 1/8 (every other point twice), products
+/// with step 1/4 in `[0.25, 1.25]³`, so dominators tie on every
+/// dimension and products tie on cost.
+fn grid_fixture(tag: &str) -> (PathBuf, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("skyup-cli-contract-{tag}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut competitors = String::new();
+    for i in 0..=8u32 {
+        for j in 0..=(12 - i).min(8) {
+            let l = 12 - i - j;
+            if l > 8 {
+                continue;
+            }
+            let row = format!("{},{},{}\n", i as f64 / 8.0, j as f64 / 8.0, l as f64 / 8.0);
+            competitors.push_str(&row);
+            if (i + j) % 2 == 0 {
+                competitors.push_str(&row);
+            }
+        }
+    }
+    let mut products = String::new();
+    for a in 1..=5u32 {
+        for b in 1..=5u32 {
+            for c in 1..=5u32 {
+                let [x, y, z] = [a, b, c].map(|v| v as f64 / 4.0);
+                products.push_str(&format!("{x},{y},{z}\n"));
+            }
+        }
+    }
+    let comp = dir.join("competitors.csv");
+    let prod = dir.join("products.csv");
+    std::fs::write(&comp, competitors).unwrap();
+    std::fs::write(&prod, products).unwrap();
+    (comp, prod)
+}
+
+/// `--threads 1` runs improved probing (Algorithm 3 per product) and
+/// `--threads 2` the scheduler's skyline view; on a grid full of ties
+/// both print the same bytes.
+#[test]
+fn threaded_probing_prints_the_sequential_answer() {
+    let (comp, prod) = grid_fixture("threads");
+    let outputs: Vec<String> = ["1", "2"]
+        .iter()
+        .map(|threads| {
+            let out = run(
+                &comp,
+                &prod,
+                &[
+                    "-k",
+                    "40",
+                    "--algorithm",
+                    "probing",
+                    "--cost",
+                    "linear:1.0",
+                    "--threads",
+                    threads,
+                ],
+            );
+            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+            assert_eq!(out.status.code(), Some(0), "--threads {threads}: {stdout}");
+            stdout
+        })
+        .collect();
+    assert!(outputs[0].contains("#40 product"), "{}", outputs[0]);
+    assert_eq!(outputs[0], outputs[1]);
+}
+
 #[test]
 fn bad_arguments_exit_one() {
     let out = bin().arg("--no-such-flag").output().unwrap();

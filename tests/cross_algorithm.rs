@@ -7,12 +7,14 @@ use skyup::core::cost::{AttributeCost, LinearCost, SumCost};
 use skyup::core::join::{BoundMode, JoinUpgrader, LowerBound};
 use skyup::core::{
     basic_probing_topk, basic_probing_topk_rec, improved_probing_topk, improved_probing_topk_rec,
-    improved_probing_topk_scheduled_rec, single_set_topk, ProbeStrategy, UpgradeConfig,
+    improved_probing_topk_scheduled_rec, single_set_topk, ProbeStrategy, SkylineView,
+    UpgradeConfig,
 };
 use skyup::data::synthetic::{generate, Distribution, SyntheticConfig};
 use skyup::geom::PointStore;
 use skyup::obs::{Counter, QueryMetrics, Recorder};
 use skyup::rtree::{RTree, RTreeParams};
+use skyup::skyline::dominating_skyline_rec;
 
 fn costs(rs: &[skyup::core::UpgradeResult]) -> Vec<f64> {
     rs.iter().map(|r| r.cost).collect()
@@ -75,6 +77,27 @@ fn run_case(dist: Distribution, dims: usize, p_lo: f64, p_hi: f64, t_lo: f64, t_
             &format!("{dist:?} d={dims} join-{bound:?} vs probing"),
         );
     }
+}
+
+/// The work scheduled probing does beside its probe loop, measured
+/// through the public pieces it is built from: one pass of Algorithm 3
+/// for a product every point dominates, which returns `skyline(P)` in
+/// BBS emission order, and a memo-less view over that skyline scanned
+/// once per product of `t`.
+fn skyline_pass_and_view_scans(
+    p: &PointStore,
+    rp: &RTree,
+    t: &PointStore,
+) -> (QueryMetrics, QueryMetrics) {
+    let mut pass = QueryMetrics::new();
+    let top = vec![f64::INFINITY; p.dims()];
+    let sky = dominating_skyline_rec(p, rp, &top, &mut pass);
+    let view = SkylineView::without_memo(p, &sky);
+    let mut scans = QueryMetrics::new();
+    for (_, tp) in t.iter() {
+        view.dominators(p, &sky, tp, &mut scans);
+    }
+    (pass, scans)
 }
 
 #[test]
@@ -185,18 +208,33 @@ fn counter_consistency_across_algorithms() {
         assert_eq!(m.get(Counter::ProductsEvaluated), t.len() as u64);
         assert_eq!(m.get(Counter::ResultsEmitted), k as u64);
     }
-    // The same per-product work happens under work stealing: its
-    // counters are deterministic and equal the sequential improved run.
+    // Work stealing walks R_P once, for skyline(P), and answers every
+    // product with a kernel scan of a memo-less view over it: its R-tree
+    // and heap counters equal that one pass, and its point and block
+    // work equal the pass plus the scans.
+    let (pass, scans) = skyline_pass_and_view_scans(&p, &rp, &t);
     for c in [
-        Counter::DominanceTests,
         Counter::RtreeNodeAccesses,
         Counter::RtreeEntryAccesses,
         Counter::SkylinePointsRetained,
         Counter::HeapPushes,
         Counter::HeapPops,
     ] {
-        assert_eq!(mp.get(c), mi.get(c), "stealing vs improved {}", c.name());
+        assert_eq!(mp.get(c), pass.get(c), "stealing vs one pass {}", c.name());
     }
+    for c in [
+        Counter::DominanceTests,
+        Counter::KernelBlockScans,
+        Counter::KernelBlocksSkipped,
+    ] {
+        assert_eq!(
+            mp.get(c),
+            pass.get(c) + scans.get(c),
+            "stealing vs one pass plus the view scans {}",
+            c.name()
+        );
+    }
+    assert!(mp.get(Counter::RtreeNodeAccesses) < mi.get(Counter::RtreeNodeAccesses));
     // Both skyline strategies retain the same dominator skylines.
     assert_eq!(
         mb.get(Counter::SkylinePointsRetained),
@@ -210,104 +248,166 @@ fn counter_consistency_across_algorithms() {
     );
 }
 
+/// Competitors and products on coarse grids, with duplicated rows on
+/// both sides. The skyline holds every point of the plane
+/// `x + y + z = 1.5` on the grid of step 1/16 (217 points, every third
+/// one twice), so dominators tie on every dimension; dominated grid
+/// points on `x + y + z = 1.875` fill the rest of `P`. Products sit on
+/// the grid of step 1/4 in `[0.25, 1.25]³` (every seventh twice), so
+/// they share coordinates with their dominators and tie on cost; those
+/// on or below the plane cost nothing, which lets the screen fire.
+fn tie_heavy_instance() -> (PointStore, PointStore) {
+    let mut p = PointStore::new(3);
+    for sum in [24u32, 30] {
+        let mut n = 0;
+        for i in 0..=16u32 {
+            for j in 0..=16u32 {
+                let Some(l) = sum.checked_sub(i + j).filter(|&l| l <= 16) else {
+                    continue;
+                };
+                let row = [i, j, l].map(|c| f64::from(c) / 16.0);
+                p.push(&row);
+                if sum == 24 && n % 3 == 0 {
+                    p.push(&row);
+                }
+                n += 1;
+            }
+        }
+    }
+    let mut t = PointStore::new(3);
+    let grid =
+        (1..=5u32).flat_map(|a| (1..=5u32).flat_map(move |b| (1..=5).map(move |c| [a, b, c])));
+    for (n, row) in grid.enumerate() {
+        let row = row.map(|v| f64::from(v) / 4.0);
+        t.push(&row);
+        if n % 7 == 0 {
+            t.push(&row);
+        }
+    }
+    (p, t)
+}
+
 /// The probe scheduler's counter contract: work stealing merges to
 /// fully deterministic metrics at every thread count (each product is
 /// claimed and evaluated exactly once), and the bound-sorted pruning
 /// path keeps the exact accounting `ProductsEvaluated + ThresholdPrunes
-/// == |T|` while returning the bit-identical sequential answer.
+/// == |T|` while returning the bit-identical sequential answer — on an
+/// interleaved instance and on a tie-heavy grid.
 #[test]
 fn scheduled_probing_counter_contract() {
-    let p = generate(
-        800,
-        &SyntheticConfig::unit(3, Distribution::Independent, 41),
+    let interleaved = (
+        generate(
+            800,
+            &SyntheticConfig::unit(3, Distribution::Independent, 41),
+        ),
+        generate(
+            150,
+            &SyntheticConfig {
+                dims: 3,
+                distribution: Distribution::Independent,
+                lo: 0.3,
+                hi: 1.3,
+                seed: 42,
+            },
+        ),
     );
-    let t = generate(
-        150,
-        &SyntheticConfig {
-            dims: 3,
-            distribution: Distribution::Independent,
-            lo: 0.3,
-            hi: 1.3,
-            seed: 42,
-        },
+    let (grid_p, grid_t) = tie_heavy_instance();
+    let grid_sky = skyup::skyline::skyline_naive(&grid_p, &grid_p.ids().collect::<Vec<_>>());
+    assert!(
+        grid_sky.len() >= 128,
+        "skyline of {} points",
+        grid_sky.len()
     );
-    let rp = RTree::bulk_load(&p, RTreeParams::with_max_entries(16));
+    assert!(grid_sky.len() > 217, "the skyline must hold twins");
+
     // Linear costs keep the admissible list bounds informative, so the
-    // shared-threshold screen actually fires on this interleaved layout.
+    // shared-threshold screen actually fires on these layouts.
     let cost_fn = SumCost::new(
         (0..3)
             .map(|_| Box::new(LinearCost::new(2.0, 1.0)) as Box<dyn AttributeCost>)
             .collect(),
     );
     let cfg = UpgradeConfig::default();
-    let k = 8;
-    let seq = improved_probing_topk(&p, &rp, &t, k, &cost_fn, &cfg);
+    for (name, (p, t), k) in [
+        ("interleaved", interleaved, 8),
+        ("tie-heavy grid", (grid_p, grid_t), 40),
+    ] {
+        let rp = RTree::bulk_load(&p, RTreeParams::with_max_entries(16));
+        let seq = improved_probing_topk(&p, &rp, &t, k, &cost_fn, &cfg);
 
-    let assert_bit_identical = |out: &[skyup::core::UpgradeResult], label: &str| {
-        assert_eq!(seq.len(), out.len(), "{label}");
-        for (a, b) in seq.iter().zip(out) {
-            assert_eq!(a.product, b.product, "{label}");
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{label}");
-            assert_eq!(a.upgraded, b.upgraded, "{label}");
-        }
-    };
+        let assert_bit_identical = |out: &[skyup::core::UpgradeResult], label: &str| {
+            assert_eq!(seq.len(), out.len(), "{name}: {label}");
+            for (a, b) in seq.iter().zip(out) {
+                assert_eq!(a.product, b.product, "{name}: {label}");
+                assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{name}: {label}");
+                let bits = |r: &skyup::core::UpgradeResult| -> Vec<u64> {
+                    r.upgraded.iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(a), bits(b), "{name}: {label}");
+            }
+        };
 
-    // Work stealing: same counters no matter how the claims interleave.
-    let mut baseline: Option<Vec<u64>> = None;
-    for threads in [1, 2, 4, 8] {
-        let mut m = QueryMetrics::new();
-        let (out, stats) = improved_probing_topk_scheduled_rec(
-            &p,
-            &rp,
-            &t,
-            k,
-            &cost_fn,
-            &cfg,
-            threads,
-            ProbeStrategy::WorkStealing,
-            &mut m,
-        );
-        assert_bit_identical(&out, &format!("stealing threads={threads}"));
-        assert_eq!(m.get(Counter::StealEvents), t.len() as u64);
-        assert_eq!(m.get(Counter::ProductsEvaluated), t.len() as u64);
-        assert_eq!(stats.pruned, 0);
-        let snap: Vec<u64> = Counter::ALL.iter().map(|&c| m.get(c)).collect();
-        match &baseline {
-            None => baseline = Some(snap),
-            Some(b) => assert_eq!(b, &snap, "stealing counters differ at threads={threads}"),
-        }
-    }
-
-    // Bound-sorted pruning: exact results plus exact accounting. Which
-    // products get pruned is timing-dependent, but every product is
-    // either evaluated or pruned — never both, never neither.
-    for threads in [1, 2, 4, 8] {
-        let mut m = QueryMetrics::new();
-        let (out, stats) = improved_probing_topk_scheduled_rec(
-            &p,
-            &rp,
-            &t,
-            k,
-            &cost_fn,
-            &cfg,
-            threads,
-            ProbeStrategy::BoundSorted,
-            &mut m,
-        );
-        assert_bit_identical(&out, &format!("bound-sorted threads={threads}"));
-        assert_eq!(
-            m.get(Counter::ProductsEvaluated) + m.get(Counter::ThresholdPrunes),
-            t.len() as u64,
-            "threads={threads}"
-        );
-        assert_eq!(m.get(Counter::ProductsEvaluated), stats.evaluated);
-        assert_eq!(m.get(Counter::ThresholdPrunes), stats.pruned);
-        assert_eq!(m.get(Counter::LowerBoundEvals), t.len() as u64);
-        if threads == 1 {
-            assert!(
-                stats.pruned > 0,
-                "the screen must fire on the interleaved workload: {stats:?}"
+        // Work stealing: same counters no matter how the claims interleave.
+        let mut baseline: Option<Vec<u64>> = None;
+        for threads in [1, 2, 4, 8] {
+            let mut m = QueryMetrics::new();
+            let (out, stats) = improved_probing_topk_scheduled_rec(
+                &p,
+                &rp,
+                &t,
+                k,
+                &cost_fn,
+                &cfg,
+                threads,
+                ProbeStrategy::WorkStealing,
+                &mut m,
             );
+            assert_bit_identical(&out, &format!("stealing threads={threads}"));
+            assert_eq!(m.get(Counter::StealEvents), t.len() as u64);
+            assert_eq!(m.get(Counter::ProductsEvaluated), t.len() as u64);
+            assert_eq!(stats.pruned, 0);
+            let snap: Vec<u64> = Counter::ALL.iter().map(|&c| m.get(c)).collect();
+            match &baseline {
+                None => baseline = Some(snap),
+                Some(b) => assert_eq!(
+                    b, &snap,
+                    "{name}: stealing counters differ at threads={threads}"
+                ),
+            }
+        }
+
+        // Bound-sorted pruning: exact results plus exact accounting.
+        // Which products get pruned is timing-dependent, but every
+        // product is either evaluated or pruned — never both, never
+        // neither.
+        for threads in [1, 2, 4, 8] {
+            let mut m = QueryMetrics::new();
+            let (out, stats) = improved_probing_topk_scheduled_rec(
+                &p,
+                &rp,
+                &t,
+                k,
+                &cost_fn,
+                &cfg,
+                threads,
+                ProbeStrategy::BoundSorted,
+                &mut m,
+            );
+            assert_bit_identical(&out, &format!("bound-sorted threads={threads}"));
+            assert_eq!(
+                m.get(Counter::ProductsEvaluated) + m.get(Counter::ThresholdPrunes),
+                t.len() as u64,
+                "{name}: threads={threads}"
+            );
+            assert_eq!(m.get(Counter::ProductsEvaluated), stats.evaluated);
+            assert_eq!(m.get(Counter::ThresholdPrunes), stats.pruned);
+            assert_eq!(m.get(Counter::LowerBoundEvals), t.len() as u64);
+            if threads == 1 {
+                assert!(
+                    stats.pruned > 0,
+                    "{name}: the screen must fire on this workload: {stats:?}"
+                );
+            }
         }
     }
 }
@@ -322,7 +422,6 @@ fn scheduled_probing_counter_contract() {
 /// one thread.
 #[test]
 fn view_kernel_block_conservation() {
-    use skyup::core::SkylineView;
     use skyup::geom::DOM_BLOCK;
     use skyup::skyline::skyline_bnl;
     use std::sync::atomic::{AtomicUsize, Ordering};

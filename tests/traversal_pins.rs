@@ -3,6 +3,8 @@
 //! Algorithm 3 (`dominating_skyline_rec`), plain BBS (`skyline_bbs_rec`)
 //! and 1-thread bound-sorted improved probing, on seeded instances in
 //! two domains. Every nonzero counter and every result bit is pinned.
+//! Scheduled probing walks `R_P` once, for `skyline(P)`, so its R-tree
+//! and heap counts equal the BBS line's.
 //!
 //! No timing is read, so the pins hold on any host and in any build
 //! profile; CI runs this file in debug (the workspace sweep) and in
@@ -44,7 +46,7 @@ const EXPECTED: &[(&str, &str)] = &[
     ),
     (
         "interleaved/bound_sorted_1t",
-        "DominanceTests=1127137 RtreeNodeAccesses=1447 RtreeEntryAccesses=86567 SkylinePointsRetained=5888 LowerBoundEvals=400 ThresholdPrunes=257 ProductsEvaluated=143 HeapPushes=23782 HeapPops=23782 ResultsEmitted=10 StealEvents=144 SharedThresholdUpdates=21 KernelBlockScans=31331 KernelBlocksSkipped=4362 bits=7c3d974529d676b7",
+        "DominanceTests=117318 RtreeNodeAccesses=27 RtreeEntryAccesses=1599 SkylinePointsRetained=179 LowerBoundEvals=400 ThresholdPrunes=257 ProductsEvaluated=143 HeapPushes=942 HeapPops=942 ResultsEmitted=10 StealEvents=144 SharedThresholdUpdates=21 KernelBlockScans=2462 KernelBlocksSkipped=83 bits=7c3d974529d676b7",
     ),
     (
         "paper/join",
@@ -60,7 +62,7 @@ const EXPECTED: &[(&str, &str)] = &[
     ),
     (
         "paper/bound_sorted_1t",
-        "DominanceTests=9182521 RtreeNodeAccesses=3043 RtreeEntryAccesses=165575 SkylinePointsRetained=23449 LowerBoundEvals=200 ThresholdPrunes=21 ProductsEvaluated=179 HeapPushes=116708 HeapPops=116708 ResultsEmitted=10 StealEvents=180 SharedThresholdUpdates=15 KernelBlockScans=186697 KernelBlocksSkipped=28819 bits=5a9444d79e9dbd56",
+        "DominanceTests=74748 RtreeNodeAccesses=17 RtreeEntryAccesses=925 SkylinePointsRetained=131 LowerBoundEvals=200 ThresholdPrunes=21 ProductsEvaluated=179 HeapPushes=652 HeapPops=652 ResultsEmitted=10 StealEvents=180 SharedThresholdUpdates=15 KernelBlockScans=1580 KernelBlocksSkipped=161 bits=5a9444d79e9dbd56",
     ),
 ];
 
