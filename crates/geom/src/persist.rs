@@ -2,9 +2,8 @@
 //! helpers every on-disk image in the workspace shares: the [`fnv1a`]
 //! checksum and [`write_atomic`].
 //!
-//! Building a million-point R-tree takes seconds; loading one from disk
-//! takes milliseconds. The format is little-endian, versioned, and
-//! self-describing:
+//! The serving checkpoint embeds this image as its rows section. The
+//! format is little-endian, versioned, and self-describing:
 //!
 //! ```text
 //! magic "SKUPPSTO" | version u32 | dims u64 | len u64 | coords f64*
@@ -45,8 +44,8 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// A little-endian cursor over a byte slice, shared with the R-tree
-/// and write-ahead-log decoders.
+/// A little-endian cursor over a byte slice, shared with the
+/// write-ahead-log decoders.
 #[doc(hidden)]
 pub struct Reader<'a> {
     buf: &'a [u8],

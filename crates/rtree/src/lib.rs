@@ -24,7 +24,6 @@
 pub mod bulk;
 pub mod insert;
 pub mod node;
-pub mod persist;
 pub mod query;
 pub mod split;
 pub mod stats;

@@ -358,13 +358,13 @@ impl Engine {
 
     /// Warm start: restores the competitor set from a snapshot file
     /// written by [`Engine::save_snapshot_bytes`] — rows, competitor
-    /// ids, next id and epoch, as `--wal` recovery restores a
-    /// checkpoint — or from a SKUPSNAP container as older builds wrote
-    /// it (its tree is skipped), whose rows get ids `0..n` at epoch 0,
-    /// as a cold start over them would. Corruption is reported as
-    /// [`SkyupError::InvalidInput`], never a panic.
+    /// ids, next id and epoch — through the decoder `--wal` recovery
+    /// reads its checkpoint with. A SKUPSNAP file or a version-1
+    /// checkpoint, as older builds wrote them, is refused by name.
+    /// Corruption is reported as [`SkyupError::InvalidInput`], never a
+    /// panic.
     pub fn from_snapshot_bytes(buf: &[u8], cfg: EngineConfig) -> Result<Engine, SkyupError> {
-        let ck = wal::decode_snapshot(buf)
+        let ck = wal::decode_checkpoint(buf)
             .map_err(|e| SkyupError::InvalidInput(format!("snapshot file rejected: {e}")))?;
         Ok(Self::from_id_parts(
             ck.store,
@@ -505,7 +505,13 @@ impl Engine {
                     rec.seq, last_seq
                 )));
             }
-            let outcome = engine.apply(rec.mutation)?;
+            let outcome = engine.apply(rec.mutation).map_err(|e| {
+                let why = match e {
+                    SkyupError::InvalidInput(why) => why,
+                    other => other.to_string(),
+                };
+                SkyupError::InvalidInput(format!("wal rejected: record seq {}: {why}", rec.seq))
+            })?;
             if outcome.epoch != rec.epoch || (outcome.cid.is_none() && !outcome.removed) {
                 return Err(SkyupError::InvalidInput(format!(
                     "wal rejected: record seq {} diverges from engine state \
@@ -624,6 +630,11 @@ impl Engine {
                         "assigned competitor id {cid} is already spent (next unassigned id \
                          is {})",
                         w.next_cid
+                    )));
+                }
+                if *cid >= wal::COUNTER_LIMIT {
+                    return Err(SkyupError::InvalidInput(format!(
+                        "assigned competitor id {cid} is past 2^63"
                     )));
                 }
             }

@@ -31,19 +31,12 @@
 //!   | fnv1a u64 (over everything before it)
 //!   ```
 //!
-//!   Version 1, written while the writer kept an R-tree, carried
-//!   `snap_len u64 | SKUPSNAP container (store + tree)` in place of the
-//!   rows section. It still recovers: the decoder reads the container's
-//!   rows and skips its tree.
-//!
 //! `--save-snapshot` writes the same image at seq 0 (a snapshot file
-//! belongs to no log), and `--warm-start` reads it, or a SKUPSNAP
-//! container as older builds wrote it:
-//!
-//!   ```text
-//!   magic "SKUPSNAP" | version u32 (1) | store_len u64 | store bytes
-//!   | tree_len u64 | tree bytes | fnv1a u64 (over everything before it)
-//!   ```
+//! belongs to no log), and `--warm-start` reads it through the same
+//! decoder. Version 2 is the only format read. Version-1 checkpoints
+//! and SKUPSNAP files (rows plus an R-tree, written by builds that kept
+//! an index) are refused with an error that names the format and the
+//! way out, and the file is left as it is (DESIGN.md §16).
 //!
 //! Recovery loads the checkpoint and replays every record with a newer
 //! sequence number. A *torn tail* — an incomplete or checksum-failed
@@ -73,21 +66,32 @@ const MAX_PAYLOAD: u32 = 1 << 20;
 const MIN_PAYLOAD: u32 = 8 + 8 + 1;
 /// Bytes of `payload_len u32 | crc32 u32` before each payload.
 const HEADER: usize = 8;
+/// Sequence numbers, epochs and competitor ids step by one per
+/// mutation and stay below this: at a billion mutations a second it
+/// takes 292 years to reach. Decoders refuse larger values, so the
+/// steps after a decoded one never overflow.
+pub(crate) const COUNTER_LIMIT: u64 = 1 << 63;
 
 const CKPT_MAGIC: &[u8; 8] = b"SKUPCKPT";
-/// The checkpoint version the engine writes: ids and rows, no index.
+/// The checkpoint version the engine writes and reads: ids and rows,
+/// no index.
 const CKPT_VERSION: u32 = 2;
-/// The previous version: ids plus a SKUPSNAP store-and-tree container.
-/// Still decoded, so durable state written before version 2 recovers.
-const CKPT_V1: u32 = 1;
 /// Checkpoint bytes before the cid table: magic, version, seq, epoch,
 /// next_cid, ncids.
 const CKPT_HEADER: usize = 8 + 4 + 8 * 4;
 
-/// The store-and-tree container of older `--save-snapshot` files and
-/// version-1 checkpoints.
+/// The magic of the store-and-tree container older builds wrote as
+/// `--save-snapshot` files. Only recognised, so its refusal can say
+/// what the file is.
 const SNAP_MAGIC: &[u8; 8] = b"SKUPSNAP";
-const SNAP_VERSION: u32 = 1;
+/// The refusals of the two retired formats, each with its way out.
+const SNAP_RETIRED: &str = "SKUPSNAP snapshot files (rows plus an R-tree) are no longer \
+     read; re-seed with --competitors, or convert the file with a build that still reads \
+     it: serve --warm-start OLD --save-snapshot NEW writes a version-2 image";
+const CKPT_V1_RETIRED: &str = "checkpoint version 1 (ids plus a SKUPSNAP container) is no \
+     longer read; save it as a version-2 image with a build that still reads it (serve --wal \
+     DIR --save-snapshot NEW) and warm-start from NEW with an empty --wal directory, or \
+     re-seed with --competitors";
 
 /// When the engine forces the WAL file to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -288,6 +292,9 @@ fn decode_payload(offset: usize, payload: &[u8]) -> Result<WalRecord, WalError> 
     let mut r = Reader::new(payload);
     let seq = r.u64().map_err(|_| corrupt("payload too short"))?;
     let epoch = r.u64().map_err(|_| corrupt("payload too short"))?;
+    if seq >= COUNTER_LIMIT || epoch >= COUNTER_LIMIT {
+        return Err(corrupt("record seq or epoch past 2^63"));
+    }
     let kind = r.bytes(1).map_err(|_| corrupt("payload too short"))?[0];
     let mutation = match kind {
         0 => Mutation::AddCompetitor(decode_coords(&mut r, offset)?),
@@ -408,10 +415,14 @@ where
     out
 }
 
-/// Decodes a version-2 or version-1 checkpoint image.
+/// Decodes a checkpoint image: a `--wal` directory's checkpoint or a
+/// `--warm-start` file. Only version 2 is read.
 pub(crate) fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint, WalError> {
     let corrupt = WalError::Rejected;
     let truncated = |_| corrupt("checkpoint truncated");
+    if buf.starts_with(SNAP_MAGIC) {
+        return Err(corrupt(SNAP_RETIRED));
+    }
     if buf.len() < 8 + 4 + 8 {
         return Err(corrupt("checkpoint truncated"));
     }
@@ -425,13 +436,17 @@ pub(crate) fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint, WalError> {
     }
     let mut r = Reader::new(body);
     r.bytes(8).map_err(truncated)?;
-    let version = r.u32().map_err(truncated)?;
-    if version != CKPT_VERSION && version != CKPT_V1 {
-        return Err(corrupt("unsupported checkpoint version"));
+    match r.u32().map_err(truncated)? {
+        CKPT_VERSION => {}
+        1 => return Err(corrupt(CKPT_V1_RETIRED)),
+        _ => return Err(corrupt("unsupported checkpoint version")),
     }
     let seq = r.u64().map_err(truncated)?;
     let epoch = r.u64().map_err(truncated)?;
     let next_cid = r.u64().map_err(truncated)?;
+    if [seq, epoch, next_cid].iter().any(|&c| c >= COUNTER_LIMIT) {
+        return Err(corrupt("checkpoint counter past 2^63"));
+    }
     let ncids = r.u64().map_err(truncated)?;
     if ncids > (r.remaining() / 8) as u64 {
         return Err(corrupt("checkpoint truncated"));
@@ -439,17 +454,8 @@ pub(crate) fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint, WalError> {
     let cid_of = (0..ncids)
         .map(|_| r.u64().map_err(truncated))
         .collect::<Result<Vec<CompetitorId>, WalError>>()?;
-    let store = if version == CKPT_V1 {
-        let snap_len = r.u64().map_err(truncated)?;
-        let snap_len = usize::try_from(snap_len).map_err(|_| corrupt("checkpoint truncated"))?;
-        let snap = r.bytes(snap_len).map_err(truncated)?;
-        r.finish()
-            .map_err(|_| corrupt("trailing checkpoint bytes"))?;
-        decode_legacy_snapshot(snap).map_err(|_| corrupt("checkpoint snapshot rejected"))?
-    } else {
-        let rows = r.bytes(r.remaining()).map_err(truncated)?;
-        PointStore::from_bytes(rows).map_err(|_| corrupt("checkpoint rows rejected"))?
-    };
+    let rows = r.bytes(r.remaining()).map_err(truncated)?;
+    let store = PointStore::from_bytes(rows).map_err(|_| corrupt("checkpoint rows rejected"))?;
     if cid_of.len() != store.len() {
         return Err(corrupt("checkpoint cid table does not match store"));
     }
@@ -464,57 +470,6 @@ pub(crate) fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint, WalError> {
         epoch,
         next_cid,
         cid_of,
-        store,
-    })
-}
-
-/// Reads the rows of a SKUPSNAP container. Magic, version and the
-/// checksum are checked, and the checksum covers the tree section, but
-/// the tree itself is skipped: the writer keeps no index.
-fn decode_legacy_snapshot(buf: &[u8]) -> Result<PointStore, WalError> {
-    let corrupt = WalError::Rejected;
-    let truncated = |_| corrupt("snapshot truncated");
-    if buf.len() < 8 + 4 + 8 {
-        return Err(corrupt("snapshot truncated"));
-    }
-    let (body, sum_bytes) = buf.split_at(buf.len() - 8);
-    if &body[..8] != SNAP_MAGIC {
-        return Err(corrupt("snapshot magic mismatch"));
-    }
-    if fnv1a(body) != u64::from_le_bytes(sum_bytes.try_into().unwrap()) {
-        return Err(corrupt("snapshot checksum mismatch"));
-    }
-    let mut r = Reader::new(&body[8..]);
-    if r.u32().map_err(truncated)? != SNAP_VERSION {
-        return Err(corrupt("unsupported snapshot version"));
-    }
-    // Two `len u64 | bytes` sections: the store, then the tree.
-    let mut section = || {
-        let len = usize::try_from(r.u64()?).map_err(|_| persist::DecodeError::Truncated)?;
-        r.bytes(len)
-    };
-    let store = section().map_err(truncated)?;
-    let store = PointStore::from_bytes(store).map_err(|_| corrupt("snapshot rows rejected"))?;
-    section().map_err(truncated)?; // the tree, never read
-    r.finish().map_err(|_| corrupt("trailing snapshot bytes"))?;
-    Ok(store)
-}
-
-/// Decodes a `--warm-start` file: a checkpoint image, as
-/// `--save-snapshot` writes it, with its saved ids, `next_cid` and
-/// epoch; or a legacy SKUPSNAP container, which holds rows only and so
-/// reads as ids `0..n` at epoch 0, like a cold start over them.
-pub(crate) fn decode_snapshot(buf: &[u8]) -> Result<Checkpoint, WalError> {
-    if !buf.starts_with(SNAP_MAGIC) {
-        return decode_checkpoint(buf);
-    }
-    let store = decode_legacy_snapshot(buf)?;
-    let n = store.len() as CompetitorId;
-    Ok(Checkpoint {
-        seq: 0,
-        epoch: 0,
-        next_cid: n,
-        cid_of: (0..n).collect(),
         store,
     })
 }
@@ -652,8 +607,6 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtree::persist::snapshot_to_bytes;
-    use rtree::{RTree, RTreeParams};
 
     fn sample_records() -> Vec<(u64, u64, Mutation)> {
         vec![
@@ -752,35 +705,6 @@ mod tests {
         assert_eq!(FsyncPolicy::Interval(8).to_string(), "interval:8");
     }
 
-    /// The version-1 encoder as it shipped before the writer dropped its
-    /// R-tree: ids, then a SKUPSNAP container holding the store and an
-    /// STR tree over it.
-    fn encode_checkpoint_v1(
-        seq: u64,
-        epoch: u64,
-        next_cid: CompetitorId,
-        cid_of: &[CompetitorId],
-        store: &PointStore,
-    ) -> Vec<u8> {
-        let tree = RTree::bulk_load(store, RTreeParams::default());
-        let snap = snapshot_to_bytes(store, &tree);
-        let mut out = Vec::new();
-        out.extend_from_slice(CKPT_MAGIC);
-        out.extend_from_slice(&CKPT_V1.to_le_bytes());
-        out.extend_from_slice(&seq.to_le_bytes());
-        out.extend_from_slice(&epoch.to_le_bytes());
-        out.extend_from_slice(&next_cid.to_le_bytes());
-        out.extend_from_slice(&(cid_of.len() as u64).to_le_bytes());
-        for cid in cid_of {
-            out.extend_from_slice(&cid.to_le_bytes());
-        }
-        out.extend_from_slice(&(snap.len() as u64).to_le_bytes());
-        out.extend_from_slice(&snap);
-        let sum = fnv1a(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
     /// Rows with dead ones interleaved, as the writer holds them.
     fn sample_rows() -> (PointStore, Vec<CompetitorId>, Vec<bool>) {
         let store = PointStore::from_rows(
@@ -815,53 +739,30 @@ mod tests {
         // The rows section is a plain point-store image.
         let rows_at = CKPT_HEADER + 8 * 3;
         assert_eq!(&bytes[rows_at..bytes.len() - 8], ck.store.to_bytes());
-    }
-
-    #[test]
-    fn checkpoint_v1_still_decodes_to_the_same_rows_and_ids() {
-        let ck2 = decode_checkpoint(&encode_live(42, 40, 17)).unwrap();
-        let v1 = encode_checkpoint_v1(42, 40, 17, &ck2.cid_of, &ck2.store);
-        let ck1 = decode_checkpoint(&v1).unwrap();
-        assert_eq!((ck1.seq, ck1.epoch, ck1.next_cid), (42, 40, 17));
-        assert_eq!(ck1.cid_of, ck2.cid_of);
-        assert_eq!(ck1.store, ck2.store);
-        // An empty competitor set round-trips in both versions.
-        let empty = PointStore::new(2);
-        let ck = decode_checkpoint(&encode_checkpoint_v1(0, 0, 0, &[], &empty)).unwrap();
-        assert_eq!((ck.store.len(), ck.store.dims()), (0, 2));
+        // An empty competitor set round-trips.
         let ck = decode_checkpoint(&encode_checkpoint(0, 0, 0, 2, std::iter::empty())).unwrap();
         assert_eq!((ck.store.len(), ck.store.dims()), (0, 2));
     }
 
     #[test]
     fn every_truncation_and_a_flipped_byte_are_rejected() {
-        for bytes in [
-            encode_live(42, 40, 17),
-            encode_checkpoint_v1(
-                1,
-                2,
-                17,
-                &[3, 11],
-                &PointStore::from_rows(2, [[0.1, 0.9], [0.9, 0.1]]),
-            ),
-        ] {
-            for cut in 0..bytes.len() {
-                assert!(decode_checkpoint(&bytes[..cut]).is_err(), "cut at {cut}");
-            }
-            for at in 0..bytes.len() {
-                let mut bad = bytes.clone();
-                bad[at] ^= 0x10;
-                assert!(decode_checkpoint(&bad).is_err(), "flip at {at}");
-            }
+        let bytes = encode_live(42, 40, 17);
+        for cut in 0..bytes.len() {
+            assert!(decode_checkpoint(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        for at in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x10;
+            assert!(decode_checkpoint(&bad).is_err(), "flip at {at}");
         }
     }
 
-    /// A SKUPSNAP container laid out as `snapshot_to_bytes` writes one,
-    /// sealed with a valid checksum over whatever sections it is given.
-    fn skupsnap(version: u32, store: &[u8], tree: &[u8]) -> Vec<u8> {
+    /// A SKUPSNAP container laid out as older builds wrote one, with an
+    /// empty tree section, sealed with a valid checksum.
+    fn skupsnap(store: &[u8]) -> Vec<u8> {
         let mut out = SNAP_MAGIC.to_vec();
-        out.extend_from_slice(&version.to_le_bytes());
-        for section in [store, tree] {
+        out.extend_from_slice(&1u32.to_le_bytes());
+        for section in [store, &[]] {
             out.extend_from_slice(&(section.len() as u64).to_le_bytes());
             out.extend_from_slice(section);
         }
@@ -870,52 +771,37 @@ mod tests {
         out
     }
 
+    /// A snapshot file, as `--save-snapshot` writes it at seq 0, keeps
+    /// its saved ids, next id and epoch through the decoder a warm start
+    /// reads it with.
     #[test]
-    fn legacy_snapshots_load_their_rows_and_skip_the_tree() {
-        let (store, ..) = sample_rows();
-        let tree = RTree::bulk_load(&store, RTreeParams::default());
-        let legacy = snapshot_to_bytes(&store, &tree);
-        assert_eq!(skupsnap(1, &store.to_bytes(), &tree.to_bytes()), legacy);
-        // Rows only: ids 0..n at epoch 0, as a cold start assigns them.
-        let ck = decode_snapshot(&legacy).unwrap();
-        assert_eq!(ck.store, store);
-        let n = store.len() as u64;
-        assert_eq!((ck.seq, ck.epoch, ck.next_cid), (0, 0, n));
-        assert_eq!(ck.cid_of, (0..n).collect::<Vec<_>>());
-        // Nothing reads the tree, so a garbage one under a valid checksum
-        // loads.
-        let garbage = skupsnap(1, &store.to_bytes(), b"not a tree");
-        assert_eq!(decode_snapshot(&garbage).unwrap().store, store);
-        // A checkpoint image, as `--save-snapshot` writes, gives its rows
-        // with their saved ids, next id and epoch.
-        let ck = decode_snapshot(&encode_live(0, 5, 17)).unwrap();
+    fn a_saved_snapshot_keeps_its_ids_next_cid_and_epoch() {
+        let ck = decode_checkpoint(&encode_live(0, 5, 17)).unwrap();
         assert_eq!(
             ck.store,
             PointStore::from_rows(2, [[0.1, 0.9], [0.9, 0.1], [0.5, 0.6]])
         );
-        assert_eq!((ck.epoch, ck.next_cid), (5, 17));
+        assert_eq!((ck.seq, ck.epoch, ck.next_cid), (0, 5, 17));
         assert_eq!(ck.cid_of, vec![3, 11, 12]);
+    }
 
-        let mut bad_rows = store.to_bytes();
-        bad_rows[persist::HEADER_LEN..persist::HEADER_LEN + 8]
-            .copy_from_slice(&f64::NAN.to_le_bytes());
-        for (what, bad) in [
-            ("bad version", skupsnap(2, &store.to_bytes(), b"")),
-            ("corrupt store", skupsnap(1, &bad_rows, b"")),
-            (
-                "store section cut short",
-                skupsnap(1, &store.to_bytes()[..40], b""),
-            ),
-        ] {
-            assert!(decode_snapshot(&bad).is_err(), "{what}");
-        }
-        for cut in 0..legacy.len() {
-            assert!(decode_snapshot(&legacy[..cut]).is_err(), "cut at {cut}");
-        }
-        for at in 0..legacy.len() {
-            let mut bad = legacy.clone();
-            bad[at] ^= 0x10;
-            assert!(decode_snapshot(&bad).is_err(), "flip at {at}");
+    /// The retired formats are refused by name, with the way out, under
+    /// a valid checksum: a SKUPSNAP container and a version-1 checkpoint.
+    #[test]
+    fn retired_formats_are_refused_by_name() {
+        let (store, ..) = sample_rows();
+        let snap = skupsnap(&store.to_bytes());
+        let v1 = resealed(encode_live(42, 40, 17), |b| {
+            b[8..12].copy_from_slice(&1u32.to_le_bytes())
+        });
+        for (bytes, names) in [(snap, "SKUPSNAP"), (v1, "checkpoint version 1")] {
+            match decode_checkpoint(&bytes) {
+                Err(WalError::Rejected(why)) => {
+                    assert!(why.starts_with(names), "{why}");
+                    assert!(why.contains("--competitors"), "{why}");
+                }
+                other => panic!("{names}: expected a refusal, got {:?}", other.err()),
+            }
         }
     }
 
@@ -934,7 +820,7 @@ mod tests {
     fn checksummed_but_inconsistent_checkpoints_are_errors() {
         let bytes = encode_live(42, 40, 17);
         let ncids_at = CKPT_HEADER - 8;
-        let cases: [(&str, Vec<u8>); 4] = [
+        let cases: [(&str, Vec<u8>); 5] = [
             (
                 "ncids past the buffer",
                 resealed(bytes.clone(), |b| {
@@ -958,6 +844,12 @@ mod tests {
                 "next_cid not past the ids",
                 resealed(bytes.clone(), |b| {
                     b[28..36].copy_from_slice(&12u64.to_le_bytes())
+                }),
+            ),
+            (
+                "an epoch the next mutation would overflow",
+                resealed(bytes.clone(), |b| {
+                    b[20..28].copy_from_slice(&u64::MAX.to_le_bytes())
                 }),
             ),
         ];

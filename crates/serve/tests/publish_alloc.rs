@@ -3,45 +3,13 @@
 //! that leaves the skyline alone costs O(|skyline|) bytes, not a copy
 //! of the whole competitor store and R-tree.
 //!
-//! This file holds a single test: the counting global allocator sees
-//! every allocation in the process, so concurrent tests would pollute
-//! the measurement.
+//! This file holds a single test, as `counting_alloc` requires.
+
+mod counting_alloc;
 
 use skyup_data::synthetic::{generate, Distribution, SyntheticConfig};
 use skyup_serve::{CompetitorId, Engine, EngineConfig, Mutation};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a statistic
-// and never affects what is allocated.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn alloc_bytes() -> u64 {
-    ALLOC_BYTES.load(Ordering::Relaxed)
-}
 
 fn assert_snapshot_is_skyline_only(engine: &Engine, when: &str) {
     let snap = engine.snapshot();
@@ -70,11 +38,11 @@ fn publishing_a_non_skyline_remove_allocates_o_skyline_bytes() {
 
     let mut bytes = Vec::with_capacity(victims.len());
     for &cid in &victims {
-        let before = alloc_bytes();
+        let before = counting_alloc::requested();
         let out = engine
             .apply(Mutation::RemoveCompetitor(cid))
             .expect("remove never errors");
-        bytes.push(alloc_bytes() - before);
+        bytes.push(counting_alloc::requested() - before);
         assert!(out.removed && !out.rebuilt, "cid {cid}: {out:?}");
     }
     // Every one of them, not just the median: the writer keeps no

@@ -6,8 +6,9 @@
 //! instead abort recovery with an error, never a panic and never a
 //! silent drop of acknowledged history.
 
-use rtree::persist::snapshot_to_bytes;
-use rtree::{RTree, RTreeParams};
+mod crc32;
+
+use crc32::crc32;
 use skyup_data::Rng;
 use skyup_geom::persist::fnv1a;
 use skyup_geom::PointStore;
@@ -169,7 +170,8 @@ fn mid_log_corruption_aborts_recovery_with_an_error() {
 
 /// Recovery errors say which file failed: a checkpoint is rejected
 /// whole, with what its decoder found, while corruption inside the log
-/// keeps the byte offset of the record it hit.
+/// keeps the byte offset of the record it hit, and a record the engine
+/// refuses on replay its sequence number.
 #[test]
 fn recovery_errors_name_the_checkpoint_or_the_log_offset() {
     let grow = temp_dir("errors-grow");
@@ -198,6 +200,24 @@ fn recovery_errors_name_the_checkpoint_or_the_log_offset() {
         "invalid input: checkpoint rejected: checkpoint checksum mismatch"
     );
 
+    // A version-1 checkpoint (written while the writer kept an R-tree)
+    // is refused by name, under a resealed checksum, and both files are
+    // left as they were, so a build that still reads it can upgrade them.
+    let mut v1 = checkpoint.clone();
+    assert_eq!(v1[8..12], 2u32.to_le_bytes(), "engines write version 2");
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let n = v1.len() - 8;
+    let sum = fnv1a(&v1[..n]);
+    v1[n..].copy_from_slice(&sum.to_le_bytes());
+    let err = recover_err(&v1, &log);
+    assert!(
+        err.starts_with("invalid input: checkpoint rejected: checkpoint version 1 "),
+        "{err}"
+    );
+    assert!(err.contains("--save-snapshot"), "{err}");
+    assert_eq!(std::fs::read(dir.join("checkpoint.snap")).unwrap(), v1);
+    assert_eq!(std::fs::read(dir.join("wal.log")).unwrap(), log);
+
     // Records are `len u32 | crc u32 | payload`; flip a payload byte of
     // the middle one.
     let mut starts = vec![0usize];
@@ -217,94 +237,40 @@ fn recovery_errors_name_the_checkpoint_or_the_log_offset() {
              record checksum mismatch"
         )
     );
-}
 
-/// Rewrites a version-2 checkpoint image as the version-1 image engines
-/// wrote while the writer kept an R-tree: the same header and ids, then
-/// a SKUPSNAP container holding the rows and an STR tree over them.
-fn as_v1(v2: &[u8]) -> Vec<u8> {
-    assert_eq!(v2[8..12], 2u32.to_le_bytes(), "engines write version 2");
-    let ncids = u64::from_le_bytes(v2[36..44].try_into().unwrap()) as usize;
-    let rows_at = 44 + 8 * ncids;
-    let store = PointStore::from_bytes(&v2[rows_at..v2.len() - 8]).unwrap();
-    let snap = snapshot_to_bytes(&store, &RTree::bulk_load(&store, RTreeParams::default()));
-    let mut v1 = v2[..rows_at].to_vec();
-    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&(snap.len() as u64).to_le_bytes());
-    v1.extend_from_slice(&snap);
-    let sum = fnv1a(&v1);
-    v1.extend_from_slice(&sum.to_le_bytes());
-    v1
-}
-
-/// The fingerprint plus the skyline's competitor ids, as published.
-fn fingerprint_with_ids(engine: &Engine) -> ((u64, Vec<u8>), Vec<u64>) {
-    let snap = engine.snapshot();
-    let cids = snap.rows().map(|(cid, _)| cid).collect();
-    (fingerprint(engine), cids)
-}
-
-#[test]
-fn a_v1_checkpoint_plus_a_log_tail_recovers_and_the_next_checkpoint_is_v2() {
-    // Checkpoints at seq 16 and 32 leave an 8-record tail after the
-    // second one.
-    let every = 16;
-    let cfg = |dir: &Path| WalConfig {
-        checkpoint_every: every,
-        ..wal_cfg(dir)
-    };
-    let grow = temp_dir("v1-grow");
-    let engine = Engine::with_durability(base_store(), EngineConfig::default(), cfg(&grow))
-        .expect("fresh durable engine");
-    let muts = workload();
-    for m in &muts {
-        engine.apply(m.clone()).expect("acked mutation");
-    }
-    engine.flush_wal().unwrap();
-    let v2 = std::fs::read(grow.join("checkpoint.snap")).unwrap();
-    let tail = std::fs::read(grow.join("wal.log")).unwrap();
-    assert!(!tail.is_empty(), "the checkpoint must leave a log tail");
-    drop(engine);
-
-    // The engine that never restarted.
-    let oracle = Engine::with_competitors(base_store(), EngineConfig::default());
-    for m in &muts {
-        oracle.apply(m.clone()).expect("oracle mutation");
-    }
-
-    let dir = temp_dir("v1");
-    std::fs::write(dir.join("checkpoint.snap"), as_v1(&v2)).unwrap();
-    std::fs::write(dir.join("wal.log"), &tail).unwrap();
-    let recovered = Engine::recover(EngineConfig::default(), cfg(&dir)).expect("v1 recovers");
-    let status = recovered.durability().expect("durable engine");
-    assert_eq!(status.recovery.checkpoint_seq, 32);
-    assert_eq!(status.recovery.replayed, muts.len() as u64 - 32);
-    assert_eq!(
-        fingerprint_with_ids(&recovered),
-        fingerprint_with_ids(&oracle)
-    );
-
-    // Exactly enough further mutations for the next periodic
-    // checkpoint, every one logged (removes take a live skyline
-    // member); outcomes and ids keep matching the oracle's.
-    let mut rng = Rng::seed_from_u64(0x1CEB00DA);
-    let more = every as usize - (muts.len() - 32);
-    for i in 0..more {
-        let m = if i % 3 == 2 {
-            Mutation::RemoveCompetitor(oracle.snapshot().rows().next().unwrap().0)
-        } else {
-            Mutation::AddCompetitor(vec![rng.range_f64(0.05, 0.95), rng.range_f64(0.05, 0.95)])
-        };
+    // A checksum-valid record the engine refuses names its seq, like
+    // the other replay failures.
+    let seq = MUTATIONS as u64 + 1;
+    for (coords, why) in [
+        (
+            vec![0.5, 0.5, 0.5],
+            "competitor has 3 coordinates, expected 2",
+        ),
+        (vec![0.5, f64::NAN], "competitor coordinates must be finite"),
+    ] {
+        let mut log = log.clone();
+        log.extend_from_slice(&add_record(seq, seq, &coords));
         assert_eq!(
-            recovered.apply(m.clone()).expect("post-recovery mutation"),
-            oracle.apply(m).expect("oracle mutation"),
+            recover_err(&checkpoint, &log),
+            format!("invalid input: wal rejected: record seq {seq}: {why}")
         );
     }
-    assert!(std::fs::read(dir.join("wal.log")).unwrap().is_empty());
-    let next = std::fs::read(dir.join("checkpoint.snap")).unwrap();
-    assert_eq!(next[8..12], 2u32.to_le_bytes(), "the next checkpoint is v2");
-    drop(recovered);
-    let again = Engine::recover(EngineConfig::default(), cfg(&dir)).expect("v2 recovers");
-    assert_eq!(again.durability().unwrap().recovery.replayed, 0);
-    assert_eq!(fingerprint_with_ids(&again), fingerprint_with_ids(&oracle));
+}
+
+/// One add record as the log frames it:
+/// `len u32 | crc32 u32 | seq u64 | epoch u64 | 0u8 | count u32 | f64 *`.
+fn add_record(seq: u64, epoch: u64, coords: &[f64]) -> Vec<u8> {
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&seq.to_le_bytes());
+    payload.extend_from_slice(&epoch.to_le_bytes());
+    payload.push(0);
+    payload.extend_from_slice(&(coords.len() as u32).to_le_bytes());
+    for c in coords {
+        payload.extend_from_slice(&c.to_le_bytes());
+    }
+    let mut rec = (payload.len() as u32).to_le_bytes().to_vec();
+    rec.extend_from_slice(&crc32(&payload).to_le_bytes());
+    rec.extend_from_slice(&payload);
+    rec
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline-safe CI gate: formatting, lints, the tier-1 build + test
 # suite, the ledger benchmark's own build + tests, the declarative
-# scenario suite, and the perf-regression bench gate.
+# scenario suite, every example, and the perf-regression bench gate.
 #
 # Exit-code contract (what a red run means):
 #   0    every step passed
@@ -168,6 +168,22 @@ step "multi-shard smoke (2 shards + coordinator, dedicated hard cap)" \
 step "scenario suite (committed corpus, declarative regression vehicle)" \
     timeout "${SKYUP_CI_SCENARIO_TIMEOUT:-120}" \
     cargo run --offline --release -q --bin skyup -- test --suite scenarios/
+
+# Every example under examples/, run in release under a fixed cap:
+# clippy --all-targets only compiles them, so an example that panics
+# would otherwise go unseen. The list comes from the directory, so a
+# new example runs without editing this step. Their stdout is dropped;
+# a failing one's stderr stays in the log.
+run_examples() {
+    local ex
+    for ex in examples/*.rs; do
+        ex="$(basename "$ex" .rs)"
+        echo "-- example $ex"
+        timeout 120 cargo run --offline --release -q --example "$ex" >/dev/null
+    done
+}
+step "examples (release, each under a 120 s cap)" \
+    run_examples
 
 # The dominance-kernel bench at a tiny scale, under its own hard cap.
 # No baseline comparison here (wall-clock at smoke scale is noise) —

@@ -763,23 +763,38 @@ fn scripted_replies(mut child: Child, addr: &str) -> Vec<String> {
 }
 
 /// A SKUPSNAP file (store plus R-tree, the `--save-snapshot` format of
-/// older builds) still warm-starts a server, and that server answers
-/// (ids included) byte for byte like a cold one.
+/// older builds) is refused by name with exit 1, never a panic or an
+/// abort, and the file is left as it was.
 #[test]
-fn legacy_snapshot_warm_start_matches_the_cold_server() {
-    use skyup::rtree::persist::snapshot_to_bytes;
-    use skyup::rtree::{RTree, RTreeParams};
-
-    let comp = fixture("legacy");
+fn skupsnap_warm_start_is_refused_by_name() {
+    let comp = fixture("skupsnap");
     let store = skyup::data::read_delimited(&comp, ',', false, &[0, 1]).unwrap();
-    let tree = RTree::bulk_load(&store, RTreeParams::default());
-    let legacy = comp.with_file_name("legacy.snap");
-    std::fs::write(&legacy, snapshot_to_bytes(&store, &tree)).unwrap();
-
-    let (cold, addr) = spawn_server(&comp, &[]);
-    let want = scripted_replies(cold, &addr);
-    let (warm, addr) = spawn_serve(&["--warm-start", legacy.to_str().unwrap()], &[]);
-    assert_eq!(scripted_replies(warm, &addr), want);
+    // magic | version 1 | store_len | store | tree_len | tree | fnv1a,
+    // with an empty tree section under a valid checksum.
+    let mut bytes = b"SKUPSNAP".to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    for section in [store.to_bytes(), Vec::new()] {
+        bytes.extend_from_slice(&(section.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&section);
+    }
+    let sum = skyup::geom::persist::fnv1a(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    let old = comp.with_file_name("old.snap");
+    std::fs::write(&old, &bytes).unwrap();
+    let out = bin()
+        .arg("serve")
+        .arg("--warm-start")
+        .arg(&old)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("snapshot file rejected: SKUPSNAP snapshot files"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("--competitors"), "{stderr}");
+    assert_eq!(std::fs::read(&old).unwrap(), bytes);
 }
 
 /// `--save-snapshot` writes a checkpoint image at seq 0, so with `--wal`
